@@ -25,6 +25,7 @@ from .errors import (
     ModeMismatch,
     NonSplitExtension,
     PrecisionExhausted,
+    VerificationFailure,
 )
 from . import linalg
 from .linalg import Matrix, PADIC, RATIONAL
@@ -550,7 +551,10 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
     rhs = [lam.at(i, j) for j in range(r) for i in range(k)]  # column-major vec
     x = linalg.solve(system, rhs)
     if x is None:
-        assert res == 0
+        if res != 0:
+            raise VerificationFailure(
+                "the Sylvester system is inconsistent although the diagonal spectra are disjoint"
+            )
         raise NonSplitExtension(
             "spectra of the diagonal blocks meet and the corner block is not in the "
             "image of the Sylvester operator"
@@ -569,7 +573,8 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
     g = linalg.mat_mul(linalg.mat_mul(u, m.phi), u_inv)
     for i in range(k):
         for j in range(r):
-            assert g.at(i, k + j) == 0, "conjugation failed to kill the corner"
+            if g.at(i, k + j) != 0:
+                raise VerificationFailure("conjugation failed to kill the corner")
     wa = _infer_block_weight(a, m.ctx)
     wb = _infer_block_weight(b, m.ctx)
     fil_new = m.fil1 if m.fil1.kind == RATIONAL else linalg.to_padic(m.fil1, m.ctx.doubled())

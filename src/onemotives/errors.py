@@ -52,6 +52,11 @@ class ClosureFailure(OneMotivesError):
     system is always closed under composition and contains the identity."""
 
 
+class VerificationFailure(OneMotivesError):
+    """An exact self-check of a computed answer failed.  This signals an
+    internal bug, not a precision problem: more digits cannot fix it."""
+
+
 class UnclassifiedShape(OneMotivesError):
     """The computed endomorphism algebra matches none of the known case
     shapes.  Reported as-is, never silently coerced."""

@@ -28,6 +28,7 @@ from .errors import (
     ContextMismatch,
     PrecisionExhausted,
     UnclassifiedShape,
+    VerificationFailure,
 )
 from . import linalg
 from .crystal import FilteredPhiModule
@@ -89,7 +90,8 @@ def _verify_element(h: Matrix, src: FilteredPhiModule, tgt: FilteredPhiModule, w
     resid = linalg.mat_sub(linalg.mat_mul(phi_b, h), linalg.mat_mul(h, phi_a))
     for e in resid.entries:
         if work is None:
-            assert e == 0, "solver returned a non-equivariant map"
+            if e != 0:
+                raise VerificationFailure("solver returned a non-equivariant map")
         elif not e.negligible(work.threshold):
             raise PrecisionExhausted("equivariance residual above the zero threshold")
     c_b = _promote(tgt.fil1, work)
@@ -136,22 +138,32 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
 # -- span membership -----------------------------------------------------------
 
 
-def in_span(basis: list[Matrix], target: Matrix) -> list | None:
-    """Coordinates of target in the span of basis matrices, or None."""
+def in_span_many(basis: list[Matrix], targets: list[Matrix]) -> list:
+    """For each target, its coordinates in the span of the basis matrices,
+    ``None`` when it lies outside, or the ``PrecisionExhausted`` that
+    deciding it alone would raise; one elimination for all targets."""
     if not basis:
-        all_zero = all(
-            e == 0 if target.kind == RATIONAL else e.negligible(target.ctx.threshold)
-            for e in target.entries
-        )
-        return [] if all_zero else None
+        return [
+            [] if all(_entry_dead(e, t.kind, t.ctx) for e in t.entries) else None
+            for t in targets
+        ]
+    size = len(basis[0].entries)
     stacked = Matrix(
-        len(basis[0].entries),
+        size,
         len(basis),
-        [b.entries[i] for i in range(len(basis[0].entries)) for b in basis],
+        [b.entries[i] for i in range(size) for b in basis],
         basis[0].kind,
         basis[0].ctx,
     )
-    return linalg.solve(stacked, list(target.entries))
+    return linalg.solve_many(stacked, [t.entries for t in targets])
+
+
+def in_span(basis: list[Matrix], target: Matrix) -> list | None:
+    """Coordinates of target in the span of basis matrices, or None."""
+    (x,) = in_span_many(basis, [target])
+    if isinstance(x, PrecisionExhausted):
+        raise x
+    return x
 
 
 def _match_kind(basis: list[Matrix], m: Matrix) -> Matrix:
@@ -162,17 +174,25 @@ def _match_kind(basis: list[Matrix], m: Matrix) -> Matrix:
 
 def end_algebra(m: FilteredPhiModule) -> HomSpace:
     """End space of m, verified to contain the identity and to be closed
-    under composition (each pairwise product re-expressed in the basis)."""
+    under composition (each pairwise product re-expressed in the basis).
+
+    The identity and all pairwise products are tested against one shared
+    elimination; the first failing one, in the order identity, h0*h0,
+    h0*h1, ..., decides the error."""
     e = hom_space(m, m)
     if m.dim == 0:
         return e
-    ident = _match_kind(e.basis, Matrix.identity(m.dim))
-    if in_span(e.basis, ident) is None:
-        raise ClosureFailure("identity is missing from the computed endomorphism span")
-    for hi in e.basis:
-        for hj in e.basis:
-            if in_span(e.basis, linalg.mat_mul(hi, hj)) is None:
-                raise ClosureFailure("basis product escaped the computed span")
+    targets = [_match_kind(e.basis, Matrix.identity(m.dim))]
+    targets += [linalg.mat_mul(hi, hj) for hi in e.basis for hj in e.basis]
+    for k, x in enumerate(in_span_many(e.basis, targets)):
+        if isinstance(x, PrecisionExhausted):
+            raise x
+        if x is None:
+            raise ClosureFailure(
+                "identity is missing from the computed endomorphism span"
+                if k == 0
+                else "basis product escaped the computed span"
+            )
     return e
 
 

@@ -58,7 +58,8 @@ class Matrix:
                 f"got {len(self.entries)}"
             )
         if self.kind == RATIONAL:
-            self.entries = [Fraction(e) for e in self.entries]
+            if not all(type(e) is Fraction for e in self.entries):
+                self.entries = [e if type(e) is Fraction else Fraction(e) for e in self.entries]
         elif self.kind == PADIC:
             if self.ctx is None:
                 raise ValueError("p-adic matrices need a context")
@@ -138,18 +139,33 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, [c * x for x in a.entries], a.kind, a.ctx)
 
 
+def _nonzero_test(kind: str):
+    """Predicate false exactly on the entries whose products vanish exactly:
+    Fraction 0, or the p-adic exact zero.  Unresolved p-adic zeros carry
+    precision and count as nonzero."""
+    return bool if kind == RATIONAL else (lambda x: x.v is not None)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Row i of the product is the sum over k of a[i,k] * (row k of b).
+
+    Terms with an exact-zero factor are skipped; adding them would leave the
+    sum unchanged, so every entry, p-adic precision included, is what the
+    dense triple loop gives when it sums over k in increasing order.
+    """
     _require_same_kind(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    nonzero = _nonzero_test(a.kind)
+    b_rows = [[(j, x) for j, x in enumerate(b.row(k)) if nonzero(x)] for k in range(b.rows)]
     out = []
     for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = _zero_like(a)
-            for k in range(a.cols):
-                acc = acc + arow[k] * b.entries[k * b.cols + j]
-            out.append(acc)
+        acc = [_zero_like(a)] * b.cols
+        for aik, b_row in zip(a.row(i), b_rows):
+            if nonzero(aik):
+                for j, bkj in b_row:
+                    acc[j] = acc[j] + aik * bkj
+        out.extend(acc)
     return Matrix(a.rows, b.cols, out, a.kind, a.ctx)
 
 
@@ -258,10 +274,13 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, rep
     """In-place reduced row echelon over the first ``ncols`` columns.
 
     Returns the list of (column, row) pivots.  Row operations extend over
-    the full row width, so callers may carry augmented columns.
+    the full row width, so callers may carry augmented columns.  Rows are
+    updated in place and must not be shared with anything else; rational
+    rows must hold ``Fraction`` entries only.
     """
     nrows = len(data)
     threshold = ctx.threshold if kind == PADIC else None
+    nonzero = _nonzero_test(kind)
     pivots: list[tuple[int, int]] = []
     rank = 0
     for c in range(ncols):
@@ -301,7 +320,10 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, rep
         piv = data[rank][c]
         if kind == PADIC and report is not None:
             report.note(piv.prec)
-        data[rank] = [e / piv for e in data[rank]]
+        # exact zeros of the pivot row neither change under the division
+        # nor change the rows it is subtracted from, so they are skipped
+        prow = data[rank] = [e / piv if nonzero(e) else e for e in data[rank]]
+        support = [j for j, e in enumerate(prow) if nonzero(e)]
         for i in range(nrows):
             if i == rank:
                 continue
@@ -309,8 +331,9 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, rep
             dead = factor == 0 if kind == RATIONAL else factor.negligible(threshold)
             if dead:
                 continue
-            prow = data[rank]
-            data[i] = [a - factor * b for a, b in zip(data[i], prow)]
+            row = data[i]
+            for j in support:
+                row[j] = row[j] - factor * prow[j]
         pivots.append((c, rank))
         rank += 1
     return pivots
@@ -375,26 +398,51 @@ def rank(m: Matrix) -> int:
     return len(_rref(data, m.cols, m.kind, m.ctx, None))
 
 
-def solve(m: Matrix, rhs: list) -> list | None:
-    """One solution of m x = rhs, or None when the system is inconsistent."""
-    if len(rhs) != m.rows:
+def solve_many(m: Matrix, rhss: list[list]) -> list:
+    """Solve m x = b for every right-hand side b in ``rhss`` with one elimination.
+
+    Every b rides along as an augmented column.  Pivots are chosen from the
+    first ``m.cols`` columns only, so each column undergoes exactly the row
+    operations that ``solve(m, b)`` would apply to it alone.  Entry k of the
+    result is then what ``solve(m, rhss[k])`` gives: one solution, ``None``
+    when that system is inconsistent, or the ``PrecisionExhausted`` it would
+    raise when its consistency check is ambiguous (returned, not raised, so
+    callers can decide in column order).  An ambiguous pivot decision
+    concerns every column and is raised.
+    """
+    if any(len(rhs) != m.rows for rhs in rhss):
         raise ValueError("right-hand side length mismatch")
-    data = [m.row(i) + [rhs[i]] for i in range(m.rows)]
+    rhs_block = Matrix.from_columns(rhss, m.rows, m.kind, m.ctx)
+    data = [m.row(i) + rhs_block.row(i) for i in range(m.rows)]
     pivots = _rref(data, m.cols, m.kind, m.ctx, None)
     threshold = m.ctx.threshold if m.kind == PADIC else None
-    for i in range(len(pivots), m.rows):
-        resid = data[i][m.cols]
-        if m.kind == RATIONAL:
-            if resid != 0:
-                return None
-        else:
-            if resid.ambiguous(threshold):
-                raise PrecisionExhausted("consistency check is ambiguous at the working precision")
-            if not resid.negligible(threshold):
-                return None
-    x = [_zero_like(m)] * m.cols
-    for c, r in pivots:
-        x[c] = data[r][m.cols]
+    zero = _zero_like(m)
+    out = []
+    for k in range(m.cols, m.cols + len(rhss)):
+        result = [zero] * m.cols
+        for c, r in pivots:
+            result[c] = data[r][k]
+        for i in range(len(pivots), m.rows):
+            resid = data[i][k]
+            if m.kind == RATIONAL:
+                if resid != 0:
+                    result = None
+                    break
+            elif resid.ambiguous(threshold):
+                result = PrecisionExhausted("consistency check is ambiguous at the working precision")
+                break
+            elif not resid.negligible(threshold):
+                result = None
+                break
+        out.append(result)
+    return out
+
+
+def solve(m: Matrix, rhs: list) -> list | None:
+    """One solution of m x = rhs, or None when the system is inconsistent."""
+    (x,) = solve_many(m, [rhs])
+    if isinstance(x, PrecisionExhausted):
+        raise x
     return x
 
 

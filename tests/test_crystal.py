@@ -35,6 +35,7 @@ from onemotives.errors import (
     HasseViolation,
     ModeMismatch,
     NonSplitExtension,
+    VerificationFailure,
 )
 from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL, mat_mul, to_padic
@@ -310,6 +311,18 @@ def test_split_extension_non_split():
     )
     with pytest.raises(NonSplitExtension):
         split_extension(stuck)
+
+
+def test_split_extension_checks_the_sylvester_solution(monkeypatch):
+    # the spectra {1} and {5} are disjoint, so the Sylvester system must be
+    # solvable and its solution must kill the corner
+    ext = extension_module(3, C5)
+    monkeypatch.setattr(linalg, "solve", lambda system, rhs: None)
+    with pytest.raises(VerificationFailure, match="spectra are disjoint"):
+        split_extension(ext)
+    monkeypatch.setattr(linalg, "solve", lambda system, rhs: [Fraction(0)])
+    with pytest.raises(VerificationFailure, match="failed to kill the corner"):
+        split_extension(ext)
 
 
 def test_split_extension_coincident_but_solvable():

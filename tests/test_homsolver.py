@@ -19,8 +19,16 @@ from onemotives.crystal import (
     split_extension,
     zero_module,
 )
-from onemotives.errors import ContextMismatch, UnclassifiedShape
+from onemotives import homsolver
+from onemotives.errors import (
+    ClosureFailure,
+    ContextMismatch,
+    PrecisionExhausted,
+    UnclassifiedShape,
+    VerificationFailure,
+)
 from onemotives.homsolver import (
+    HomSpace,
     LATTICE_SCALARS,
     POLYNOMIAL_ALGEBRA_OF_PHI,
     SCALAR_ONLY,
@@ -35,8 +43,8 @@ from onemotives.homsolver import (
     weight_block_structure,
 )
 from onemotives import linalg
-from onemotives.linalg import Matrix, RATIONAL
-from onemotives.padic import PadicContext
+from onemotives.linalg import Matrix, PADIC, RATIONAL
+from onemotives.padic import PadicContext, PadicScalar
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
@@ -211,6 +219,65 @@ def test_unclassified_shape_for_doubled_elliptic():
 def test_in_span_empty_basis():
     assert in_span([], Matrix.zeros(2, 2)) == []
     assert in_span([], Matrix.identity(2)) is None
+
+
+# -- the End closure check can fail ----------------------------------------------------
+
+
+def _end_with_basis(monkeypatch, basis):
+    """end_algebra of lattice:2 with hom_space forced to return ``basis``."""
+    monkeypatch.setattr(homsolver, "hom_space", lambda s, t: HomSpace(s, t, len(basis), basis))
+    return end_algebra(realize_lattice(2, C5))
+
+
+def _padic_2x2(rows):
+    """2x2 p-adic matrix over C5 from 0 (exact zero), 1, or a PadicScalar."""
+    def entry(e):
+        if isinstance(e, PadicScalar):
+            return e
+        return PadicScalar.one(5, 40) if e == 1 else PadicScalar.exact_zero(5)
+
+    return Matrix(2, 2, [entry(e) for row in rows for e in row], PADIC, C5)
+
+
+def test_end_closure_rejects_a_span_without_the_identity(monkeypatch):
+    with pytest.raises(ClosureFailure, match="identity is missing"):
+        _end_with_basis(monkeypatch, [frac_matrix([[1, 0], [0, 0]])])
+
+
+def test_end_closure_rejects_a_product_outside_the_span(monkeypatch):
+    # E12 * E21 = E11 is not a combination of I, E12 and E21
+    basis = [frac_matrix([[1, 0], [0, 1]]), frac_matrix([[0, 1], [0, 0]]), frac_matrix([[0, 0], [1, 0]])]
+    with pytest.raises(ClosureFailure, match="basis product escaped"):
+        _end_with_basis(monkeypatch, basis)
+
+
+def test_end_closure_first_failing_target_decides(monkeypatch):
+    # with F = [[0, 0], [1, O(5^10)]] the residual of F itself is O(5^10),
+    # an ambiguous consistency check, while E12 * F = [[1, O(5^10)], [0, 0]]
+    # is certainly outside the span
+    fuzz = PadicScalar.unresolved_zero(5, 10)
+    ident = _padic_2x2([[1, 0], [0, 1]])
+    e12 = _padic_2x2([[0, 1], [0, 0]])
+    f = _padic_2x2([[0, 0], [1, fuzz]])
+    # targets: I, E12*E12, E12*I, E12*F (escapes), ..., I*F (ambiguous), ...
+    with pytest.raises(ClosureFailure, match="basis product escaped"):
+        _end_with_basis(monkeypatch, [e12, ident, f])
+    # targets: I, I*I, I*E12, I*F (ambiguous), ..., E12*F (escapes), ...
+    with pytest.raises(PrecisionExhausted, match="consistency check is ambiguous"):
+        _end_with_basis(monkeypatch, [ident, e12, f])
+
+
+def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
+    m = kummer(C5)
+    assert m.phi.kind == RATIONAL and m.phi != Matrix.identity(2)
+    # E12 does not commute with phi = diag(1, 5); only the 4-unknown Hom
+    # system is answered wrongly, the annihilator of Fil1 is left intact
+    bogus = linalg.KernelResult(1, [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]])
+    real = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda system: bogus if system.cols == 4 else real(system))
+    with pytest.raises(VerificationFailure, match="non-equivariant"):
+        hom_space(m, m)
 
 
 def test_homspace_serialization():

@@ -9,6 +9,7 @@ from onemotives.errors import ColumnMismatch, NonSquare, PrecisionExhausted
 from onemotives.linalg import (
     Matrix,
     PADIC,
+    RATIONAL,
     annihilator_rows,
     char_poly,
     companion,
@@ -24,6 +25,7 @@ from onemotives.linalg import (
     rank,
     resultant,
     solve,
+    solve_many,
     sylvester_kernel,
     to_padic,
     matrix_to_jsonable,
@@ -141,6 +143,130 @@ def test_solve_and_inconsistent():
     assert x == [Fraction(2), Fraction(1)]
     m2 = frac_matrix([[1, 1], [2, 2]])
     assert solve(m2, [Fraction(1), Fraction(3)]) is None
+
+
+def _random_padic(rng, p=5):
+    """Exact zero, unresolved zero, or a resolved scalar of random precision."""
+    roll = rng.random()
+    if roll < 0.4:
+        return PadicScalar.exact_zero(p)
+    if roll < 0.55:
+        return PadicScalar.unresolved_zero(p, rng.randint(0, 45))
+    prec = rng.randint(1, 40)
+    unit = rng.randrange(1, p**prec)
+    while unit % p == 0:
+        unit = rng.randrange(1, p**prec)
+    return PadicScalar(p, rng.randint(-3, 5), unit, prec)
+
+
+def _random_fraction(rng):
+    if rng.random() < 0.6:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def dense_product(a, b):
+    """Reference product: the textbook triple loop, summing over k in
+    increasing order from the kind's zero."""
+    zero = Fraction(0) if a.kind == RATIONAL else PadicScalar.exact_zero(a.ctx.p)
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                acc = acc + a.at(i, k) * b.at(k, j)
+            out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mat_mul_equals_dense_reference_product(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        r, n, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = Matrix(r, n, [_random_fraction(rng) for _ in range(r * n)])
+        b = Matrix(n, c, [_random_fraction(rng) for _ in range(n * c)])
+        got = mat_mul(a, b).entries
+        assert got == dense_product(a, b)
+        assert all(type(e) is Fraction for e in got)
+        a = Matrix(r, n, [_random_padic(rng) for _ in range(r * n)], PADIC, C5)
+        b = Matrix(n, c, [_random_padic(rng) for _ in range(n * c)], PADIC, C5)
+        # PadicScalar equality compares p, v, unit and prec
+        assert mat_mul(a, b).entries == dense_product(a, b)
+
+
+def _column_outcomes_agree(m, rhss):
+    """solve_many(m, rhss) gives, column by column, what solve gives alone.
+    Returns the outcome kinds seen."""
+    try:
+        many = solve_many(m, rhss)
+    except PrecisionExhausted as exc:
+        many = [exc] * len(rhss)
+    assert len(many) == len(rhss)
+    kinds = set()
+    for rhs, got in zip(rhss, many):
+        try:
+            want = solve(m, rhs)
+        except PrecisionExhausted as exc:
+            assert isinstance(got, PrecisionExhausted) and str(got) == str(exc)
+            kinds.add("precision")
+        else:
+            assert got == want
+            kinds.add("none" if want is None else "solution")
+    return kinds
+
+
+def test_solve_many_equals_per_column_solve_rational():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+        m = Matrix(rows, cols, [_random_fraction(rng) for _ in range(rows * cols)])
+        rhss = []
+        for _ in range(4):
+            x = Matrix(cols, 1, [_random_fraction(rng) for _ in range(cols)])
+            rhss.append(mat_mul(m, x).entries)
+            rhss.append([_random_fraction(rng) for _ in range(rows)])
+        kinds |= _column_outcomes_agree(m, rhss)
+    assert kinds == {"solution", "none"}
+    # integer right-hand sides are coerced like matrix entries
+    assert all(type(e) is Fraction for e in solve(frac_matrix([[2, 0], [0, 1]]), [3, 0]))
+
+
+def test_solve_many_equals_per_column_solve_padic():
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(40):
+        rows, cols = rng.randint(2, 6), rng.randint(1, 4)
+        entries = [
+            from_rational(Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 5])), C5)
+            if rng.random() < 0.6
+            else PadicScalar.exact_zero(5)
+            for _ in range(rows * cols)
+        ]
+        m = Matrix(rows, cols, entries, PADIC, C5)
+        rhss = []
+        for _ in range(3):
+            x = Matrix(cols, 1, [from_rational(rng.randint(-9, 9), C5) for _ in range(cols)], PADIC, C5)
+            consistent = mat_mul(m, x).entries
+            rhss.append(consistent)
+            at = rng.randrange(rows)
+            for bump in (PadicScalar.unresolved_zero(5, 10), PadicScalar.one(5, 40)):
+                rhs = list(consistent)
+                rhs[at] = rhs[at] + bump
+                rhss.append(rhs)
+        rhss.append([_random_padic(rng) for _ in range(rows)])
+        kinds |= _column_outcomes_agree(m, rhss)
+    assert kinds == {"solution", "none", "precision"}
+
+
+def test_solve_many_raises_an_ambiguous_pivot_for_every_column():
+    fuzz = PadicScalar.unresolved_zero(5, 10)
+    m = Matrix(2, 1, [fuzz, fuzz], PADIC, C5)
+    rhss = [[PadicScalar.exact_zero(5)] * 2, [PadicScalar.one(5, 40)] * 2]
+    with pytest.raises(PrecisionExhausted, match="pivot decision in column 0"):
+        solve_many(m, rhss)
+    assert _column_outcomes_agree(m, rhss) == {"precision"}
 
 
 def test_inverse_roundtrip():
