@@ -40,17 +40,13 @@ from .linalg import (
     Matrix,
     char_poly,
     companion,
-    constraint_stack,
     eigen_line,
     kernel,
-    sylvester_kernel,
 )
 from .motivic import ComplexHom, MotivicComplex, hom_complex, realize_motive, shift
 from .padic import (
     PadicContext,
     PadicScalar,
-    Rational,
-    arith,
     from_rational,
     hensel_lift_root,
     newton_slopes,
@@ -70,13 +66,10 @@ __all__ = [
     "OneMotiveSpec",
     "PadicContext",
     "PadicScalar",
-    "Rational",
-    "arith",
     "char_poly",
     "check_filtration_stability",
     "classify_end",
     "companion",
-    "constraint_stack",
     "direct_sum",
     "dual",
     "eigen_line",
@@ -100,7 +93,6 @@ __all__ = [
     "scalar_frobenius_analysis",
     "shift",
     "split_extension",
-    "sylvester_kernel",
     "weight_block_structure",
     "zero_module",
 ]

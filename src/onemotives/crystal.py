@@ -308,8 +308,7 @@ def _eigenline_matrix(phi: Matrix, lam: PadicScalar, ctx: PadicContext, work: Pa
 
 
 def _rational_eigenline(phi: Matrix, lam: Fraction) -> Matrix:
-    shifted = linalg.mat_sub(phi, linalg.mat_scale(lam, Matrix.identity(phi.rows)))
-    line = linalg.kernel(shifted)
+    line = linalg.eigen_line(phi, lam)
     if line.dimension != 1:
         raise ValueError(f"eigenvalue {lam} has a {line.dimension}-dimensional eigenspace")
     return Matrix(phi.rows, 1, list(line.basis[0]), RATIONAL)
@@ -544,12 +543,7 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
                 raise ValueError("lower-left block is not zero")
     # spectra disjoint iff the resultant of the characteristic polynomials is nonzero
     res = linalg.resultant(linalg.char_poly(a), linalg.char_poly(b))
-    system = linalg.mat_sub(
-        linalg.kron(Matrix.identity(r), a),
-        linalg.kron(linalg.transpose(b), Matrix.identity(k)),
-    )
-    rhs = [lam.at(i, j) for j in range(r) for i in range(k)]  # column-major vec
-    x = linalg.solve(system, rhs)
+    x = linalg.solve(linalg.sylvester(a, b), lam.entries)
     if x is None:
         if res != 0:
             raise VerificationFailure(
@@ -559,16 +553,12 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
             "spectra of the diagonal blocks meet and the corner block is not in the "
             "image of the Sylvester operator"
         )
-    c = Matrix(k, r, [x[j * k + i] for i in range(k) for j in range(r)])
-    u = Matrix.zeros(n, n)
-    for i in range(n):
-        u.entries[i * n + i] = Fraction(1)
+    c = Matrix(k, r, x)
+    u = Matrix.identity(n)
+    u_inv = Matrix.identity(n)
     for i in range(k):
         for j in range(r):
             u.entries[i * n + (k + j)] = c.at(i, j)
-    u_inv = Matrix(n, n, list(u.entries))
-    for i in range(k):
-        for j in range(r):
             u_inv.entries[i * n + (k + j)] = -c.at(i, j)
     g = linalg.mat_mul(linalg.mat_mul(u, m.phi), u_inv)
     for i in range(k):
@@ -683,16 +673,36 @@ def spec_to_jsonable(spec: OneMotiveSpec) -> dict:
     return out
 
 
+def _spec_int(obj: dict, key: str) -> int:
+    value = obj.get(key, 0)
+    if type(value) is not int:
+        raise ValueError(f"spec field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_jsonable(obj: dict) -> OneMotiveSpec:
+    """Inverse of ``spec_to_jsonable``; raises ``ValueError`` on malformed input."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a motive spec must be a JSON object, got {type(obj).__name__}")
+    traces = obj.get("elliptic_traces", [])
+    if not isinstance(traces, list) or any(type(t) is not int for t in traces):
+        raise ValueError(f"spec field 'elliptic_traces' must be a list of integers, got {traces!r}")
+    blocks = obj.get("abelian_explicit", [])
+    if not isinstance(blocks, list) or not all(
+        isinstance(blk, dict) and "phi" in blk and "fil1" in blk for blk in blocks
+    ):
+        raise ValueError("spec field 'abelian_explicit' must be a list of objects with 'phi' and 'fil1'")
     abelian = tuple(
         (linalg.matrix_from_jsonable(blk["phi"]), linalg.matrix_from_jsonable(blk["fil1"]))
-        for blk in obj.get("abelian_explicit", ())
+        for blk in blocks
     )
     lam = obj.get("kummer_lambda")
+    if lam is not None and type(lam) not in (int, str):
+        raise ValueError(f"spec field 'kummer_lambda' must be a rational string, got {lam!r}")
     return OneMotiveSpec(
-        lattice_rank=obj.get("lattice_rank", 0),
-        torus_dim=obj.get("torus_dim", 0),
-        elliptic_traces=tuple(obj.get("elliptic_traces", ())),
+        lattice_rank=_spec_int(obj, "lattice_rank"),
+        torus_dim=_spec_int(obj, "torus_dim"),
+        elliptic_traces=tuple(traces),
         abelian_explicit=abelian,
         kummer_lambda=rational_from_str(lam) if lam is not None else None,
     )

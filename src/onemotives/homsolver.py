@@ -4,9 +4,9 @@ A map h between modules is admissible when it commutes with the linear
 Frobenius operators and carries the Hodge subspace of the source into
 that of the target.  Both conditions are linear in the entries of h, so
 the Hom space is the kernel of one stacked system: the commutation rows
-come from a Kronecker rewrite of phi_B h - h phi_A = 0 and the filtration
-rows from Q h C = 0, where C generates Fil1 of the source and the rows of
-Q span the annihilator of Fil1 of the target.
+are ``linalg.sylvester(phi_B, phi_A)``, the matrix of phi_B h - h phi_A,
+and the filtration rows come from Q h C = 0, where C generates Fil1 of the
+source and the rows of Q span the annihilator of Fil1 of the target.
 
 Unknowns are enumerated row-major and the returned bases are echelonized
 against that enumeration, so identical inputs give byte-identical output.
@@ -63,20 +63,14 @@ def _promote(m: Matrix, work: PadicContext | None) -> Matrix:
 
 def _hom_system(src: FilteredPhiModule, tgt: FilteredPhiModule, work: PadicContext | None) -> Matrix:
     """Stacked constraint matrix on vec(h), row-major, h: src -> tgt."""
-    phi_a = _promote(src.phi, work)
-    phi_b = _promote(tgt.phi, work)
-    kind = phi_a.kind
-    ctx = phi_a.ctx
-    i_a = Matrix.identity(src.dim, kind, ctx)
-    i_b = Matrix.identity(tgt.dim, kind, ctx)
-    # vec(M X N) = (M kron N^T) vec(X) for row-major vec
-    blocks = [linalg.mat_sub(linalg.kron(phi_b, i_a), linalg.kron(i_b, linalg.transpose(phi_a)))]
+    blocks = [linalg.sylvester(_promote(tgt.phi, work), _promote(src.phi, work))]
     c_a = _promote(src.fil1, work)
     if c_a.cols > 0:
         q_b = linalg.annihilator_rows(_promote(tgt.fil1, work))
         if q_b.rows > 0:
+            # vec(Q h C) = (Q kron C^T) vec(h) for row-major vec
             blocks.append(linalg.kron(q_b, linalg.transpose(c_a)))
-    return linalg.constraint_stack(blocks)
+    return linalg.vstack(blocks)
 
 
 def _solve_once(src: FilteredPhiModule, tgt: FilteredPhiModule, work: PadicContext | None):
@@ -280,7 +274,7 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
         vectors = [list(b.entries) for b in blocks]
         kind = blocks[0].kind if blocks else RATIONAL
         ctx = blocks[0].ctx if blocks else None
-        reduced = linalg._echelonize_vectors(vectors, kind, ctx)
+        reduced = linalg.echelon_rows(vectors, kind, ctx)
         span = [Matrix(d, d, list(v), kind, ctx) for v in reduced]
         bd = len(span)
         total += bd

@@ -1,7 +1,7 @@
 """Dense exact matrices over Q or over fixed-precision Q_p.
 
 One scalar kind per matrix: ``Fraction`` entries for the rational kind,
-``PadicScalar`` entries for the p-adic kind.  Rational elimination is
+``PadicScalar`` entries for the p-adic kind.  Elimination over Q is
 exact; p-adic elimination pivots on the entry of minimal valuation in
 each column (ties broken by lowest row index) and consults the context
 zero threshold before declaring an entry dead.  A column whose entries
@@ -186,6 +186,31 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows * b.rows, a.cols * b.cols, out, a.kind, a.ctx)
 
 
+def sylvester(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix of X -> A X - X B on row-major vec(X), X of shape a.rows x b.rows.
+
+    Row (i, j) holds A[i,k] at unknown (k, j), -B[k,j] at unknown (i, k),
+    and A[i,i] - B[j,j] at unknown (i, j); every other coefficient is the
+    exact zero.  Entry for entry this is kron(A, I) - kron(I, B^T) whenever
+    no p-adic entry carries more than ``ctx.precision`` digits.
+    """
+    _require_same_kind(a, b)
+    if not (a.is_square and b.is_square):
+        raise NonSquare("sylvester expects square matrices")
+    n, m = a.rows, b.rows
+    size = n * m
+    out = [_zero_like(a)] * (size * size)
+    for i in range(n):
+        for j in range(m):
+            row = (i * m + j) * size
+            for k in range(n):
+                out[row + k * m + j] = a.at(i, k)
+            for k in range(m):
+                out[row + i * m + k] = -b.at(k, j)
+            out[row + i * m + j] = a.at(i, i) - b.at(j, j)
+    return Matrix(size, size, out, a.kind, a.ctx)
+
+
 def hstack(blocks: list[Matrix]) -> Matrix:
     rows = blocks[0].rows
     for b in blocks[1:]:
@@ -228,7 +253,7 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
 def to_padic(a: Matrix, ctx: PadicContext) -> Matrix:
     """Promote to the p-adic kind at ``ctx.precision`` digits.
 
-    Rational entries convert exactly; p-adic entries are truncated so the
+    Fraction entries convert exactly; p-adic entries are truncated so the
     whole matrix behaves as if computed at the target working precision.
     """
     if a.kind == PADIC:
@@ -341,12 +366,11 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, rep
 
 @dataclass
 class KernelResult:
-    """Right null space basis in column-reduced echelon form.
+    """Right null space basis in reduced echelon form.
 
-    ``basis`` holds plain vectors (lists of scalars) for ``kernel`` and
-    reshaped matrices for ``sylvester_kernel``.  ``precision_report`` is
-    the minimum number of guaranteed digits across the pivot decisions
-    (p-adic kind only).
+    ``basis`` holds plain vectors (lists of scalars), echelonized by
+    ``echelon_rows``.  ``precision_report`` is the minimum number of
+    guaranteed digits across the pivot decisions (p-adic kind only).
     """
 
     dimension: int
@@ -354,7 +378,7 @@ class KernelResult:
     precision_report: int | None = None
 
 
-def _echelonize_vectors(vectors: list[list], kind: str, ctx: PadicContext | None) -> list[list]:
+def echelon_rows(vectors: list[list], kind: str, ctx: PadicContext | None) -> list[list]:
     """Canonical spanning set: reduced echelon rows, leading coordinate 1.
 
     Dependent inputs are fine; only the pivot rows survive.
@@ -370,7 +394,7 @@ def _echelonize_vectors(vectors: list[list], kind: str, ctx: PadicContext | None
 def kernel(m: Matrix) -> KernelResult:
     """Basis of the right null space.
 
-    Rational kind: exact.  P-adic kind: pivots on the minimal-valuation
+    Exact for the rational kind.  P-adic kind: pivots on the minimal-valuation
     entry per column; entries vanishing past the context threshold are
     treated as zero and lower the precision report.
     """
@@ -389,7 +413,7 @@ def kernel(m: Matrix) -> KernelResult:
         for c, r in pivots:
             vec[c] = -data[r][fc]
         basis.append(vec)
-    basis = _echelonize_vectors(basis, m.kind, m.ctx)
+    basis = echelon_rows(basis, m.kind, m.ctx)
     return KernelResult(len(basis), basis, report.digits if report else None)
 
 
@@ -459,13 +483,6 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(n, n, [e for row in data for e in row[n:]], m.kind, m.ctx)
 
 
-def constraint_stack(blocks: list[Matrix]) -> Matrix:
-    """Vertical concatenation of constraint blocks on the same unknowns."""
-    if not blocks:
-        raise ValueError("no blocks to stack")
-    return vstack(blocks)
-
-
 # -- derived operations --------------------------------------------------------
 
 
@@ -523,37 +540,14 @@ def companion(poly: list) -> Matrix:
     return m
 
 
-def eigen_line(m: Matrix, lam: PadicScalar) -> KernelResult:
-    """kernel(m - lam*I) for a p-adic matrix."""
-    if m.kind != PADIC:
-        raise ValueError("eigen_line expects the p-adic kind; promote first")
+def eigen_line(m: Matrix, lam: Fraction | PadicScalar) -> KernelResult:
+    """kernel(m - lam*I), with ``lam`` of m's scalar kind."""
     if not m.is_square:
         raise NonSquare("eigen_line of a non-square matrix")
-    shifted = Matrix(m.rows, m.cols, list(m.entries), PADIC, m.ctx)
+    shifted = Matrix(m.rows, m.cols, list(m.entries), m.kind, m.ctx)
     for i in range(m.rows):
         shifted.entries[i * m.cols + i] = shifted.entries[i * m.cols + i] - lam
     return kernel(shifted)
-
-
-def sylvester_kernel(a: Matrix, b: Matrix) -> KernelResult:
-    """Basis of {H : A H = H B}, H of shape (a.rows x b.rows).
-
-    Vectorized column-major as the kernel of ``I (x) A - B^T (x) I``; the
-    basis is returned reshaped into matrices.
-    """
-    _require_same_kind(a, b)
-    if not (a.is_square and b.is_square):
-        raise NonSquare("sylvester_kernel expects square matrices")
-    n, m = a.rows, b.rows
-    im = Matrix.identity(m, a.kind, a.ctx)
-    i_n = Matrix.identity(n, a.kind, a.ctx)
-    system = mat_sub(kron(im, a), kron(transpose(b), i_n))
-    ker = kernel(system)
-    mats = []
-    for vec in ker.basis:
-        entries = [vec[j * n + i] for i in range(n) for j in range(m)]
-        mats.append(Matrix(n, m, entries, a.kind, a.ctx))
-    return KernelResult(ker.dimension, mats, ker.precision_report)
 
 
 def annihilator_rows(f: Matrix) -> Matrix:
@@ -609,6 +603,8 @@ def matrix_to_jsonable(m: Matrix) -> dict:
 def matrix_from_jsonable(obj: dict, ctx: PadicContext | None = None) -> Matrix:
     raw = obj["entries"]
     if raw and isinstance(raw[0], dict):
+        if ctx is None:
+            raise ValueError("p-adic matrix entries need a p-adic context")
         entries = [scalar_from_jsonable(e, ctx) for e in raw]
         return Matrix(obj["rows"], obj["cols"], entries, PADIC, ctx)
     entries = [rational_from_str(e) for e in raw]

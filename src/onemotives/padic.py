@@ -27,9 +27,6 @@ from .errors import (
     ZeroPolynomial,
 )
 
-# Exact scalar type for rational matrix entries and polynomial coefficients.
-Rational = Fraction
-
 # Digits of slack below the working precision before an unresolved zero is
 # trusted to really be zero.
 ZERO_MARGIN = 8
@@ -207,11 +204,6 @@ class PadicScalar:
     def is_unresolved(self) -> bool:
         return self.v is not None and self.prec == 0
 
-    @property
-    def min_valuation(self) -> int | float:
-        """Guaranteed lower bound on the valuation (+inf for exact zero)."""
-        return math.inf if self.v is None else self.v
-
     def negligible(self, threshold: int) -> bool:
         """Zero for rank purposes.
 
@@ -323,7 +315,7 @@ class PadicScalar:
         return f"{self.unit}*{self.p}^{self.v} + O({self.p}^{self.v + self.prec})"
 
 
-# -- scalar construction and the four operations ----------------------------
+# -- scalar construction ------------------------------------------------------
 
 
 def from_rational(x: Fraction | int, ctx: PadicContext) -> PadicScalar:
@@ -339,21 +331,6 @@ def from_rational(x: Fraction | int, ctx: PadicContext) -> PadicScalar:
     den = x.denominator // p**vd
     unit = num * modular_inverse(den, mod) % mod
     return PadicScalar(p, vn - vd, unit, digits)
-
-
-def arith(op: str, a: PadicScalar, b: PadicScalar, ctx: PadicContext) -> PadicScalar:
-    """Dispatch one of add/sub/mul/div; precision propagates pessimistically."""
-    if a.p != ctx.p or b.p != ctx.p:
-        raise ValueError("operands do not belong to the given context")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # -- polynomial utilities ----------------------------------------------------

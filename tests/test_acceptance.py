@@ -213,8 +213,7 @@ def test_criterion_07_conservation_duality_reflection():
         dd = dual(dual(m))
         assert dd.phi == m.phi and dd.weights == m.weights
         assert hodge_newton_numbers(dd) == (t_h, t_n)
-        res = linalg.sylvester_kernel(dd.phi, m.phi)
-        vecs = [list(h.entries) for h in res.basis]
+        vecs = linalg.kernel(linalg.sylvester(dd.phi, m.phi)).basis
         ident = list(Matrix.identity(m.dim).entries)
         stacked = Matrix(
             len(ident), len(vecs),

@@ -1,0 +1,21 @@
+"""The public surface: what the package exports, and what it no longer does."""
+
+import onemotives
+from onemotives import linalg, padic
+
+REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in onemotives.__all__ if not hasattr(onemotives, name)]
+    assert missing == []
+    assert len(set(onemotives.__all__)) == len(onemotives.__all__)
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert name not in onemotives.__all__
+        assert not hasattr(onemotives, name)
+    assert not hasattr(linalg, "sylvester_kernel") and not hasattr(linalg, "constraint_stack")
+    assert not hasattr(padic, "arith") and not hasattr(padic, "Rational")
+    assert not hasattr(padic.PadicScalar, "min_valuation")

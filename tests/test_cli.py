@@ -228,6 +228,36 @@ def test_spec_file_with_abelian_explicit(tmp_path, capsys):
     assert json.loads(out)["dim"] == 3
 
 
+_PHI = {"rows": 2, "cols": 2, "entries": ["0/1", "-5/1", "1/1", "1/1"]}
+_PADIC_ONE = {"v": 0, "unit": "1", "prec": 40}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [1],
+        {"lattice_rank": "2"},
+        {"abelian_explicit": [{"phi": _PHI}]},
+        {
+            "abelian_explicit": [
+                {"phi": _PHI, "fil1": {"rows": 2, "cols": 1, "entries": [_PADIC_ONE, _PADIC_ONE]}}
+            ]
+        },
+        {"elliptic_traces": 3},
+        {"lattice_rank": 1, "torus_dim": 1, "kummer_lambda": [3]},
+    ],
+    ids=["not-an-object", "string-rank", "fil1-missing", "padic-fil1", "traces-not-a-list", "lambda-list"],
+)
+def test_malformed_spec_file_exits_2(tmp_path, capsys, spec):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "end", "--p", "5", "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_missing_spec_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "realize", "--p", "5", "--f", "1", "--spec", "/nonexistent.json")
     assert code == 2

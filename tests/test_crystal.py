@@ -243,8 +243,7 @@ def test_double_dual_is_identity_with_intertwiner(build):
     assert hodge_newton_numbers(dd) == hodge_newton_numbers(m)
     assert _fil_spans_equal(dd.fil1, m.fil1)
     # explicit invertible intertwiner: the identity sits in the commutant
-    res = linalg.sylvester_kernel(dd.phi, m.phi)
-    vecs = [list(h.entries) for h in res.basis]
+    vecs = linalg.kernel(linalg.sylvester(dd.phi, m.phi)).basis
     ident = list(Matrix.identity(m.dim).entries)
     stacked = Matrix(len(ident), len(vecs), [vecs[j][i] for i in range(len(ident)) for j in range(len(vecs))])
     assert m.dim == 0 or linalg.solve(stacked, ident) is not None
@@ -311,6 +310,40 @@ def test_split_extension_non_split():
     )
     with pytest.raises(NonSplitExtension):
         split_extension(stuck)
+
+
+def _two_block_module(a, b, corner):
+    k, r = a.rows, b.rows
+    rows = [a.row(i) + corner[i] for i in range(k)]
+    rows += [[Fraction(0)] * k + b.row(i) for i in range(r)]
+    n = k + r
+    return FilteredPhiModule(
+        C5, n, frac_matrix(rows), (), Matrix.zeros(n, 0), label="two blocks", graded=False, split_at=k
+    )
+
+
+def test_split_extension_two_by_two_blocks():
+    # 2x2 blocks, where row-major and column-major order of the corner differ
+    a = linalg.companion([5, -1, 1])
+    src = _two_block_module(a, frac_matrix([[5, 0], [0, 5]]), [[1, 2], [3, 4]])
+    g, u = split_extension(src)
+    assert g.weights == ((-1, 2), (-2, 2))
+    assert u == frac_matrix(
+        [
+            [1, 0, Fraction(11, 25), Fraction(12, 25)],
+            [0, 1, Fraction(-16, 25), Fraction(-22, 25)],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
+        ]
+    )
+    assert mat_mul(mat_mul(u, src.phi), linalg.inverse(u)) == g.phi
+
+
+def test_split_extension_non_split_two_by_two_blocks():
+    # two rank-2 lattice blocks: A C - C B = 0 never reaches the corner E11
+    i2 = Matrix.identity(2)
+    with pytest.raises(NonSplitExtension):
+        split_extension(_two_block_module(i2, i2, [[1, 0], [0, 0]]))
 
 
 def test_split_extension_checks_the_sylvester_solution(monkeypatch):

@@ -13,7 +13,6 @@ from onemotives.linalg import (
     annihilator_rows,
     char_poly,
     companion,
-    constraint_stack,
     det,
     eigen_line,
     inverse,
@@ -26,8 +25,10 @@ from onemotives.linalg import (
     resultant,
     solve,
     solve_many,
-    sylvester_kernel,
+    sylvester,
     to_padic,
+    transpose,
+    vstack,
     matrix_to_jsonable,
     matrix_from_jsonable,
 )
@@ -279,6 +280,43 @@ def test_inverse_roundtrip():
 # -- sylvester --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_sylvester_equals_kronecker_reference(seed):
+    """sylvester(A, B) is kron(A, I) - kron(I, B^T) entry for entry,
+    p-adic v, unit and prec included."""
+    rng = random.Random(seed)
+    seen = {"n != m": 0, "exact zero": 0, "unresolved zero": 0}
+    for _ in range(12):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        seen["n != m"] += n != m
+        for kind, draw, ctx in ((RATIONAL, _random_fraction, None), (PADIC, _random_padic, C5)):
+            a = Matrix(n, n, [draw(rng) for _ in range(n * n)], kind, ctx)
+            b = Matrix(m, m, [draw(rng) for _ in range(m * m)], kind, ctx)
+            reference = mat_sub(
+                kron(a, Matrix.identity(m, kind, ctx)),
+                kron(Matrix.identity(n, kind, ctx), transpose(b)),
+            )
+            got = sylvester(a, b)
+            assert (got.rows, got.cols) == (n * m, n * m)
+            assert got.entries == reference.entries
+            if kind == PADIC:
+                entries = a.entries + b.entries
+                seen["exact zero"] += any(e.is_exact_zero for e in entries)
+                seen["unresolved zero"] += any(e.is_unresolved for e in entries)
+    assert all(seen.values()), seen
+
+
+def test_sylvester_rejects_non_square():
+    with pytest.raises(NonSquare):
+        sylvester(Matrix.zeros(2, 3), Matrix.identity(2))
+
+
+def _commutant(a, b):
+    """Basis of {H : A H = H B}, reshaped row-major into a.rows x b.rows matrices."""
+    res = kernel(sylvester(a, b))
+    return [Matrix(a.rows, b.rows, vec, a.kind, a.ctx) for vec in res.basis]
+
+
 def _span_contains(mats, target):
     vecs = [list(b.entries) for b in mats]
     stacked = Matrix(
@@ -293,15 +331,14 @@ def _span_contains(mats, target):
 
 def test_sylvester_identity():
     i2 = Matrix.identity(2)
-    res = sylvester_kernel(i2, i2)
-    assert res.dimension == 4
+    assert len(_commutant(i2, i2)) == 4
 
 
 def test_sylvester_diagonal():
     d = frac_matrix([[1, 0], [0, 7]])
-    res = sylvester_kernel(d, d)
-    assert res.dimension == 2
-    for h in res.basis:
+    basis = _commutant(d, d)
+    assert len(basis) == 2
+    for h in basis:
         assert h.at(0, 1) == 0 and h.at(1, 0) == 0
         assert mat_mul(d, h) == mat_mul(h, d)
 
@@ -309,15 +346,15 @@ def test_sylvester_diagonal():
 @pytest.mark.parametrize("t,q", [(1, 5), (0, 5), (10, 25), (-10, 25)])
 def test_sylvester_companion_centralizer(t, q):
     c = companion([Fraction(q), Fraction(-t), Fraction(1)])
-    res = sylvester_kernel(c, c)
-    assert res.dimension == 2
-    assert _span_contains(res.basis, Matrix.identity(2))
-    assert _span_contains(res.basis, c)
+    basis = _commutant(c, c)
+    assert len(basis) == 2
+    assert _span_contains(basis, Matrix.identity(2))
+    assert _span_contains(basis, c)
 
 
 def test_sylvester_scalar_matrix_full():
     s = mat_scale(Fraction(3), Matrix.identity(3))
-    assert sylvester_kernel(s, s).dimension == 9
+    assert len(_commutant(s, s)) == 9
 
 
 # -- char poly ---------------------------------------------------------------------
@@ -383,28 +420,35 @@ def test_eigen_line_invertible():
     assert eigen_line(m, from_rational(0, C5)).dimension == 0
 
 
+def test_eigen_line_rational():
+    m = frac_matrix([[2, 1], [0, 3]])
+    assert eigen_line(m, Fraction(2)).basis == [[Fraction(1), Fraction(0)]]
+    assert eigen_line(m, Fraction(3)).basis == [[Fraction(1), Fraction(1)]]
+    assert eigen_line(m, Fraction(5)).dimension == 0
+
+
 # -- constraint stacking --------------------------------------------------------------
 
 
 def test_constraint_stack_single():
     b = frac_matrix([[1, 2]])
-    assert constraint_stack([b]) == b
+    assert vstack([b]) == b
 
 
 def test_constraint_stack_with_zero_block():
     b = frac_matrix([[1, 2]])
     z = Matrix.zeros(1, 2)
-    assert kernel(constraint_stack([b, z])).basis == kernel(b).basis
+    assert kernel(vstack([b, z])).basis == kernel(b).basis
 
 
 def test_constraint_stack_full_rank():
-    res = kernel(constraint_stack([frac_matrix([[1, 0]]), frac_matrix([[0, 1]])]))
+    res = kernel(vstack([frac_matrix([[1, 0]]), frac_matrix([[0, 1]])]))
     assert res.dimension == 0
 
 
 def test_constraint_stack_mismatch():
     with pytest.raises(ColumnMismatch):
-        constraint_stack([frac_matrix([[1, 0]]), frac_matrix([[1]])])
+        vstack([frac_matrix([[1, 0]]), frac_matrix([[1]])])
 
 
 # -- misc -------------------------------------------------------------------------------
@@ -441,3 +485,9 @@ def test_matrix_serialization_roundtrip():
     assert matrix_from_jsonable(obj) == m
     mp = to_padic(m, C5)
     assert matrix_from_jsonable(matrix_to_jsonable(mp), C5) == mp
+
+
+def test_matrix_from_jsonable_padic_entries_need_a_context():
+    obj = matrix_to_jsonable(to_padic(frac_matrix([[1], [0]]), C5))
+    with pytest.raises(ValueError, match="context"):
+        matrix_from_jsonable(obj)

@@ -15,7 +15,6 @@ from onemotives.errors import (
 from onemotives.padic import (
     PadicContext,
     PadicScalar,
-    arith,
     from_rational,
     hensel_lift_root,
     integer_square_root,
@@ -70,19 +69,19 @@ def test_from_rational_ten_thirds():
 def test_arith_add_identity():
     a = from_rational(Fraction(7, 4), C5)
     z = from_rational(0, C5)
-    assert arith("add", a, z, C5) == a
+    assert a + z == a
 
 
 def test_arith_p_times_p():
     p = from_rational(5, C5)
-    sq = arith("mul", p, p, C5)
+    sq = p * p
     assert (sq.v, sq.unit) == (2, 1)
 
 
 def test_arith_div_units():
     a = from_rational(2, C5)
     b = from_rational(3, C5)
-    c = arith("div", a, b, C5)
+    c = a / b
     assert c.v == 0
     assert c.unit % 25 == 9
     assert (3 * (c.unit % 25) - 2) % 25 == 0
@@ -90,7 +89,7 @@ def test_arith_div_units():
 
 def test_division_by_exact_zero():
     with pytest.raises(DivisionByZero):
-        arith("div", from_rational(1, C5), from_rational(0, C5), C5)
+        from_rational(1, C5) / from_rational(0, C5)
 
 
 def test_division_by_unresolved_zero():
