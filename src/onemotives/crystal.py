@@ -143,9 +143,11 @@ class FilteredPhiModule:
 def validate_graded(m: FilteredPhiModule) -> None:
     """Construction-time invariants for graded modules.
 
-    Checks the weight bookkeeping, block-diagonality of phi, the slope
-    support of each weight block (0 / [0,1] / 1), invertibility, full
-    column rank of fil1, and Fil1 meeting the weight-0 block trivially.
+    Checks the weight bookkeeping, block-diagonality of phi, invertibility,
+    the slope support of each weight block (0 / [0,1] / 1), full column
+    rank of fil1, and Fil1 meeting the weight-0 block trivially.
+    Invertibility and slopes are both read from the characteristic
+    polynomials of the weight blocks, computed once each.
     """
     if not m.graded:
         raise ValueError("validate_graded on a non-graded module")
@@ -166,10 +168,12 @@ def validate_graded(m: FilteredPhiModule) -> None:
                 for j in range(d2):
                     if m.phi.at(o1 + i, o2 + j) != 0:
                         raise ValueError("phi is not block-diagonal for the stated grading")
-    if m.dim > 0 and linalg.det(m.phi) == 0:
+    polys = [linalg.char_poly(m.phi_block(off, d)) for _, off, d in offsets]
+    # phi is block-diagonal, so det(phi) is the product of the blocks' +-cp[0]
+    if any(cp[0] == 0 for cp in polys):
         raise ValueError("phi is singular")
-    for w, off, d in offsets:
-        slopes = newton_slopes(linalg.char_poly(m.phi_block(off, d)), m.ctx)
+    for (w, _, _), cp in zip(offsets, polys):
+        slopes = newton_slopes(cp, m.ctx)
         if w == 0 and any(s != 0 for s in slopes):
             raise ValueError(f"weight 0 block has slopes {slopes}, expected all 0")
         if w == -1 and any(s < 0 or s > 1 for s in slopes):
@@ -615,7 +619,7 @@ def check_filtration_stability(m: FilteredPhiModule) -> bool:
     if m.phi.kind == RATIONAL and m.fil1.kind == RATIONAL:
         stacked = linalg.hstack([m.fil1, linalg.mat_mul(m.phi, m.fil1)])
         return linalg.rank(stacked) == r
-    r1 = _stacked_rank(m.phi, m.fil1, m.ctx.with_precision(m.ctx.precision))
+    r1 = _stacked_rank(m.phi, m.fil1, m.ctx)
     r2 = _stacked_rank(m.phi, m.fil1, m.ctx.doubled())
     if r1 != r2:
         raise PrecisionExhausted(

@@ -53,34 +53,26 @@ class HomSpace:
     precision_report: int | None = None
 
 
-def _all_rational(*mats: Matrix) -> bool:
-    return all(m.kind == RATIONAL for m in mats)
-
-
-def _promote(m: Matrix, work: PadicContext | None) -> Matrix:
-    return m if work is None else linalg.to_padic(m, work)
-
-
-def _hom_system(src: FilteredPhiModule, tgt: FilteredPhiModule, work: PadicContext | None) -> Matrix:
-    """Stacked constraint matrix on vec(h), row-major, h: src -> tgt."""
-    blocks = [linalg.sylvester(_promote(tgt.phi, work), _promote(src.phi, work))]
-    c_a = _promote(src.fil1, work)
+def _hom_system(mats: tuple) -> Matrix:
+    """Stacked constraint matrix on vec(h), row-major, h: src -> tgt, from
+    ``(src.phi, src.fil1, tgt.phi, tgt.fil1)`` of one scalar kind."""
+    phi_a, c_a, phi_b, c_b = mats
+    blocks = [linalg.sylvester(phi_b, phi_a)]
     if c_a.cols > 0:
-        q_b = linalg.annihilator_rows(_promote(tgt.fil1, work))
+        q_b = linalg.annihilator_rows(c_b)
         if q_b.rows > 0:
             # vec(Q h C) = (Q kron C^T) vec(h) for row-major vec
             blocks.append(linalg.kron(q_b, linalg.transpose(c_a)))
     return linalg.vstack(blocks)
 
 
-def _solve_once(src: FilteredPhiModule, tgt: FilteredPhiModule, work: PadicContext | None):
-    ker = linalg.kernel(_hom_system(src, tgt, work))
+def _solve_once(mats: tuple):
+    ker = linalg.kernel(_hom_system(mats))
     return ker.basis, ker.precision_report
 
 
-def _verify_element(h: Matrix, src: FilteredPhiModule, tgt: FilteredPhiModule, work: PadicContext | None) -> None:
-    phi_a = _promote(src.phi, work)
-    phi_b = _promote(tgt.phi, work)
+def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
+    phi_a, c_a, phi_b, c_b = mats
     resid = linalg.mat_sub(linalg.mat_mul(phi_b, h), linalg.mat_mul(h, phi_a))
     for e in resid.entries:
         if work is None:
@@ -88,8 +80,6 @@ def _verify_element(h: Matrix, src: FilteredPhiModule, tgt: FilteredPhiModule, w
                 raise VerificationFailure("solver returned a non-equivariant map")
         elif not e.negligible(work.threshold):
             raise PrecisionExhausted("equivariance residual above the zero threshold")
-    c_b = _promote(tgt.fil1, work)
-    c_a = _promote(src.fil1, work)
     if c_a.cols == 0:
         return
     image = linalg.mat_mul(h, c_a)
@@ -108,13 +98,15 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     ctx = src.ctx
     if src.dim == 0 or tgt.dim == 0:
         return HomSpace(src, tgt, 0, [], None)
-    if _all_rational(src.phi, tgt.phi, src.fil1, tgt.fil1):
-        vecs, report = _solve_once(src, tgt, None)
+    mats = (src.phi, src.fil1, tgt.phi, tgt.fil1)
+    if all(x.kind == RATIONAL for x in mats):
+        vecs, report = _solve_once(mats)
         work = None
     else:
-        vecs_lo, rep_lo = _solve_once(src, tgt, ctx.with_precision(ctx.precision))
+        vecs_lo, rep_lo = _solve_once(tuple(linalg.to_padic(x, ctx) for x in mats))
         work = ctx.doubled()
-        vecs, rep_hi = _solve_once(src, tgt, work)
+        mats = tuple(linalg.to_padic(x, work) for x in mats)
+        vecs, rep_hi = _solve_once(mats)
         if len(vecs_lo) != len(vecs):
             raise PrecisionExhausted(
                 f"hom dimension flipped between precisions "
@@ -125,7 +117,7 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     kind = RATIONAL if work is None else PADIC
     basis = [Matrix(tgt.dim, src.dim, list(v), kind, work) for v in vecs]
     for h in basis:
-        _verify_element(h, src, tgt, work)
+        _verify_element(h, mats, work)
     return HomSpace(src, tgt, len(basis), basis, report)
 
 
@@ -135,35 +127,30 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
 def in_span_many(basis: list[Matrix], targets: list[Matrix]) -> list:
     """For each target, its coordinates in the span of the basis matrices,
     ``None`` when it lies outside, or the ``PrecisionExhausted`` that
-    deciding it alone would raise; one elimination for all targets."""
+    deciding it alone would raise; one elimination for all targets.
+    Rational targets are promoted to the context of a p-adic basis."""
     if not basis:
         return [
             [] if all(_entry_dead(e, t.kind, t.ctx) for e in t.entries) else None
             for t in targets
         ]
     size = len(basis[0].entries)
-    stacked = Matrix(
-        size,
-        len(basis),
-        [b.entries[i] for i in range(size) for b in basis],
-        basis[0].kind,
-        basis[0].ctx,
-    )
-    return linalg.solve_many(stacked, [t.entries for t in targets])
+    kind, ctx = basis[0].kind, basis[0].ctx
+    stacked = Matrix(size, len(basis), [b.entries[i] for i in range(size) for b in basis], kind, ctx)
+    rhss = [
+        linalg.to_padic(t, ctx).entries if kind == PADIC and t.kind == RATIONAL else t.entries
+        for t in targets
+    ]
+    return linalg.solve_many(stacked, rhss)
 
 
 def in_span(basis: list[Matrix], target: Matrix) -> list | None:
-    """Coordinates of target in the span of basis matrices, or None."""
+    """Coordinates of target in the span of basis matrices, or None; a
+    rational target is promoted to the context of a p-adic basis."""
     (x,) = in_span_many(basis, [target])
     if isinstance(x, PrecisionExhausted):
         raise x
     return x
-
-
-def _match_kind(basis: list[Matrix], m: Matrix) -> Matrix:
-    if basis and basis[0].kind == PADIC and m.kind == RATIONAL:
-        return linalg.to_padic(m, basis[0].ctx)
-    return m
 
 
 def end_algebra(m: FilteredPhiModule) -> HomSpace:
@@ -176,7 +163,7 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
     e = hom_space(m, m)
     if m.dim == 0:
         return e
-    targets = [_match_kind(e.basis, Matrix.identity(m.dim))]
+    targets = [Matrix.identity(m.dim)]
     targets += [linalg.mat_mul(hi, hj) for hi in e.basis for hj in e.basis]
     for k, x in enumerate(in_span_many(e.basis, targets)):
         if isinstance(x, PrecisionExhausted):
@@ -194,7 +181,7 @@ def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
     """Whether phi itself lies in the computed endomorphism span."""
     if m.dim == 0:
         return True
-    return in_span(e.basis, _match_kind(e.basis, m.phi)) is not None
+    return in_span(e.basis, m.phi) is not None
 
 
 # -- classification -------------------------------------------------------------
@@ -302,8 +289,7 @@ def _classify_block(m: FilteredPhiModule, w: int, off: int, d: int, span: list[M
         if bd == 1 and _is_scalar_matrix(span[0]):
             return SCALAR_ONLY
         if bd == 2:
-            phi_blk = _match_kind(span, m.phi_block(off, d))
-            if in_span(span, phi_blk) is not None:
+            if in_span(span, m.phi_block(off, d)) is not None:
                 return POLYNOMIAL_ALGEBRA_OF_PHI
         if bd == 3:
             # a 3-dimensional unital subalgebra of M_2 preserving a line is

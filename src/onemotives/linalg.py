@@ -121,13 +121,6 @@ def _zero_like(m: Matrix):
     return Fraction(0) if m.kind == RATIONAL else PadicScalar.exact_zero(m.ctx.p)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_kind(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch in addition")
-    return Matrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)], a.kind, a.ctx)
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     _require_same_kind(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
@@ -137,6 +130,14 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(c, a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, [c * x for x in a.entries], a.kind, a.ctx)
+
+
+def _shift_diagonal(m: Matrix, c) -> Matrix:
+    """m + c*I as a new matrix, with ``c`` of m's scalar kind."""
+    out = Matrix(m.rows, m.cols, list(m.entries), m.kind, m.ctx)
+    for i in range(m.rows):
+        out.entries[i * m.cols + i] = out.entries[i * m.cols + i] + c
+    return out
 
 
 def _nonzero_test(kind: str):
@@ -500,14 +501,12 @@ def char_poly(m: Matrix) -> list[Fraction]:
     if n == 0:
         return [Fraction(1)]
     coeffs = []
-    ak = Matrix(n, n, list(m.entries), RATIONAL)
-    ident = Matrix.identity(n)
+    ak = m
     for k in range(1, n + 1):
-        tr = sum((ak.at(i, i) for i in range(n)), Fraction(0))
-        ck = -tr / k
+        ck = -trace(ak) / k
         coeffs.append(ck)
         if k < n:
-            ak = mat_mul(m, mat_add(ak, mat_scale(ck, ident)))
+            ak = mat_mul(m, _shift_diagonal(ak, ck))
     return list(reversed(coeffs)) + [Fraction(1)]
 
 
@@ -544,10 +543,7 @@ def eigen_line(m: Matrix, lam: Fraction | PadicScalar) -> KernelResult:
     """kernel(m - lam*I), with ``lam`` of m's scalar kind."""
     if not m.is_square:
         raise NonSquare("eigen_line of a non-square matrix")
-    shifted = Matrix(m.rows, m.cols, list(m.entries), m.kind, m.ctx)
-    for i in range(m.rows):
-        shifted.entries[i * m.cols + i] = shifted.entries[i * m.cols + i] - lam
-    return kernel(shifted)
+    return kernel(_shift_diagonal(m, -lam))
 
 
 def annihilator_rows(f: Matrix) -> Matrix:
@@ -601,11 +597,19 @@ def matrix_to_jsonable(m: Matrix) -> dict:
 
 
 def matrix_from_jsonable(obj: dict, ctx: PadicContext | None = None) -> Matrix:
-    raw = obj["entries"]
+    """Inverse of ``matrix_to_jsonable``; raises ``ValueError`` on a malformed object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matrix must be a JSON object, got {type(obj).__name__}")
+    rows, cols, raw = obj.get("rows"), obj.get("cols"), obj.get("entries")
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise ValueError(f"matrix 'rows' and 'cols' must be non-negative integers, got {rows!r}, {cols!r}")
+    if not isinstance(raw, list):
+        raise ValueError(f"matrix 'entries' must be a list, got {raw!r}")
     if raw and isinstance(raw[0], dict):
         if ctx is None:
             raise ValueError("p-adic matrix entries need a p-adic context")
         entries = [scalar_from_jsonable(e, ctx) for e in raw]
-        return Matrix(obj["rows"], obj["cols"], entries, PADIC, ctx)
-    entries = [rational_from_str(e) for e in raw]
-    return Matrix(obj["rows"], obj["cols"], entries, RATIONAL)
+        return Matrix(rows, cols, entries, PADIC, ctx)
+    if any(type(e) not in (str, int) for e in raw):
+        raise ValueError("rational matrix entries must be strings or integers")
+    return Matrix(rows, cols, [rational_from_str(e) for e in raw], RATIONAL)

@@ -229,6 +229,7 @@ def test_spec_file_with_abelian_explicit(tmp_path, capsys):
 
 
 _PHI = {"rows": 2, "cols": 2, "entries": ["0/1", "-5/1", "1/1", "1/1"]}
+_FIL = {"rows": 2, "cols": 1, "entries": ["1/1", "0/1"]}
 _PADIC_ONE = {"v": 0, "unit": "1", "prec": 40}
 
 
@@ -245,8 +246,15 @@ _PADIC_ONE = {"v": 0, "unit": "1", "prec": 40}
         },
         {"elliptic_traces": 3},
         {"lattice_rank": 1, "torus_dim": 1, "kummer_lambda": [3]},
+        {"abelian_explicit": [{"phi": {"rows": 2}, "fil1": _FIL}]},
+        {"abelian_explicit": [{"phi": [1, 2], "fil1": _FIL}]},
+        {"abelian_explicit": [{"phi": {**_PHI, "entries": ["0/1", None, "1/1", "1/1"]}, "fil1": _FIL}]},
+        {"abelian_explicit": [{"phi": {**_PHI, "rows": 2.0}, "fil1": _FIL}]},
     ],
-    ids=["not-an-object", "string-rank", "fil1-missing", "padic-fil1", "traces-not-a-list", "lambda-list"],
+    ids=[
+        "not-an-object", "string-rank", "fil1-missing", "padic-fil1", "traces-not-a-list", "lambda-list",
+        "matrix-without-entries", "matrix-not-an-object", "null-entry", "float-rows",
+    ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec):
     spec_path = tmp_path / "bad.json"

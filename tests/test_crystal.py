@@ -19,6 +19,7 @@ from onemotives.crystal import (
     module_from_jsonable,
     module_to_jsonable,
     newton_slopes_of,
+    realize_abelian_block,
     realize_elliptic,
     realize_lattice,
     realize_one_motive,
@@ -465,6 +466,38 @@ def test_validate_rejects_wrong_slopes():
     bad = FilteredPhiModule(C5, 1, frac_matrix([[5]]), ((0, 1),), Matrix.zeros(1, 0))
     with pytest.raises(ValueError):
         validate_graded(bad)
+
+
+def test_validate_rejects_singular_phi_in_a_later_block():
+    bad = FilteredPhiModule(
+        C5,
+        2,
+        frac_matrix([[1, 0], [0, 0]]),
+        ((0, 1), (-2, 1)),
+        frac_matrix([[0], [1]]),
+    )
+    with pytest.raises(ValueError, match="singular"):
+        validate_graded(bad)
+
+
+def test_singular_abelian_block_is_rejected_before_its_slopes():
+    # char poly T^2 - T: the zero root would otherwise surface as a slope error
+    with pytest.raises(ValueError, match="singular"):
+        realize_abelian_block(frac_matrix([[0, 0], [1, 1]]), frac_matrix([[1], [0]]), C5)
+
+
+def test_validation_reads_char_polys_of_weight_blocks_only(monkeypatch):
+    sizes = []
+    char_poly = linalg.char_poly
+
+    def spy(m):
+        sizes.append(m.rows)
+        return char_poly(m)
+
+    monkeypatch.setattr(linalg, "char_poly", spy)
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1), torus_dim=2), C5)
+    assert m.dim == 8 and m.weights == ((0, 2), (-1, 4), (-2, 2))
+    assert 4 in sizes and max(sizes) == 4
 
 
 def test_validate_rejects_dependent_fil():

@@ -280,6 +280,22 @@ def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
         hom_space(m, m)
 
 
+def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
+    m = z_to_e(1, C5)
+    calls = []
+    to_padic = linalg.to_padic
+
+    def counting(a, ctx):
+        calls.append(ctx.precision)
+        return to_padic(a, ctx)
+
+    monkeypatch.setattr(linalg, "to_padic", counting)
+    h = hom_space(m, m)
+    assert h.dimension == 3
+    # the four inputs, at N and then at 2N; nothing per basis element
+    assert sorted(calls) == [40] * 4 + [80] * 4
+
+
 def test_homspace_serialization():
     e = end_algebra(kummer(C5))
     obj = homspace_to_jsonable(e, "lattice_scalars+torus_scalars")

@@ -390,6 +390,40 @@ def test_det():
     assert det(frac_matrix([[0, -5], [1, 1]])) == 5
 
 
+def _oracle_matrix(rng, n, shape):
+    """Random n x n rational matrix: dense, sparse, or block-diagonal."""
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    if shape == "dense":
+        return Matrix(n, n, [entry() for _ in range(n * n)])
+    if shape == "sparse":
+        return Matrix(n, n, [entry() if rng.random() < 0.25 else Fraction(0) for _ in range(n * n)])
+    m = Matrix.zeros(n, n)
+    start = 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        for i in range(start, start + size):
+            for j in range(start, start + size):
+                m.entries[i * n + j] = entry()
+        start += size
+    return m
+
+
+@pytest.mark.parametrize("shape", ["dense", "sparse", "block"])
+def test_char_poly_and_det_match_sympy(shape):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"char_poly-{shape}")
+    for n in range(1, 8):
+        for _ in range(4):
+            m = _oracle_matrix(rng, n, shape)
+            sm = sympy.Matrix(n, n, [sympy.Rational(e.numerator, e.denominator) for e in m.entries])
+            expected = [Fraction(int(c.p), int(c.q)) for c in reversed(sm.charpoly().all_coeffs())]
+            assert char_poly(m) == expected, m
+            d = sympy.Rational(sm.det())
+            assert det(m) == Fraction(int(d.p), int(d.q)), m
+
+
 # -- eigen lines --------------------------------------------------------------------
 
 
@@ -485,6 +519,11 @@ def test_matrix_serialization_roundtrip():
     assert matrix_from_jsonable(obj) == m
     mp = to_padic(m, C5)
     assert matrix_from_jsonable(matrix_to_jsonable(mp), C5) == mp
+
+
+def test_matrix_from_jsonable_rejects_a_negative_shape():
+    with pytest.raises(ValueError, match="non-negative"):
+        matrix_from_jsonable({"rows": -1, "cols": -1, "entries": ["1"]})
 
 
 def test_matrix_from_jsonable_padic_entries_need_a_context():
