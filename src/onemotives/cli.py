@@ -16,19 +16,11 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import crystal, homsolver, linalg, motivic
 from .crystal import EllipticFilMode, OneMotiveSpec
-from .errors import (
-    HasseViolation,
-    ModeMismatch,
-    NonSplitExtension,
-    OneMotivesError,
-    PrecisionExhausted,
-    UnclassifiedShape,
-)
-from .padic import PadicContext
+from .errors import OneMotivesError, PrecisionExhausted, UnclassifiedShape
+from .padic import PadicContext, rational_from_str
 
 SURVEY_HEADERS = ("q", "t", "mode", "ordinary", "slopes", "end_dim", "class", "frob_member")
 
@@ -50,7 +42,7 @@ def _spec_from_args(args) -> OneMotiveSpec:
         lattice_rank=args.lattice,
         torus_dim=args.torus,
         elliptic_traces=_parse_traces(args.elliptic) if args.elliptic else (),
-        kummer_lambda=Fraction(lam) if lam else None,
+        kummer_lambda=rational_from_str(lam) if lam else None,
     )
 
 
@@ -343,9 +335,6 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision failure: {exc}; retry with a larger --prec", file=sys.stderr)
         return 3
-    except (HasseViolation, ModeMismatch, NonSplitExtension, UnclassifiedShape) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OneMotivesError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

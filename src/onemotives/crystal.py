@@ -135,10 +135,6 @@ class FilteredPhiModule:
             off += d
         return out
 
-    def phi_block(self, off: int, d: int) -> Matrix:
-        entries = [self.phi.at(off + i, off + j) for i in range(d) for j in range(d)]
-        return Matrix(d, d, entries, self.phi.kind, self.phi.ctx)
-
 
 def validate_graded(m: FilteredPhiModule) -> None:
     """Construction-time invariants for graded modules.
@@ -160,15 +156,11 @@ def validate_graded(m: FilteredPhiModule) -> None:
     if any(w not in WEIGHTS for w in ws) or sorted(ws, reverse=True) != ws or len(set(ws)) != len(ws):
         raise ValueError(f"weights {ws} are not strictly decreasing within {WEIGHTS}")
     offsets = m.weight_offsets()
-    for w1, o1, d1 in offsets:
-        for w2, o2, d2 in offsets:
-            if w1 == w2:
-                continue
-            for i in range(d1):
-                for j in range(d2):
-                    if m.phi.at(o1 + i, o2 + j) != 0:
-                        raise ValueError("phi is not block-diagonal for the stated grading")
-    polys = [linalg.char_poly(m.phi_block(off, d)) for _, off, d in offsets]
+    blocks = [range(o, o + d) for _, o, d in offsets]
+    off_block = (linalg.submatrix(m.phi, b1, b2) for b1 in blocks for b2 in blocks if b1 != b2)
+    if not all(linalg.is_zero(x) for x in off_block):
+        raise ValueError("phi is not block-diagonal for the stated grading")
+    polys = [linalg.char_poly(linalg.submatrix(m.phi, b, b)) for b in blocks]
     # phi is block-diagonal, so det(phi) is the product of the blocks' +-cp[0]
     if any(cp[0] == 0 for cp in polys):
         raise ValueError("phi is singular")
@@ -190,9 +182,7 @@ def validate_graded(m: FilteredPhiModule) -> None:
         if w0 > 0:
             # a kernel vector here would be a Fil1 element supported in the
             # weight-0 block
-            sub_rows = [m.fil1.row(i) for i in range(w0, m.dim)]
-            sub = Matrix(m.dim - w0, r, [e for row in sub_rows for e in row], m.fil1.kind, m.fil1.ctx)
-            if linalg.kernel(sub).dimension != 0:
+            if linalg.kernel(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))).dimension != 0:
                 raise ValueError("Fil1 meets the weight-0 block nontrivially")
 
 
@@ -385,6 +375,12 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
 
     The basis is permuted so all weight-0 blocks come first, then -1,
     then -2; within a weight, summands keep their input order.
+
+    The sum is not validated again: every summand is, and reordering
+    block-diagonal summands keeps the weight order, block-diagonality,
+    each weight block's characteristic polynomial (the product of the
+    summands'), the rank of Fil1 and Fil1 meeting the weight-0 block
+    trivially.
     """
     if not modules:
         raise ValueError("direct_sum of nothing; build the zero module explicitly")
@@ -424,10 +420,10 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
     fils = [m.fil1 if fil_kind == RATIONAL else linalg.to_padic(m.fil1, work) for m in modules]
     big_phi = linalg.block_diag(phis)
     big_fil = linalg.block_diag(fils)
-    phi = linalg.permute(big_phi, perm)
-    fil1 = linalg.permute_rows(big_fil, perm)
+    phi = linalg.submatrix(big_phi, perm, perm)
+    fil1 = linalg.submatrix(big_fil, perm, range(big_fil.cols))
     label = " + ".join(m.label for m in modules)
-    return _graded(ctx, phi, tuple(weights), fil1, label)
+    return FilteredPhiModule(ctx, n, phi, tuple(weights), fil1, label)
 
 
 def realize_one_motive(
@@ -480,12 +476,10 @@ def dual(m: FilteredPhiModule) -> FilteredPhiModule:
     q = Fraction(ctx.q)
     phi_core = linalg.mat_scale(q, linalg.inverse(linalg.transpose(m.phi)))
     # reversal permutation: the old last weight block comes first
-    perm = []
-    for w, off, d in reversed(m.weight_offsets()):
-        perm.extend(range(off, off + d))
-    phi_dual = linalg.permute(phi_core, perm)
+    perm = [i for _, off, d in reversed(m.weight_offsets()) for i in range(off, off + d)]
+    phi_dual = linalg.submatrix(phi_core, perm, perm)
     ann = linalg.annihilator_rows(m.fil1)
-    fil_dual = linalg.permute_rows(linalg.transpose(ann), perm)
+    fil_dual = linalg.submatrix(linalg.transpose(ann), perm, range(ann.rows))
     weights = tuple((-2 - w, d) for w, d in reversed(m.weights))
     out = FilteredPhiModule(ctx, m.dim, phi_dual, weights, fil_dual, f"dual({m.label})")
     validate_graded(out)
@@ -538,13 +532,12 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
         raise ValueError("split_extension works on rational Frobenius matrices")
     n = m.dim
     r = n - k
-    a = Matrix(k, k, [m.phi.at(i, j) for i in range(k) for j in range(k)])
-    b = Matrix(r, r, [m.phi.at(k + i, k + j) for i in range(r) for j in range(r)])
-    lam = Matrix(k, r, [m.phi.at(i, k + j) for i in range(k) for j in range(r)])
-    for i in range(r):
-        for j in range(k):
-            if m.phi.at(k + i, j) != 0:
-                raise ValueError("lower-left block is not zero")
+    top, bottom = range(k), range(k, n)
+    a = linalg.submatrix(m.phi, top, top)
+    b = linalg.submatrix(m.phi, bottom, bottom)
+    lam = linalg.submatrix(m.phi, top, bottom)
+    if not linalg.is_zero(linalg.submatrix(m.phi, bottom, top)):
+        raise ValueError("lower-left block is not zero")
     # spectra disjoint iff the resultant of the characteristic polynomials is nonzero
     res = linalg.resultant(linalg.char_poly(a), linalg.char_poly(b))
     x = linalg.solve(linalg.sylvester(a, b), lam.entries)
@@ -565,10 +558,8 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
             u.entries[i * n + (k + j)] = c.at(i, j)
             u_inv.entries[i * n + (k + j)] = -c.at(i, j)
     g = linalg.mat_mul(linalg.mat_mul(u, m.phi), u_inv)
-    for i in range(k):
-        for j in range(r):
-            if g.at(i, k + j) != 0:
-                raise VerificationFailure("conjugation failed to kill the corner")
+    if not linalg.is_zero(linalg.submatrix(g, top, bottom)):
+        raise VerificationFailure("conjugation failed to kill the corner")
     wa = _infer_block_weight(a, m.ctx)
     wb = _infer_block_weight(b, m.ctx)
     fil_new = m.fil1 if m.fil1.kind == RATIONAL else linalg.to_padic(m.fil1, m.ctx.doubled())
@@ -579,9 +570,9 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
     elif wa > wb:
         weights = ((wa, k), (wb, r))
     else:
-        perm = list(range(k, n)) + list(range(k))
-        g = linalg.permute(g, perm)
-        fil_new = linalg.permute_rows(fil_new, perm)
+        perm = [*bottom, *top]
+        g = linalg.submatrix(g, perm, perm)
+        fil_new = linalg.submatrix(fil_new, perm, range(fil_new.cols))
         weights = ((wb, r), (wa, k))
     out = FilteredPhiModule(m.ctx, n, g, weights, fil_new, f"split({m.label})")
     validate_graded(out)
@@ -647,8 +638,9 @@ def module_to_jsonable(m: FilteredPhiModule) -> dict:
 
 
 def module_from_jsonable(obj: dict) -> FilteredPhiModule:
+    """Inverse of ``module_to_jsonable``; a graded module is validated."""
     ctx = PadicContext(obj["ctx"]["p"], obj["ctx"]["f"], obj["ctx"]["precision"])
-    return FilteredPhiModule(
+    m = FilteredPhiModule(
         ctx,
         obj["dim"],
         linalg.matrix_from_jsonable(obj["phi"], ctx),
@@ -659,6 +651,9 @@ def module_from_jsonable(obj: dict) -> FilteredPhiModule:
         obj.get("graded", True),
         obj.get("split_at"),
     )
+    if m.graded:
+        validate_graded(m)
+    return m
 
 
 def spec_to_jsonable(spec: OneMotiveSpec) -> dict:

@@ -130,10 +130,7 @@ def in_span_many(basis: list[Matrix], targets: list[Matrix]) -> list:
     deciding it alone would raise; one elimination for all targets.
     Rational targets are promoted to the context of a p-adic basis."""
     if not basis:
-        return [
-            [] if all(_entry_dead(e, t.kind, t.ctx) for e in t.entries) else None
-            for t in targets
-        ]
+        return [[] if linalg.is_zero(t) else None for t in targets]
     size = len(basis[0].entries)
     kind, ctx = basis[0].kind, basis[0].ctx
     stacked = Matrix(size, len(basis), [b.entries[i] for i in range(size) for b in basis], kind, ctx)
@@ -204,33 +201,12 @@ class EndClassification:
         return "+".join(tag for _, tag in self.blocks) if self.blocks else "zero"
 
 
-def _entry_dead(e, kind: str, ctx) -> bool:
-    return e == 0 if kind == RATIONAL else e.negligible(ctx.threshold)
-
-
-def _block_of(h: Matrix, ro: int, rd: int, co: int, cd: int) -> Matrix:
-    entries = [h.at(ro + i, co + j) for i in range(rd) for j in range(cd)]
-    return Matrix(rd, cd, entries, h.kind, h.ctx)
-
-
-def _is_scalar_matrix(b: Matrix) -> bool:
-    d = b.rows
-    for i in range(d):
-        for j in range(d):
-            e = b.at(i, j) - b.at(0, 0) if i == j else b.at(i, j)
-            if not _entry_dead(e, b.kind, b.ctx):
-                return False
-    return True
-
-
 def weight_block_structure(h: Matrix, m: FilteredPhiModule) -> dict:
     """Zero/nonzero report for each weight-to-weight block of an endomorphism."""
-    out = {}
-    for w1, o1, d1 in m.weight_offsets():
-        for w2, o2, d2 in m.weight_offsets():
-            blk = _block_of(h, o1, d1, o2, d2)
-            out[(w1, w2)] = all(_entry_dead(e, h.kind, h.ctx) for e in blk.entries)
-    return out
+    blocks = [(w, range(o, o + d)) for w, o, d in m.weight_offsets()]
+    return {
+        (w1, w2): linalg.is_zero(linalg.submatrix(h, b1, b2)) for w1, b1 in blocks for w2, b2 in blocks
+    }
 
 
 def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
@@ -257,7 +233,8 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     tags = []
     total = 0
     for w, off, d in offsets:
-        blocks = [_block_of(h, off, d, off, d) for h in e.basis]
+        block = range(off, off + d)
+        blocks = [linalg.submatrix(h, block, block) for h in e.basis]
         vectors = [list(b.entries) for b in blocks]
         kind = blocks[0].kind if blocks else RATIONAL
         ctx = blocks[0].ctx if blocks else None
@@ -265,7 +242,7 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
         span = [Matrix(d, d, list(v), kind, ctx) for v in reduced]
         bd = len(span)
         total += bd
-        tags.append((w, _classify_block(m, w, off, d, span)))
+        tags.append((w, _classify_block(m, w, block, span)))
     if total != e.dimension:
         raise UnclassifiedShape(
             f"block dimensions sum to {total} but the endomorphism space has "
@@ -274,8 +251,8 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     return EndClassification(tuple(tags), e.dimension)
 
 
-def _classify_block(m: FilteredPhiModule, w: int, off: int, d: int, span: list[Matrix]) -> str:
-    bd = len(span)
+def _classify_block(m: FilteredPhiModule, w: int, block: range, span: list[Matrix]) -> str:
+    d, bd = len(block), len(span)
     if w == 0:
         if bd == d * d:
             return LATTICE_SCALARS
@@ -286,10 +263,10 @@ def _classify_block(m: FilteredPhiModule, w: int, off: int, d: int, span: list[M
         raise UnclassifiedShape(f"weight -2 block algebra has dimension {bd}, expected {d * d}")
     # weight -1
     if d == 2:
-        if bd == 1 and _is_scalar_matrix(span[0]):
+        if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
             return SCALAR_ONLY
         if bd == 2:
-            if in_span(span, m.phi_block(off, d)) is not None:
+            if in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
                 return POLYNOMIAL_ALGEBRA_OF_PHI
         if bd == 3:
             # a 3-dimensional unital subalgebra of M_2 preserving a line is

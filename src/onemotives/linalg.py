@@ -132,7 +132,7 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, [c * x for x in a.entries], a.kind, a.ctx)
 
 
-def _shift_diagonal(m: Matrix, c) -> Matrix:
+def shift_diagonal(m: Matrix, c) -> Matrix:
     """m + c*I as a new matrix, with ``c`` of m's scalar kind."""
     out = Matrix(m.rows, m.cols, list(m.entries), m.kind, m.ctx)
     for i in range(m.rows):
@@ -266,18 +266,19 @@ def to_padic(a: Matrix, ctx: PadicContext) -> Matrix:
     return Matrix(a.rows, a.cols, entries, PADIC, ctx)
 
 
-def permute(a: Matrix, perm: list[int]) -> Matrix:
-    """Conjugate a square matrix by a permutation: out[i][j] = a[perm[i]][perm[j]]."""
-    n = a.rows
-    out = [a.at(perm[i], perm[j]) for i in range(n) for j in range(n)]
-    return Matrix(n, n, out, a.kind, a.ctx)
+def submatrix(a: Matrix, rows, cols) -> Matrix:
+    """a[i][j] for i in ``rows`` and j in ``cols`` (ranges or lists), in the
+    given order: ranges cut a block, a permutation reorders a basis."""
+    out = [a.entries[i * a.cols + j] for i in rows for j in cols]
+    return Matrix(len(rows), len(cols), out, a.kind, a.ctx)
 
 
-def permute_rows(a: Matrix, perm: list[int]) -> Matrix:
-    out = []
-    for i in range(a.rows):
-        out.extend(a.row(perm[i]))
-    return Matrix(a.rows, a.cols, out, a.kind, a.ctx)
+def is_zero(a: Matrix) -> bool:
+    """Every entry is zero: exactly for the rational kind, past the context
+    zero threshold for the p-adic kind."""
+    if a.kind == RATIONAL:
+        return not any(a.entries)
+    return all(e.negligible(a.ctx.threshold) for e in a.entries)
 
 
 # -- elimination -------------------------------------------------------------
@@ -506,7 +507,7 @@ def char_poly(m: Matrix) -> list[Fraction]:
         ck = -trace(ak) / k
         coeffs.append(ck)
         if k < n:
-            ak = mat_mul(m, _shift_diagonal(ak, ck))
+            ak = mat_mul(m, shift_diagonal(ak, ck))
     return list(reversed(coeffs)) + [Fraction(1)]
 
 
@@ -543,7 +544,7 @@ def eigen_line(m: Matrix, lam: Fraction | PadicScalar) -> KernelResult:
     """kernel(m - lam*I), with ``lam`` of m's scalar kind."""
     if not m.is_square:
         raise NonSquare("eigen_line of a non-square matrix")
-    return kernel(_shift_diagonal(m, -lam))
+    return kernel(shift_diagonal(m, -lam))
 
 
 def annihilator_rows(f: Matrix) -> Matrix:

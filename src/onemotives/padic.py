@@ -488,4 +488,8 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """Parse "num/den" or an integer; raises ``ValueError`` on a zero denominator."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None

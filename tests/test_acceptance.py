@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from hom_oracle import naive_hom_dimension, random_rational_module
 from onemotives import linalg
 from onemotives.cli import main
 from onemotives.crystal import (
@@ -227,72 +228,15 @@ def test_criterion_07_conservation_duality_reflection():
 # -- criterion 8: independent brute-force oracle ------------------------------------
 
 
-def _oracle_hom_dimension(src, tgt):
-    """Naive, entirely separate path: write every scalar equation directly
-    (commutation entrywise; each Fil1 generator image expanded in the
-    target Fil1 basis with auxiliary unknowns) and run textbook Gaussian
-    elimination over Fraction."""
-    na, nb = src.dim, tgt.dim
-    ra, rb = src.fil1.cols, tgt.fil1.cols
-    nh = nb * na
-    nvars = nh + rb * ra
-    rows = []
-    for i in range(nb):
-        for j in range(na):
-            row = [Fraction(0)] * nvars
-            for k in range(nb):
-                row[k * na + j] += tgt.phi.at(i, k)
-            for k in range(na):
-                row[i * na + k] -= src.phi.at(k, j)
-            rows.append(row)
-    for c in range(ra):
-        for i in range(nb):
-            row = [Fraction(0)] * nvars
-            for k in range(na):
-                row[i * na + k] += src.fil1.at(k, c)
-            for s in range(rb):
-                row[nh + c * rb + s] -= tgt.fil1.at(i, s)
-            rows.append(row)
-    rank = 0
-    for col in range(nvars):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        rows[rank] = [x / pval for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return nvars - rank
-
-
-def _random_module(rng, ctx):
-    n = rng.randint(1, 3)
-    while True:
-        phi = Matrix(n, n, [Fraction(rng.randint(-5, 5)) for _ in range(n * n)])
-        if linalg.det(phi) != 0:
-            break
-    r = rng.randint(0, n)
-    while True:
-        fil = Matrix(n, r, [Fraction(rng.randint(-3, 3)) for _ in range(n * r)])
-        if r == 0 or linalg.rank(fil) == r:
-            break
-    weights = ((-1, n),)
-    return FilteredPhiModule(ctx, n, phi, weights, fil, label="random")
-
-
 def test_criterion_08_oracle_equivalence():
     ctx = PadicContext(5, 1, 40)
     rng = random.Random(880)
     trials = 220
     for i in range(trials):
-        a = _random_module(rng, ctx)
-        b = a if i % 5 == 0 else _random_module(rng, ctx)
+        a = random_rational_module(rng, ctx)
+        b = a if i % 5 == 0 else random_rational_module(rng, ctx)
         got = hom_space(a, b).dimension
-        want = _oracle_hom_dimension(a, b)
+        want = naive_hom_dimension(a, b)
         assert got == want, f"trial {i}: solver {got} vs oracle {want}"
     report("08", True, f"solver matches the naive elimination oracle on {trials} module pairs")
 

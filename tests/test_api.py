@@ -1,7 +1,7 @@
 """The public surface: what the package exports, and what it no longer does."""
 
 import onemotives
-from onemotives import linalg, padic
+from onemotives import crystal, linalg, padic
 
 REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational")
 
@@ -19,3 +19,5 @@ def test_removed_names_are_gone():
     assert not hasattr(linalg, "sylvester_kernel") and not hasattr(linalg, "constraint_stack")
     assert not hasattr(padic, "arith") and not hasattr(padic, "Rational")
     assert not hasattr(padic.PadicScalar, "min_valuation")
+    assert not hasattr(linalg, "permute") and not hasattr(linalg, "permute_rows")
+    assert not hasattr(crystal.FilteredPhiModule, "phi_block")

@@ -250,16 +250,29 @@ _PADIC_ONE = {"v": 0, "unit": "1", "prec": 40}
         {"abelian_explicit": [{"phi": [1, 2], "fil1": _FIL}]},
         {"abelian_explicit": [{"phi": {**_PHI, "entries": ["0/1", None, "1/1", "1/1"]}, "fil1": _FIL}]},
         {"abelian_explicit": [{"phi": {**_PHI, "rows": 2.0}, "fil1": _FIL}]},
+        {"lattice_rank": 1, "torus_dim": 1, "kummer_lambda": "1/0"},
+        {"abelian_explicit": [{"phi": {**_PHI, "entries": ["0/1", "1/0", "1/1", "1/1"]}, "fil1": _FIL}]},
     ],
     ids=[
         "not-an-object", "string-rank", "fil1-missing", "padic-fil1", "traces-not-a-list", "lambda-list",
         "matrix-without-entries", "matrix-not-an-object", "null-entry", "float-rows",
+        "lambda-zero-denominator", "entry-zero-denominator",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     code, out, err = run_cli(capsys, "end", "--p", "5", "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_kummer_lambda_flag_with_zero_denominator_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "end", "--p", "5", "--lattice", "1", "--torus", "1", "--kummer-lambda", "1/0"
+    )
     assert code == 2
     assert out == ""
     lines = err.splitlines()

@@ -1,5 +1,6 @@
 """Realization constructors, duality, extensions, and numeric invariants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from onemotives.errors import (
     NonSplitExtension,
     VerificationFailure,
 )
-from onemotives import linalg
+from onemotives import crystal, linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL, mat_mul, to_padic
 from onemotives.padic import PadicContext, newton_slopes
 
@@ -160,7 +161,7 @@ def test_z_to_e_module_shape():
     assert m.dim == 3
     assert m.weights == ((0, 1), (-1, 2))
     assert m.phi.at(0, 0) == 1
-    assert m.phi_block(1, 2) == linalg.companion(frobenius_char_poly(1, C5))
+    assert linalg.submatrix(m.phi, range(1, 3), range(1, 3)) == linalg.companion(frobenius_char_poly(1, C5))
 
 
 def test_empty_motive():
@@ -184,6 +185,60 @@ def test_direct_sum_elliptic_slopes_are_multiset_union():
     s = direct_sum([a, b])
     assert s.dim == 4
     assert newton_slopes_of(s) == sorted(newton_slopes_of(a) + newton_slopes_of(b))
+
+
+MODES = tuple(
+    EllipticFilMode.parse(m) for m in ("auto", "generic", "eigenline:0", "eigenline:1", "scalar", "jordan")
+)
+
+
+def _summand_pool(ctx, rng):
+    """Lattice, torus and elliptic blocks in every mode the field accepts (at
+    a few seeded traces), their duals, and one split extension."""
+    pool = [realize_lattice(1, ctx), realize_lattice(2, ctx), realize_torus(1, ctx), realize_torus(2, ctx)]
+    bound = math.isqrt(4 * ctx.q)
+    traces = {-bound, bound, 0, *rng.sample(range(-bound, bound + 1), 3)}
+    for t in sorted(traces):
+        for mode in MODES:
+            try:
+                pool.append(realize_elliptic(t, mode, ctx))
+            except ModeMismatch:
+                pass
+    pool += [dual(m) for m in pool]
+    pool.append(split_extension(extension_module(Fraction(rng.randint(-9, 9), 7), ctx))[0])
+    return pool
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9, 25, 49))
+def test_direct_sum_of_validated_summands_passes_validation(q):
+    ctx = PadicContext.from_q(q)
+    rng = random.Random(q)
+    pool = _summand_pool(ctx, rng)
+    for _ in range(60):
+        parts = rng.choices(pool, k=rng.randint(2, 4))
+        m = direct_sum(parts)
+        validate_graded(m)
+        assert m.dim == sum(x.dim for x in parts)
+        assert m.fil1.cols == sum(x.fil1.cols for x in parts)
+
+
+def test_direct_sum_does_not_validate_again(monkeypatch):
+    parts = [realize_lattice(1, C5), realize_elliptic(1, AUTO, C5), realize_torus(1, C5)]
+    calls = []
+    monkeypatch.setattr(crystal, "validate_graded", calls.append)
+    m = direct_sum(parts)
+    assert m.weights == ((0, 1), (-1, 2), (-2, 1)) and calls == []
+    # dual, split_extension and the realize_* constructors still validate
+    assert dual(m) is calls[-1]
+    assert split_extension(extension_module(3, C5))[0] is calls[-1]
+    assert realize_torus(2, C5) is calls[-1] and len(calls) == 3
+
+
+def test_dual_validates_its_output():
+    m = FilteredPhiModule(C5, 1, frac_matrix([[5]]), ((-2, 1),), Matrix.zeros(1, 0))
+    validate_graded(m)
+    with pytest.raises(ValueError, match="Fil1 meets the weight-0 block nontrivially"):
+        dual(m)
 
 
 def test_direct_sum_context_mismatch():
@@ -497,7 +552,8 @@ def test_validation_reads_char_polys_of_weight_blocks_only(monkeypatch):
     monkeypatch.setattr(linalg, "char_poly", spy)
     m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1), torus_dim=2), C5)
     assert m.dim == 8 and m.weights == ((0, 2), (-1, 4), (-2, 2))
-    assert 4 in sizes and max(sizes) == 4
+    # the summands' 2x2 blocks only: the merged weight -1 block is not re-validated
+    assert max(sizes) == 2
 
 
 def test_validate_rejects_dependent_fil():
@@ -548,6 +604,13 @@ def test_module_serialization_roundtrip():
     ):
         m = build()
         assert module_from_jsonable(module_to_jsonable(m)) == m
+
+
+def test_module_from_jsonable_validates_graded_modules():
+    obj = module_to_jsonable(realize_one_motive(OneMotiveSpec(lattice_rank=1, torus_dim=1), C5))
+    obj["phi"]["entries"][1] = "1/1"
+    with pytest.raises(ValueError, match="block-diagonal"):
+        module_from_jsonable(obj)
 
 
 def test_spec_serialization_roundtrip():

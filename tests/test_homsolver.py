@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hom_oracle import naive_hom_dimension, random_rational_module
 from onemotives.crystal import (
     EllipticFilMode,
     FilteredPhiModule,
@@ -306,68 +307,6 @@ def test_homspace_serialization():
 
 # -- independent brute-force oracle (small smoke version; the full sweep lives in
 #    the acceptance suite) ----------------------------------------------------------
-
-
-def naive_hom_dimension(src, tgt):
-    """Entry-by-entry equation assembly plus textbook Fraction elimination.
-
-    Unknowns: the entries of h (row-major) followed by auxiliary
-    coordinates expressing each image of a Fil1 generator in the target
-    Fil1 basis.  Kernel dimension equals dim Hom because the auxiliary
-    coordinates are determined by h.
-    """
-    na, nb = src.dim, tgt.dim
-    ra, rb = src.fil1.cols, tgt.fil1.cols
-    nh = nb * na
-    nvars = nh + rb * ra
-    rows = []
-    for i in range(nb):
-        for j in range(na):
-            row = [Fraction(0)] * nvars
-            for k in range(nb):
-                row[k * na + j] += tgt.phi.at(i, k)
-            for k in range(na):
-                row[i * na + k] -= src.phi.at(k, j)
-            rows.append(row)
-    for c in range(ra):
-        for i in range(nb):
-            row = [Fraction(0)] * nvars
-            for k in range(na):
-                row[i * na + k] += src.fil1.at(k, c)
-            for s in range(rb):
-                row[nh + c * rb + s] -= tgt.fil1.at(i, s)
-            rows.append(row)
-    # plain elimination, coded independently of the package
-    rank = 0
-    ncols = nvars
-    data = [r[:] for r in rows]
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(data)) if data[i][col] != 0), None)
-        if piv is None:
-            continue
-        data[rank], data[piv] = data[piv], data[rank]
-        pval = data[rank][col]
-        data[rank] = [x / pval for x in data[rank]]
-        for i in range(len(data)):
-            if i != rank and data[i][col] != 0:
-                f = data[i][col]
-                data[i] = [a - f * b for a, b in zip(data[i], data[rank])]
-        rank += 1
-    return nvars - rank
-
-
-def random_rational_module(rng, ctx):
-    n = rng.randint(1, 3)
-    while True:
-        phi = Matrix(n, n, [Fraction(rng.randint(-5, 5)) for _ in range(n * n)])
-        if linalg.det(phi) != 0:
-            break
-    r = rng.randint(0, n)
-    while True:
-        fil = Matrix(n, r, [Fraction(rng.randint(-3, 3)) for _ in range(n * r)])
-        if r == 0 or linalg.rank(fil) == r:
-            break
-    return FilteredPhiModule(ctx, n, phi, ((-1, n),), fil, label="random")
 
 
 def test_solver_agrees_with_naive_oracle_smoke():

@@ -16,6 +16,7 @@ from onemotives.linalg import (
     det,
     eigen_line,
     inverse,
+    is_zero,
     kernel,
     kron,
     mat_mul,
@@ -25,6 +26,7 @@ from onemotives.linalg import (
     resultant,
     solve,
     solve_many,
+    submatrix,
     sylvester,
     to_padic,
     transpose,
@@ -194,6 +196,46 @@ def test_mat_mul_equals_dense_reference_product(seed):
         b = Matrix(n, c, [_random_padic(rng) for _ in range(n * c)], PADIC, C5)
         # PadicScalar equality compares p, v, unit and prec
         assert mat_mul(a, b).entries == dense_product(a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_submatrix_cuts_blocks_and_permutes(seed):
+    rng = random.Random(seed)
+    for draw, kind, ctx in ((_random_fraction, RATIONAL, None), (_random_padic, PADIC, C5)):
+        for _ in range(10):
+            n, c = rng.randint(1, 6), rng.randint(1, 6)
+            a = Matrix(n, c, [draw(rng) for _ in range(n * c)], kind, ctx)
+            i0, i1 = sorted(rng.choices(range(n + 1), k=2))
+            j0, j1 = sorted(rng.choices(range(c + 1), k=2))
+            perm = rng.sample(range(n), n)
+            cases = ((range(i0, i1), range(j0, j1)), (range(0), range(c)), (range(n), range(0)), (perm, range(c)))
+            for rows, cols in cases:
+                got = submatrix(a, rows, cols)
+                assert (got.rows, got.cols, got.kind, got.ctx) == (len(rows), len(cols), kind, ctx)
+                assert got.entries == [a.at(i, j) for i in rows for j in cols]
+        square = Matrix(4, 4, [draw(rng) for _ in range(16)], kind, ctx)
+        perm = rng.sample(range(4), 4)
+        got = submatrix(square, perm, perm)
+        assert got.entries == [square.at(perm[i], perm[j]) for i in range(4) for j in range(4)]
+
+
+def test_is_zero_on_each_kind_of_entry():
+    assert is_zero(Matrix.zeros(2, 3)) and is_zero(Matrix.zeros(0, 0))
+    assert not is_zero(frac_matrix([[0, 0], [0, Fraction(1, 3)]]))
+    threshold = C5.threshold
+
+    def padic_row(e):
+        return Matrix(1, 2, [PadicScalar.exact_zero(5), e], PADIC, C5)
+
+    assert is_zero(Matrix.zeros(2, 2, PADIC, C5))
+    assert is_zero(padic_row(PadicScalar.exact_zero(5)))
+    # an unresolved zero at or above the threshold counts as zero
+    assert is_zero(padic_row(PadicScalar.unresolved_zero(5, threshold)))
+    assert is_zero(padic_row(PadicScalar.unresolved_zero(5, threshold + 5)))
+    assert not is_zero(padic_row(PadicScalar.unresolved_zero(5, threshold - 1)))
+    # a resolved scalar is nonzero however large its valuation
+    assert not is_zero(padic_row(PadicScalar(5, threshold + 5, 1, 3)))
+    assert not is_zero(padic_row(from_rational(Fraction(1, 5), C5)))
 
 
 def _column_outcomes_agree(m, rhss):

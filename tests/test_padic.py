@@ -21,6 +21,7 @@ from onemotives.padic import (
     is_prime,
     newton_slopes,
     poly_eval_mod,
+    rational_from_str,
     scalar_from_jsonable,
     scalar_to_jsonable,
 )
@@ -242,6 +243,12 @@ def test_scalar_serialization_roundtrip():
     for value in [Fraction(0), Fraction(1), Fraction(10, 3), Fraction(-7, 25)]:
         s = from_rational(value, C5)
         assert scalar_from_jsonable(scalar_to_jsonable(s), C5) == s
+
+
+def test_rational_from_str_rejects_a_zero_denominator():
+    assert rational_from_str("-3/6") == Fraction(-1, 2) and rational_from_str(4) == Fraction(4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational_from_str("1/0")
 
 
 def test_arithmetic_chains_stable_under_precision_doubling():
