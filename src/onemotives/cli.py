@@ -263,11 +263,6 @@ def _add_common(sub, default_format: str) -> None:
     sub.add_argument(
         "--format", choices=("json", "table"), default=default_format, help="output format"
     )
-    sub.add_argument(
-        "--fil-mode",
-        default="auto",
-        help="Hodge line mode: auto | generic | eigenline:K | scalar | jordan",
-    )
 
 
 def _add_spec_flags(sub) -> None:
@@ -324,6 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mot.add_argument("--a", required=True, help='complex spec, e.g. "lattice:1,torus:1@0;lattice:1@2"')
     p_mot.add_argument("--b", required=True, help="complex spec")
     p_mot.set_defaults(func=cmd_motivic_hom)
+    # survey sweeps its own modes, so only the other subcommands take --fil-mode
+    for sub_parser in (p_realize, p_end, p_hom, p_mot):
+        sub_parser.add_argument(
+            "--fil-mode",
+            default="auto",
+            help="Hodge line mode: auto | generic | eigenline:K | scalar | jordan",
+        )
     return parser
 
 

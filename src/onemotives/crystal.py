@@ -271,15 +271,12 @@ def _splits_over_qp(trace: int, ctx: PadicContext) -> bool:
 
 
 def _padic_roots(trace: int, ctx: PadicContext, digits: int) -> list[PadicScalar] | None:
-    """Both roots of T^2 - tT + q in Q_p at the given precision, in the
-    canonical order (valuation, then unit residue mod p); None when the
-    polynomial is irreducible over Q_p."""
+    """Both roots of T^2 - tT + q, t^2 != 4q, in Q_p at the given precision,
+    in the canonical order (valuation, then unit residue mod p); None when
+    the polynomial is irreducible over Q_p."""
     p, q = ctx.p, ctx.q
     d = trace * trace - 4 * q
     work = ctx.with_precision(digits)
-    if d == 0:
-        lam = from_rational(Fraction(trace, 2), work)
-        return [lam, lam]
     s = integer_square_root(d, p, digits)
     if s is None:
         return None
@@ -290,7 +287,7 @@ def _padic_roots(trace: int, ctx: PadicContext, digits: int) -> list[PadicScalar
     return roots
 
 
-def _eigenline_matrix(phi: Matrix, lam: PadicScalar, ctx: PadicContext, work: PadicContext) -> Matrix:
+def _eigenline_matrix(phi: Matrix, lam: PadicScalar, work: PadicContext) -> Matrix:
     line = linalg.eigen_line(linalg.to_padic(phi, work), lam)
     if line.dimension != 1:
         raise PrecisionExhausted(
@@ -321,7 +318,7 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: Pa
             chi = [q, -trace, 1]
             u = hensel_lift_root(chi, trace % p, work)
             lam = from_rational(q, work) / u
-            return _eigenline_matrix(phi, lam, ctx, work)
+            return _eigenline_matrix(phi, lam, work)
         if not _splits_over_qp(trace, ctx):
             # generic supersingular line, not phi-stable
             return span_e1
@@ -335,7 +332,7 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: Pa
         raise ModeMismatch(
             "characteristic polynomial is irreducible over Q_p; no eigenline exists"
         )
-    return _eigenline_matrix(phi, roots[mode.root_index], ctx, work)
+    return _eigenline_matrix(phi, roots[mode.root_index], work)
 
 
 def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> FilteredPhiModule:
@@ -516,7 +513,7 @@ def _infer_block_weight(block: Matrix, ctx: PadicContext) -> int:
     raise ValueError(f"block slopes {slopes} fit no weight")
 
 
-def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[FilteredPhiModule, Matrix]:
+def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
     """Block-diagonalize a two-block upper-triangular module.
 
     Solves A C - C B = L for the corner block of the unipotent base
@@ -525,7 +522,7 @@ def split_extension(m: FilteredPhiModule, at: int | None = None) -> tuple[Filter
     verified exactly.  Raises ``NonSplitExtension`` when the spectra of A
     and B meet and L is outside the image of the Sylvester operator.
     """
-    k = at if at is not None else m.split_at
+    k = m.split_at
     if k is None or not 0 < k < m.dim:
         raise ValueError("no block split given")
     if m.phi.kind != RATIONAL:
@@ -638,7 +635,13 @@ def module_to_jsonable(m: FilteredPhiModule) -> dict:
 
 
 def module_from_jsonable(obj: dict) -> FilteredPhiModule:
-    """Inverse of ``module_to_jsonable``; a graded module is validated."""
+    """Inverse of ``module_to_jsonable``; a graded module is validated, and
+    a missing field raises ``ValueError`` naming it."""
+    missing = [k for k in ("ctx", "dim", "phi", "weights", "fil1") if k not in obj]
+    if not missing:
+        missing = [f"ctx.{k}" for k in ("p", "f", "precision") if k not in obj["ctx"]]
+    if missing:
+        raise ValueError(f"module JSON lacks the field(s) {', '.join(missing)}")
     ctx = PadicContext(obj["ctx"]["p"], obj["ctx"]["f"], obj["ctx"]["precision"])
     m = FilteredPhiModule(
         ctx,

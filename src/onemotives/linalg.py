@@ -175,25 +175,14 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix(a.cols, a.rows, out, a.kind, a.ctx)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    _require_same_kind(a, b)
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                aij = a.at(i, j)
-                for l in range(b.cols):
-                    out.append(aij * b.at(k, l))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out, a.kind, a.ctx)
-
-
 def sylvester(a: Matrix, b: Matrix) -> Matrix:
     """Matrix of X -> A X - X B on row-major vec(X), X of shape a.rows x b.rows.
 
     Row (i, j) holds A[i,k] at unknown (k, j), -B[k,j] at unknown (i, k),
     and A[i,i] - B[j,j] at unknown (i, j); every other coefficient is the
-    exact zero.  Entry for entry this is kron(A, I) - kron(I, B^T) whenever
-    no p-adic entry carries more than ``ctx.precision`` digits.
+    exact zero.  Entry for entry this is the Kronecker product form
+    A (x) I - I (x) B^T whenever no p-adic entry carries more than
+    ``ctx.precision`` digits.
     """
     _require_same_kind(a, b)
     if not (a.is_square and b.is_square):
@@ -284,26 +273,14 @@ def is_zero(a: Matrix) -> bool:
 # -- elimination -------------------------------------------------------------
 
 
-class _Report:
-    """Collects the confidence of a p-adic elimination run."""
-
-    __slots__ = ("digits",)
-
-    def __init__(self) -> None:
-        self.digits: int | None = None
-
-    def note(self, d: int) -> None:
-        if self.digits is None or d < self.digits:
-            self.digits = d
-
-
-def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, report: _Report | None):
+def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, digits: list | None = None):
     """In-place reduced row echelon over the first ``ncols`` columns.
 
     Returns the list of (column, row) pivots.  Row operations extend over
     the full row width, so callers may carry augmented columns.  Rows are
     updated in place and must not be shared with anything else; rational
-    rows must hold ``Fraction`` entries only.
+    rows must hold ``Fraction`` entries only.  A p-adic run appends to
+    ``digits``, when given, the digits behind each pivot decision.
     """
     nrows = len(data)
     threshold = ctx.threshold if kind == PADIC else None
@@ -330,8 +307,8 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, rep
                 continue
             if x.negligible(threshold):
                 # unresolved zero past the threshold: trusted dead, recorded
-                if report is not None:
-                    report.note(x.v)
+                if digits is not None:
+                    digits.append(x.v)
                 continue
             key = (x.v, i)
             if best_key is None or key < best_key:
@@ -345,8 +322,8 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, rep
             continue
         data[rank], data[best] = data[best], data[rank]
         piv = data[rank][c]
-        if kind == PADIC and report is not None:
-            report.note(piv.prec)
+        if kind == PADIC and digits is not None:
+            digits.append(piv.prec)
         # exact zeros of the pivot row neither change under the division
         # nor change the rows it is subtracted from, so they are skipped
         prow = data[rank] = [e / piv if nonzero(e) else e for e in data[rank]]
@@ -388,7 +365,7 @@ def echelon_rows(vectors: list[list], kind: str, ctx: PadicContext | None) -> li
     if not vectors:
         return []
     data = [list(v) for v in vectors]
-    pivots = _rref(data, len(data[0]), kind, ctx, None)
+    pivots = _rref(data, len(data[0]), kind, ctx)
     # RREF leaves the pivot rows first, ordered by leading coordinate
     return data[: len(pivots)]
 
@@ -401,8 +378,8 @@ def kernel(m: Matrix) -> KernelResult:
     treated as zero and lower the precision report.
     """
     data = [m.row(i) for i in range(m.rows)]
-    report = _Report() if m.kind == PADIC else None
-    pivots = _rref(data, m.cols, m.kind, m.ctx, report)
+    digits: list = []
+    pivots = _rref(data, m.cols, m.kind, m.ctx, digits)
     pivot_cols = {c: r for c, r in pivots}
     one = Fraction(1) if m.kind == RATIONAL else PadicScalar.one(m.ctx.p, m.ctx.precision)
     zero = _zero_like(m)
@@ -416,12 +393,12 @@ def kernel(m: Matrix) -> KernelResult:
             vec[c] = -data[r][fc]
         basis.append(vec)
     basis = echelon_rows(basis, m.kind, m.ctx)
-    return KernelResult(len(basis), basis, report.digits if report else None)
+    return KernelResult(len(basis), basis, min(digits) if digits else None)
 
 
 def rank(m: Matrix) -> int:
     data = [m.row(i) for i in range(m.rows)]
-    return len(_rref(data, m.cols, m.kind, m.ctx, None))
+    return len(_rref(data, m.cols, m.kind, m.ctx))
 
 
 def solve_many(m: Matrix, rhss: list[list]) -> list:
@@ -440,7 +417,7 @@ def solve_many(m: Matrix, rhss: list[list]) -> list:
         raise ValueError("right-hand side length mismatch")
     rhs_block = Matrix.from_columns(rhss, m.rows, m.kind, m.ctx)
     data = [m.row(i) + rhs_block.row(i) for i in range(m.rows)]
-    pivots = _rref(data, m.cols, m.kind, m.ctx, None)
+    pivots = _rref(data, m.cols, m.kind, m.ctx)
     threshold = m.ctx.threshold if m.kind == PADIC else None
     zero = _zero_like(m)
     out = []
@@ -478,7 +455,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     ident = Matrix.identity(n, m.kind, m.ctx)
     data = [m.row(i) + ident.row(i) for i in range(n)]
-    pivots = _rref(data, n, m.kind, m.ctx, None)
+    pivots = _rref(data, n, m.kind, m.ctx)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     # full rank means pivot columns are 0..n-1 in order, rows aligned

@@ -39,9 +39,6 @@ class MotivicComplex:
     def empty(cls) -> MotivicComplex:
         return cls(())
 
-    def degrees(self) -> list[int]:
-        return sorted({d for _, d in self.summands})
-
 
 def shift(x: MotivicComplex, n: int) -> MotivicComplex:
     return MotivicComplex(tuple((m, d + n) for m, d in x.summands))

@@ -1,7 +1,7 @@
 """The public surface: what the package exports, and what it no longer does."""
 
 import onemotives
-from onemotives import crystal, linalg, padic
+from onemotives import crystal, linalg, motivic, padic
 
 REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational")
 
@@ -21,3 +21,4 @@ def test_removed_names_are_gone():
     assert not hasattr(padic.PadicScalar, "min_valuation")
     assert not hasattr(linalg, "permute") and not hasattr(linalg, "permute_rows")
     assert not hasattr(crystal.FilteredPhiModule, "phi_block")
+    assert not hasattr(linalg, "kron") and not hasattr(motivic.MotivicComplex, "degrees")

@@ -191,6 +191,13 @@ def test_fil_mode_flag(capsys):
     assert code == 2
 
 
+def test_survey_takes_no_fil_mode(capsys):
+    # survey sweeps the modes itself; the flag would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--p", "5", "--fil-mode", "scalar"])
+    assert exc.value.code == 2
+
+
 def test_spec_file_with_kummer_lambda(tmp_path, capsys):
     spec_path = tmp_path / "ext.json"
     spec_path.write_text(

@@ -613,6 +613,17 @@ def test_module_from_jsonable_validates_graded_modules():
         module_from_jsonable(obj)
 
 
+def test_module_from_jsonable_names_a_missing_field():
+    with pytest.raises(ValueError, match="ctx.f"):
+        module_from_jsonable({"ctx": {"p": 5}, "dim": 0, "phi": {}, "weights": [], "fil1": {}})
+    with pytest.raises(ValueError, match="dim"):
+        module_from_jsonable({"ctx": {"p": 5}})
+    obj = module_to_jsonable(realize_lattice(1, C5))
+    del obj["fil1"]
+    with pytest.raises(ValueError, match="fil1"):
+        module_from_jsonable(obj)
+
+
 def test_spec_serialization_roundtrip():
     spec = OneMotiveSpec(lattice_rank=2, torus_dim=1, elliptic_traces=(1, -2))
     assert spec_from_jsonable(spec_to_jsonable(spec)) == spec

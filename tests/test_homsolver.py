@@ -281,6 +281,48 @@ def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
         hom_space(m, m)
 
 
+def _answer_hom_system_with(monkeypatch, h):
+    """Make the kernel of every 4-unknown Hom system the single vector vec(h),
+    at the system's scalar kind; the annihilator of Fil1 is left intact."""
+    real = linalg.kernel
+
+    def kernel(system):
+        if system.cols != 4:
+            return real(system)
+        vec = linalg.to_padic(h, system.ctx) if system.kind == PADIC else h
+        return linalg.KernelResult(1, [list(vec.entries)])
+
+    monkeypatch.setattr(linalg, "kernel", kernel)
+
+
+def test_hom_rejects_an_exact_fil1_escape_without_precision_advice(monkeypatch):
+    # phi commutes with itself but moves the generic Hodge line span(e1);
+    # rational input, so more digits cannot help
+    m = realize_elliptic(0, EllipticFilMode.generic(), C5)
+    assert m.phi.kind == RATIONAL and m.fil1.kind == RATIONAL
+    _answer_hom_system_with(monkeypatch, m.phi)
+    with pytest.raises(VerificationFailure, match="image of Fil1 escapes"):
+        hom_space(m, m)
+
+
+def test_hom_padic_non_equivariant_vector_is_a_precision_failure(monkeypatch):
+    m = realize_elliptic(1, AUTO, C5)
+    assert m.fil1.kind == PADIC
+    _answer_hom_system_with(monkeypatch, frac_matrix([[0, 1], [0, 0]]))
+    with pytest.raises(PrecisionExhausted, match="equivariance residual"):
+        hom_space(m, m)
+
+
+def test_hom_padic_fil1_escape_is_a_precision_failure(monkeypatch):
+    generic = realize_elliptic(0, EllipticFilMode.generic(), C5)
+    m = FilteredPhiModule(
+        C5, 2, generic.phi, generic.weights, linalg.to_padic(generic.fil1, C5.doubled()), label="padic line"
+    )
+    _answer_hom_system_with(monkeypatch, m.phi)
+    with pytest.raises(PrecisionExhausted, match="image of Fil1 escapes"):
+        hom_space(m, m)
+
+
 def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
     m = z_to_e(1, C5)
     calls = []

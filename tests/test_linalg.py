@@ -18,7 +18,6 @@ from onemotives.linalg import (
     inverse,
     is_zero,
     kernel,
-    kron,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -34,6 +33,7 @@ from onemotives.linalg import (
     matrix_to_jsonable,
     matrix_from_jsonable,
 )
+from onemotives import homsolver, linalg
 from onemotives.padic import PadicContext, PadicScalar, from_rational, hensel_lift_root
 
 C5 = PadicContext(5, 1, 40)
@@ -319,7 +319,14 @@ def test_inverse_roundtrip():
         inverse(frac_matrix([[1, 2], [2, 4]]))
 
 
-# -- sylvester --------------------------------------------------------------------
+# -- sylvester and the Hom system -------------------------------------------------
+
+
+def kron(a, b):
+    """Reference Kronecker product: row (i, k), column (j, l) is a[i,j] * b[k,l]."""
+    out = [a.at(i, j) * b.at(k, l) for i in range(a.rows) for k in range(b.rows)
+           for j in range(a.cols) for l in range(b.cols)]
+    return Matrix(a.rows * b.rows, a.cols * b.cols, out, a.kind, a.ctx)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -343,6 +350,33 @@ def test_sylvester_equals_kronecker_reference(seed):
             assert got.entries == reference.entries
             if kind == PADIC:
                 entries = a.entries + b.entries
+                seen["exact zero"] += any(e.is_exact_zero for e in entries)
+                seen["unresolved zero"] += any(e.is_unresolved for e in entries)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hom_system_fil1_rows_equal_kronecker_reference(seed, monkeypatch):
+    """Below the Sylvester rows, _hom_system holds kron(Q, C^T) entry for
+    entry, p-adic v, unit and prec included, where C is the source Fil1 and
+    Q the annihilator rows of the target Fil1 (drawn here at random)."""
+    rng = random.Random(100 + seed)
+    seen = {"n != m": 0, "exact zero": 0, "unresolved zero": 0}
+    for _ in range(12):
+        n, m, s, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
+        seen["n != m"] += n != m
+        for kind, draw, ctx in ((RATIONAL, _random_fraction, None), (PADIC, _random_padic, C5)):
+            def rand(rows, cols):
+                return Matrix(rows, cols, [draw(rng) for _ in range(rows * cols)], kind, ctx)
+
+            phi_a, c_a, phi_b, c_b, q = rand(n, n), rand(n, s), rand(m, m), rand(m, 1), rand(r, m)
+            monkeypatch.setattr(linalg, "annihilator_rows", lambda f: q if f is c_b else None)
+            got = homsolver._hom_system((phi_a, c_a, phi_b, c_b))
+            reference = kron(q, transpose(c_a))
+            assert (got.rows, got.cols) == (n * m + r * s, n * m)
+            assert got.entries[n * m * n * m :] == reference.entries
+            if kind == PADIC:
+                entries = q.entries + c_a.entries
                 seen["exact zero"] += any(e.is_exact_zero for e in entries)
                 seen["unresolved zero"] += any(e.is_unresolved for e in entries)
     assert all(seen.values()), seen
@@ -544,14 +578,6 @@ def test_resultant_detects_shared_roots():
     assert resultant([2, -3, 1], [-2, 1]) == 0
     # degree-zero convention
     assert resultant([5], [2, -3, 1]) == 25
-
-
-def test_kron_shapes():
-    a = frac_matrix([[1, 2]])
-    b = frac_matrix([[0], [3]])
-    k = kron(a, b)
-    assert (k.rows, k.cols) == (2, 2)
-    assert k.entries == [Fraction(0), Fraction(0), Fraction(3), Fraction(6)]
 
 
 def test_matrix_serialization_roundtrip():
