@@ -34,14 +34,19 @@ def _parse_traces(text: str) -> tuple[int, ...]:
 
 
 def _spec_from_args(args) -> OneMotiveSpec:
-    if getattr(args, "spec", None):
+    """The spec file or the inline spec flags; giving both is an error."""
+    inline = ("lattice", "torus", "elliptic", "kummer_lambda")
+    given = [f"--{name.replace('_', '-')}" for name in inline if getattr(args, name) is not None]
+    if args.spec:
+        if given:
+            raise ValueError(f"--spec excludes the inline spec flags, got {' '.join(given)}")
         with open(args.spec, "r", encoding="utf-8") as fh:
             return crystal.spec_from_jsonable(json.load(fh))
-    lam = getattr(args, "kummer_lambda", None)
+    lam = args.kummer_lambda
     return OneMotiveSpec(
-        lattice_rank=args.lattice,
-        torus_dim=args.torus,
-        elliptic_traces=_parse_traces(args.elliptic) if args.elliptic else (),
+        lattice_rank=args.lattice or 0,
+        torus_dim=args.torus or 0,
+        elliptic_traces=_parse_traces(args.elliptic or ""),
         kummer_lambda=rational_from_str(lam) if lam else None,
     )
 
@@ -185,9 +190,9 @@ def survey_rows(ctx: PadicContext) -> list[dict]:
     bound = math.isqrt(4 * q)
     rows = []
     for t in range(-bound, bound + 1):
-        modes = [EllipticFilMode.auto()]
+        modes = [EllipticFilMode("auto")]
         if t * t == 4 * q:
-            modes += [EllipticFilMode.scalar(), EllipticFilMode.jordan()]
+            modes += [EllipticFilMode("scalar"), EllipticFilMode("jordan")]
         for mode in modes:
             elliptic = crystal.realize_elliptic(t, mode, ctx)
             motive = crystal.direct_sum([crystal.realize_lattice(1, ctx), elliptic])
@@ -266,11 +271,11 @@ def _add_common(sub, default_format: str) -> None:
 
 
 def _add_spec_flags(sub) -> None:
-    sub.add_argument("--lattice", type=int, default=0, help="lattice rank")
-    sub.add_argument("--torus", type=int, default=0, help="torus dimension")
-    sub.add_argument("--elliptic", default="", help="comma-separated Frobenius traces")
+    sub.add_argument("--lattice", type=int, default=None, help="lattice rank (default 0)")
+    sub.add_argument("--torus", type=int, default=None, help="torus dimension (default 0)")
+    sub.add_argument("--elliptic", default=None, help="comma-separated Frobenius traces")
     sub.add_argument("--kummer-lambda", default=None, help="extension demo scalar (rational)")
-    sub.add_argument("--spec", default=None, help="path to a JSON motive spec file")
+    sub.add_argument("--spec", default=None, help="path to a JSON motive spec file; excludes the flags above")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,9 @@ are produced by Hensel lifting inside Q_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import (
     ContextMismatch,
@@ -36,12 +37,20 @@ from .padic import (
     fraction_valuation,
     hensel_lift_root,
     integer_square_root,
+    is_padic_square,
     newton_slopes,
     rational_from_str,
     rational_to_str,
 )
 
 WEIGHTS = (0, -1, -2)
+
+# weight -> (test each Newton slope of its blocks passes, message tail), in inference order
+_SLOPE_RULES = {
+    0: (lambda s: s == 0, ", expected all 0"),
+    -2: (lambda s: s == 1, ", expected all 1"),
+    -1: (lambda s: 0 <= s <= 1, " outside [0, 1]"),
+}
 
 
 @dataclass(frozen=True)
@@ -64,26 +73,6 @@ class EllipticFilMode:
             raise ValueError(f"unknown fil mode {self.kind!r}")
         if self.root_index not in (0, 1):
             raise ValueError("root_index must be 0 or 1")
-
-    @classmethod
-    def auto(cls) -> EllipticFilMode:
-        return cls("auto")
-
-    @classmethod
-    def eigenline(cls, i: int) -> EllipticFilMode:
-        return cls("eigenline", i)
-
-    @classmethod
-    def generic(cls) -> EllipticFilMode:
-        return cls("generic")
-
-    @classmethod
-    def scalar(cls) -> EllipticFilMode:
-        return cls("scalar")
-
-    @classmethod
-    def jordan(cls) -> EllipticFilMode:
-        return cls("jordan")
 
     @classmethod
     def parse(cls, text: str) -> EllipticFilMode:
@@ -166,12 +155,9 @@ def validate_graded(m: FilteredPhiModule) -> None:
         raise ValueError("phi is singular")
     for (w, _, _), cp in zip(offsets, polys):
         slopes = newton_slopes(cp, m.ctx)
-        if w == 0 and any(s != 0 for s in slopes):
-            raise ValueError(f"weight 0 block has slopes {slopes}, expected all 0")
-        if w == -1 and any(s < 0 or s > 1 for s in slopes):
-            raise ValueError(f"weight -1 block has slopes {slopes} outside [0, 1]")
-        if w == -2 and any(s != 1 for s in slopes):
-            raise ValueError(f"weight -2 block has slopes {slopes}, expected all 1")
+        fits, tail = _SLOPE_RULES[w]
+        if not all(fits(s) for s in slopes):
+            raise ValueError(f"weight {w} block has slopes {slopes}{tail}")
     r = m.fil1.cols
     if r > m.dim:
         raise ValueError("fil1 has more columns than the dimension")
@@ -179,17 +165,27 @@ def validate_graded(m: FilteredPhiModule) -> None:
         if linalg.rank(m.fil1) != r:
             raise ValueError("fil1 generators are linearly dependent")
         w0 = next((d for w, _, d in offsets if w == 0), 0)
-        if w0 > 0:
-            # a kernel vector here would be a Fil1 element supported in the
-            # weight-0 block
-            if linalg.kernel(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))).dimension != 0:
-                raise ValueError("Fil1 meets the weight-0 block nontrivially")
+        # a rank drop here is a Fil1 element supported in the weight-0 block
+        if w0 > 0 and linalg.rank(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))) != r:
+            raise ValueError("Fil1 meets the weight-0 block nontrivially")
 
 
 def _graded(ctx, phi, weights, fil1, label) -> FilteredPhiModule:
     m = FilteredPhiModule(ctx, phi.rows, phi, weights, fil1, label)
     validate_graded(m)
     return m
+
+
+def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str) -> FilteredPhiModule:
+    """The unvalidated module on phi and Fil1 in weight order: the (weight,
+    index range) ``blocks`` covering the basis are sorted stably by
+    descending weight, adjacent blocks of equal weight merge, and phi's rows
+    and columns and Fil1's rows are permuted to match."""
+    ordered = sorted(blocks, key=lambda b: -b[0])
+    perm = [i for _, block in ordered for i in block]
+    weights = tuple((w, sum(len(b) for _, b in run)) for w, run in groupby(ordered, key=lambda b: b[0]))
+    fil1 = linalg.submatrix(fil1, perm, range(fil1.cols))
+    return FilteredPhiModule(ctx, len(perm), linalg.submatrix(phi, perm, perm), weights, fil1, label)
 
 
 # -- symbolic one-motive descriptions ----------------------------------------
@@ -265,9 +261,7 @@ def scalar_frobenius_analysis(trace: int, ctx: PadicContext) -> Fraction | None:
 def _splits_over_qp(trace: int, ctx: PadicContext) -> bool:
     """T^2 - tT + q splits over Q_p iff its discriminant is a p-adic square."""
     d = trace * trace - 4 * ctx.q
-    if d == 0:
-        return True
-    return integer_square_root(d, ctx.p, 4) is not None
+    return d == 0 or is_padic_square(d, ctx.p)
 
 
 def _padic_roots(trace: int, ctx: PadicContext, digits: int) -> list[PadicScalar] | None:
@@ -287,22 +281,17 @@ def _padic_roots(trace: int, ctx: PadicContext, digits: int) -> list[PadicScalar
     return roots
 
 
-def _eigenline_matrix(phi: Matrix, lam: PadicScalar, work: PadicContext) -> Matrix:
-    line = linalg.eigen_line(linalg.to_padic(phi, work), lam)
+def _eigenline(phi: Matrix, lam: Fraction | PadicScalar, work: PadicContext | None) -> Matrix:
+    """The eigenline of phi at lam as one column: exact when ``work`` is
+    None, else p-adic at ``work``."""
+    line = linalg.eigen_line(phi if work is None else linalg.to_padic(phi, work), lam)
     if line.dimension != 1:
-        raise PrecisionExhausted(
-            f"eigenline at {lam!r} came out {line.dimension}-dimensional"
-        )
+        if work is None:
+            raise ValueError(f"eigenvalue {lam} has a {line.dimension}-dimensional eigenspace")
+        raise PrecisionExhausted(f"eigenline at {lam!r} came out {line.dimension}-dimensional")
     # p-adic Hodge data is stored, and tagged, at the doubled precision so
     # the solvers can re-derive structural answers at 2N
-    return Matrix(phi.rows, 1, list(line.basis[0]), PADIC, work)
-
-
-def _rational_eigenline(phi: Matrix, lam: Fraction) -> Matrix:
-    line = linalg.eigen_line(phi, lam)
-    if line.dimension != 1:
-        raise ValueError(f"eigenvalue {lam} has a {line.dimension}-dimensional eigenspace")
-    return Matrix(phi.rows, 1, list(line.basis[0]), RATIONAL)
+    return Matrix(phi.rows, 1, list(line.basis[0]), RATIONAL if work is None else PADIC, work)
 
 
 def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: PadicContext) -> Matrix:
@@ -315,24 +304,21 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: Pa
             # unit root by Hensel, then the eigenline of the complementary
             # slope-1 root q/u; this is the line of the connected part
             work = ctx.doubled()
-            chi = [q, -trace, 1]
-            u = hensel_lift_root(chi, trace % p, work)
+            u = hensel_lift_root([q, -trace, 1], trace % p, work)
             lam = from_rational(q, work) / u
-            return _eigenline_matrix(phi, lam, work)
+            return _eigenline(phi, lam, work)
         if not _splits_over_qp(trace, ctx):
             # generic supersingular line, not phi-stable
             return span_e1
-        mode = EllipticFilMode.eigenline(0)
+        mode = EllipticFilMode("eigenline", 0)
     # explicit eigenline request
     if trace * trace == 4 * q:
-        return _rational_eigenline(phi, Fraction(trace, 2))
+        return _eigenline(phi, Fraction(trace, 2), None)
     work = ctx.doubled()
     roots = _padic_roots(trace, ctx, work.precision)
     if roots is None:
-        raise ModeMismatch(
-            "characteristic polynomial is irreducible over Q_p; no eigenline exists"
-        )
-    return _eigenline_matrix(phi, roots[mode.root_index], work)
+        raise ModeMismatch("characteristic polynomial is irreducible over Q_p; no eigenline exists")
+    return _eigenline(phi, roots[mode.root_index], work)
 
 
 def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> FilteredPhiModule:
@@ -392,35 +378,15 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
     modules = [m for m in modules if m.dim > 0]
     if not modules:
         return zero_module(ctx)
-    global_off = []
-    off = 0
+    blocks, start = [], 0
     for m in modules:
-        global_off.append(off)
-        off += m.dim
-    n = off
-    blocks = []  # (weight, module index, local offset, block dim)
-    for mi, m in enumerate(modules):
-        for w, o, d in m.weight_offsets():
-            blocks.append((w, mi, o, d))
-    blocks.sort(key=lambda b: -b[0])  # weights 0, -1, -2; stable in input order
-    perm = []  # new index -> old global index
-    weights = []
-    for w, mi, o, d in blocks:
-        perm.extend(range(global_off[mi] + o, global_off[mi] + o + d))
-        if weights and weights[-1][0] == w:
-            weights[-1] = (w, weights[-1][1] + d)
-        else:
-            weights.append((w, d))
-    fil_kind = PADIC if any(m.fil1.kind == PADIC for m in modules) else RATIONAL
-    work = ctx.doubled()
-    phis = [m.phi for m in modules]
-    fils = [m.fil1 if fil_kind == RATIONAL else linalg.to_padic(m.fil1, work) for m in modules]
-    big_phi = linalg.block_diag(phis)
-    big_fil = linalg.block_diag(fils)
-    phi = linalg.submatrix(big_phi, perm, perm)
-    fil1 = linalg.submatrix(big_fil, perm, range(big_fil.cols))
+        blocks += [(w, range(start + o, start + o + d)) for w, o, d in m.weight_offsets()]
+        start += m.dim
+    padic_fil = any(m.fil1.kind == PADIC for m in modules)
+    fils = [linalg.to_padic(m.fil1, ctx.doubled()) if padic_fil else m.fil1 for m in modules]
+    phi = linalg.block_diag([m.phi for m in modules])
     label = " + ".join(m.label for m in modules)
-    return FilteredPhiModule(ctx, n, phi, tuple(weights), fil1, label)
+    return _in_weight_order(ctx, phi, linalg.block_diag(fils), blocks, label)
 
 
 def realize_one_motive(
@@ -440,7 +406,7 @@ def realize_one_motive(
         raise ValueError(
             "kummer_lambda is a demo for the rank-1 lattice / 1-dimensional torus shape"
         )
-    mode = fil_mode or EllipticFilMode.auto()
+    mode = fil_mode or EllipticFilMode("auto")
     parts = []
     if spec.lattice_rank:
         parts.append(realize_lattice(spec.lattice_rank, ctx))
@@ -470,15 +436,10 @@ def dual(m: FilteredPhiModule) -> FilteredPhiModule:
     ctx = m.ctx
     if m.dim == 0:
         return zero_module(ctx)
-    q = Fraction(ctx.q)
-    phi_core = linalg.mat_scale(q, linalg.inverse(linalg.transpose(m.phi)))
-    # reversal permutation: the old last weight block comes first
-    perm = [i for _, off, d in reversed(m.weight_offsets()) for i in range(off, off + d)]
-    phi_dual = linalg.submatrix(phi_core, perm, perm)
-    ann = linalg.annihilator_rows(m.fil1)
-    fil_dual = linalg.submatrix(linalg.transpose(ann), perm, range(ann.rows))
-    weights = tuple((-2 - w, d) for w, d in reversed(m.weights))
-    out = FilteredPhiModule(ctx, m.dim, phi_dual, weights, fil_dual, f"dual({m.label})")
+    phi = linalg.mat_scale(Fraction(ctx.q), linalg.inverse(linalg.transpose(m.phi)))
+    fil1 = linalg.transpose(linalg.annihilator_rows(m.fil1))
+    blocks = [(-2 - w, range(o, o + d)) for w, o, d in m.weight_offsets()]
+    out = _in_weight_order(ctx, phi, fil1, blocks, f"dual({m.label})")
     validate_graded(out)
     return out
 
@@ -504,12 +465,9 @@ def extension_module(lam: Fraction | int, ctx: PadicContext) -> FilteredPhiModul
 
 def _infer_block_weight(block: Matrix, ctx: PadicContext) -> int:
     slopes = newton_slopes(linalg.char_poly(block), ctx)
-    if all(s == 0 for s in slopes):
-        return 0
-    if all(s == 1 for s in slopes):
-        return -2
-    if all(0 <= s <= 1 for s in slopes):
-        return -1
+    for w, (fits, _) in _SLOPE_RULES.items():
+        if all(fits(s) for s in slopes):
+            return w
     raise ValueError(f"block slopes {slopes} fit no weight")
 
 
@@ -557,21 +515,11 @@ def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
     g = linalg.mat_mul(linalg.mat_mul(u, m.phi), u_inv)
     if not linalg.is_zero(linalg.submatrix(g, top, bottom)):
         raise VerificationFailure("conjugation failed to kill the corner")
-    wa = _infer_block_weight(a, m.ctx)
-    wb = _infer_block_weight(b, m.ctx)
-    fil_new = m.fil1 if m.fil1.kind == RATIONAL else linalg.to_padic(m.fil1, m.ctx.doubled())
-    u_f = u if fil_new.kind == RATIONAL else linalg.to_padic(u, m.ctx.doubled())
-    fil_new = linalg.mat_mul(u_f, fil_new)
-    if wa == wb:
-        weights = ((wa, n),)
-    elif wa > wb:
-        weights = ((wa, k), (wb, r))
-    else:
-        perm = [*bottom, *top]
-        g = linalg.submatrix(g, perm, perm)
-        fil_new = linalg.submatrix(fil_new, perm, range(fil_new.cols))
-        weights = ((wb, r), (wa, k))
-    out = FilteredPhiModule(m.ctx, n, g, weights, fil_new, f"split({m.label})")
+    blocks = [(_infer_block_weight(a, m.ctx), top), (_infer_block_weight(b, m.ctx), bottom)]
+    fil1, u_f = m.fil1, u
+    if fil1.kind == PADIC:
+        fil1, u_f = linalg.to_padic(fil1, m.ctx.doubled()), linalg.to_padic(u, m.ctx.doubled())
+    out = _in_weight_order(m.ctx, g, linalg.mat_mul(u_f, fil1), blocks, f"split({m.label})")
     validate_graded(out)
     return out, u
 
@@ -683,9 +631,14 @@ def _spec_int(obj: dict, key: str) -> int:
 
 
 def spec_from_jsonable(obj: dict) -> OneMotiveSpec:
-    """Inverse of ``spec_to_jsonable``; raises ``ValueError`` on malformed input."""
+    """Inverse of ``spec_to_jsonable``; raises ``ValueError`` on malformed
+    input, unknown fields included."""
     if not isinstance(obj, dict):
         raise ValueError(f"a motive spec must be a JSON object, got {type(obj).__name__}")
+    known = {f.name for f in fields(OneMotiveSpec)}  # the JSON keys are its field names
+    unknown = [repr(k) for k in obj if k not in known]
+    if unknown:
+        raise ValueError(f"spec has unknown field(s) {', '.join(unknown)}")
     traces = obj.get("elliptic_traces", [])
     if not isinstance(traces, list) or any(type(t) is not int for t in traces):
         raise ValueError(f"spec field 'elliptic_traces' must be a list of integers, got {traces!r}")

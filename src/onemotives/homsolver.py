@@ -68,11 +68,6 @@ def _hom_system(mats: tuple) -> Matrix:
     return linalg.vstack(blocks)
 
 
-def _solve_once(mats: tuple):
-    ker = linalg.kernel(_hom_system(mats))
-    return ker.basis, ker.precision_report
-
-
 def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
     """Exact inputs fail with ``VerificationFailure``, p-adic ones with
     ``PrecisionExhausted``: only there can more digits change the answer."""
@@ -99,25 +94,23 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
         return HomSpace(src, tgt, 0, [], None)
     mats = (src.phi, src.fil1, tgt.phi, tgt.fil1)
     if all(x.kind == RATIONAL for x in mats):
-        vecs, report = _solve_once(mats)
-        work = None
+        lo, work = None, None
     else:
-        vecs_lo, rep_lo = _solve_once(tuple(linalg.to_padic(x, ctx) for x in mats))
+        lo = linalg.kernel(_hom_system(tuple(linalg.to_padic(x, ctx) for x in mats)))
         work = ctx.doubled()
         mats = tuple(linalg.to_padic(x, work) for x in mats)
-        vecs, rep_hi = _solve_once(mats)
-        if len(vecs_lo) != len(vecs):
-            raise PrecisionExhausted(
-                f"hom dimension flipped between precisions "
-                f"({len(vecs_lo)} at {ctx.precision}, {len(vecs)} at {work.precision})"
-            )
-        reports = [r for r in (rep_lo, rep_hi) if r is not None]
-        report = min(reports) if reports else None
+    hi = linalg.kernel(_hom_system(mats))
+    if lo is not None and lo.dimension != hi.dimension:
+        raise PrecisionExhausted(
+            f"hom dimension flipped between precisions "
+            f"({lo.dimension} at {ctx.precision}, {hi.dimension} at {work.precision})"
+        )
+    reports = [k.precision_report for k in (lo, hi) if k is not None and k.precision_report is not None]
     kind = RATIONAL if work is None else PADIC
-    basis = [Matrix(tgt.dim, src.dim, list(v), kind, work) for v in vecs]
+    basis = [Matrix(tgt.dim, src.dim, list(v), kind, work) for v in hi.basis]
     for h in basis:
         _verify_element(h, mats, work)
-    return HomSpace(src, tgt, len(basis), basis, report)
+    return HomSpace(src, tgt, len(basis), basis, min(reports, default=None))
 
 
 # -- span membership -----------------------------------------------------------

@@ -442,25 +442,24 @@ def _unit_sqrt(u: int, p: int, digits: int) -> int:
     return s % (1 << digits)
 
 
-def integer_square_root(d: int, p: int, digits: int) -> PadicScalar | None:
-    """A square root of a nonzero integer in Q_p, or None when d is not a square.
+def is_padic_square(d: int, p: int) -> bool:
+    """Whether a nonzero integer is a square in Q_p: its valuation is even
+    and its unit part is a square modulo p, or modulo 8 when p = 2 (Serre,
+    A Course in Arithmetic, II.3.3)."""
+    v = padic_valuation(d, p)
+    u = d // p**v
+    unit_is_square = u % 8 == 1 if p == 2 else pow(u % p, (p - 1) // 2, p) == 1
+    return v % 2 == 0 and unit_is_square
 
-    d is a square in Q_p iff its valuation is even and its unit part is a
-    square modulo p (modulo 8 when p = 2).
-    """
+
+def integer_square_root(d: int, p: int, digits: int) -> PadicScalar | None:
+    """A square root of a nonzero integer in Q_p, or None when d is not a square."""
     if d == 0:
         raise ValueError("use exact zero directly")
-    v = padic_valuation(d, p)
-    if v % 2 != 0:
+    if not is_padic_square(d, p):
         return None
-    u = d // p**v
-    if p == 2:
-        if u % 8 != 1:
-            return None
-    else:
-        if pow(u % p, (p - 1) // 2, p) != 1:
-            return None
-    root = _unit_sqrt(u % p**digits, p, digits)
+    v = padic_valuation(d, p)
+    root = _unit_sqrt(d // p**v % p**digits, p, digits)
     return PadicScalar(p, v // 2, root, digits)
 
 
@@ -477,9 +476,29 @@ def scalar_to_jsonable(s: PadicScalar) -> dict:
 
 
 def scalar_from_jsonable(obj: dict, ctx: PadicContext) -> PadicScalar:
-    if obj["v"] == "inf":
-        return PadicScalar.exact_zero(ctx.p)
-    return PadicScalar(ctx.p, int(obj["v"]), int(obj["unit"]), int(obj.get("prec", ctx.precision)))
+    """Inverse of ``scalar_to_jsonable``.  Raises ``ValueError`` unless ``v``
+    is "inf" (exact zero) or an integer, and ``unit`` is 0 exactly when
+    ``prec`` is 0 and otherwise a p-adic unit below p**prec; a missing
+    ``prec`` means 0 for exact zero and the context precision otherwise."""
+    if not isinstance(obj, dict) or "v" not in obj or "unit" not in obj:
+        raise ValueError(f"a p-adic scalar must be an object with 'v' and 'unit', got {obj!r}")
+    p, v, unit = ctx.p, obj["v"], obj["unit"]
+    prec = obj.get("prec", 0 if v == "inf" else ctx.precision)
+    if type(unit) is str and unit.isascii() and unit.isdigit():
+        unit = int(unit)
+    valid = (v == "inf" or type(v) is int) and type(unit) is int and type(prec) is int
+    if valid and prec == 0:
+        valid = unit == 0
+    elif valid:
+        # p**prec is computed only when prec is at most the unit's bit length
+        below = prec > unit.bit_length() or unit < p**prec
+        valid = v != "inf" and prec > 0 and unit > 0 and unit % p != 0 and below
+    if not valid:
+        raise ValueError(
+            f"{obj!r} is no p-adic scalar: v must be an integer or 'inf', and unit a decimal "
+            f"that is 0 exactly when prec is 0 and otherwise a unit below {p}^prec"
+        )
+    return PadicScalar.exact_zero(p) if v == "inf" else PadicScalar(p, v, unit, prec)
 
 
 def rational_to_str(x: Fraction) -> str:

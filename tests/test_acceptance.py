@@ -55,7 +55,7 @@ from onemotives.padic import PadicContext, hensel_lift_root, poly_eval_mod
 
 GOLDEN = Path(__file__).parent / "golden"
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
-AUTO = EllipticFilMode.auto()
+AUTO = EllipticFilMode("auto")
 
 
 def report(label, ok, detail=""):
@@ -124,7 +124,7 @@ def test_criterion_03_supersingular_z_to_e():
 
 def test_criterion_04_scalar_mode():
     ctx = PadicContext(5, 2, 40)
-    m = z_to_e(10, ctx, EllipticFilMode.scalar())
+    m = z_to_e(10, ctx, EllipticFilMode("scalar"))
     e = end_algebra(m)
     assert e.dimension == 4
     assert classify_end(m, e).tag_for_weight(-1) == UPPER_TRIANGULAR_FULL

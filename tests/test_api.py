@@ -1,7 +1,7 @@
 """The public surface: what the package exports, and what it no longer does."""
 
 import onemotives
-from onemotives import crystal, linalg, motivic, padic
+from onemotives import crystal, homsolver, linalg, motivic, padic
 
 REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational")
 
@@ -22,3 +22,7 @@ def test_removed_names_are_gone():
     assert not hasattr(linalg, "permute") and not hasattr(linalg, "permute_rows")
     assert not hasattr(crystal.FilteredPhiModule, "phi_block")
     assert not hasattr(linalg, "kron") and not hasattr(motivic.MotivicComplex, "degrees")
+    for name in ("auto", "eigenline", "generic", "scalar", "jordan"):
+        assert not hasattr(crystal.EllipticFilMode, name)
+    assert not hasattr(crystal, "_eigenline_matrix") and not hasattr(crystal, "_rational_eigenline")
+    assert not hasattr(homsolver, "_solve_once")

@@ -259,11 +259,12 @@ _PADIC_ONE = {"v": 0, "unit": "1", "prec": 40}
         {"abelian_explicit": [{"phi": {**_PHI, "rows": 2.0}, "fil1": _FIL}]},
         {"lattice_rank": 1, "torus_dim": 1, "kummer_lambda": "1/0"},
         {"abelian_explicit": [{"phi": {**_PHI, "entries": ["0/1", "1/0", "1/1", "1/1"]}, "fil1": _FIL}]},
+        {"lattice_rank": 1, "torus": 1},
     ],
     ids=[
         "not-an-object", "string-rank", "fil1-missing", "padic-fil1", "traces-not-a-list", "lambda-list",
         "matrix-without-entries", "matrix-not-an-object", "null-entry", "float-rows",
-        "lambda-zero-denominator", "entry-zero-denominator",
+        "lambda-zero-denominator", "entry-zero-denominator", "unknown-field",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec):
@@ -274,6 +275,21 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, spec):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("command", ["realize", "end"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--lattice", "3", "--torus", "2"], ["--lattice", "0"], ["--elliptic", "1"], ["--kummer-lambda", "1/2"]],
+)
+def test_spec_file_with_inline_flags_exits_2(tmp_path, capsys, command, flags):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"lattice_rank": 1}), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--p", "5", "--spec", str(spec_path), *flags)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flags[0] in lines[0], err
 
 
 def test_kummer_lambda_flag_with_zero_denominator_exits_2(capsys):

@@ -41,11 +41,11 @@ from onemotives.errors import (
 )
 from onemotives import crystal, linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL, mat_mul, to_padic
-from onemotives.padic import PadicContext, newton_slopes
+from onemotives.padic import PadicContext, PadicScalar, newton_slopes
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
-AUTO = EllipticFilMode.auto()
+AUTO = EllipticFilMode("auto")
 
 
 def frac_matrix(rows):
@@ -85,12 +85,12 @@ def test_elliptic_hasse_violation():
 
 def test_elliptic_mode_mismatch():
     with pytest.raises(ModeMismatch):
-        realize_elliptic(1, EllipticFilMode.scalar(), C5)
+        realize_elliptic(1, EllipticFilMode("scalar"), C5)
     with pytest.raises(ModeMismatch):
-        realize_elliptic(1, EllipticFilMode.jordan(), C5)
+        realize_elliptic(1, EllipticFilMode("jordan"), C5)
     # irreducible characteristic polynomial has no Q_p eigenline
     with pytest.raises(ModeMismatch):
-        realize_elliptic(0, EllipticFilMode.eigenline(0), C5)
+        realize_elliptic(0, EllipticFilMode("eigenline", 0), C5)
 
 
 def test_elliptic_ordinary_hodge_line_is_slope_one():
@@ -113,13 +113,13 @@ def test_elliptic_supersingular_generic_line():
 
 
 def test_elliptic_scalar_mode():
-    m = realize_elliptic(10, EllipticFilMode.scalar(), C25)
+    m = realize_elliptic(10, EllipticFilMode("scalar"), C25)
     assert m.phi == frac_matrix([[5, 0], [0, 5]])
     assert m.fil1 == frac_matrix([[1], [0]])
 
 
 def test_elliptic_jordan_mode():
-    m = realize_elliptic(10, EllipticFilMode.jordan(), C25)
+    m = realize_elliptic(10, EllipticFilMode("jordan"), C25)
     assert m.phi == frac_matrix([[5, 1], [0, 5]])
 
 
@@ -139,8 +139,8 @@ def test_elliptic_split_supersingular_eigenline():
 
 
 def test_elliptic_explicit_eigenlines_differ():
-    a = realize_elliptic(1, EllipticFilMode.eigenline(0), C5)
-    b = realize_elliptic(1, EllipticFilMode.eigenline(1), C5)
+    a = realize_elliptic(1, EllipticFilMode("eigenline", 0), C5)
+    b = realize_elliptic(1, EllipticFilMode("eigenline", 1), C5)
     stacked = linalg.hstack([to_padic(a.fil1, C5), to_padic(b.fil1, C5)])
     assert linalg.rank(stacked) == 2
 
@@ -414,6 +414,36 @@ def test_split_extension_checks_the_sylvester_solution(monkeypatch):
         split_extension(ext)
 
 
+def test_split_extension_reorders_a_lower_weight_top_block():
+    # [[q, lam], [0, 1]]: the torus block sits on top, so the split module
+    # puts the lattice basis vector first; 5c - c = 3 gives c = 3/4
+    src = FilteredPhiModule(
+        C5, 2, frac_matrix([[5, 3], [0, 1]]), (), frac_matrix([[1], [1]]),
+        label="torus over lattice", graded=False, split_at=1,
+    )
+    g, u = split_extension(src)
+    assert u == frac_matrix([[1, Fraction(3, 4)], [0, 1]])
+    assert g.weights == ((0, 1), (-2, 1))
+    assert g.phi == frac_matrix([[1, 0], [0, 5]])
+    # U carries Fil1 to (7/4, 1), which the reordering turns into (1, 7/4)
+    assert g.fil1 == frac_matrix([[1], [Fraction(7, 4)]])
+
+
+def test_direct_sum_places_blocks_by_weight():
+    torus, elliptic, lattice = realize_torus(1, C5), realize_elliptic(1, AUTO, C5), realize_lattice(1, C5)
+    m = direct_sum([torus, elliptic, lattice])
+    (e00, e01), (e10, e11) = elliptic.phi.row(0), elliptic.phi.row(1)
+    assert m.weights == ((0, 1), (-1, 2), (-2, 1))
+    assert m.phi == frac_matrix([[1, 0, 0, 0], [0, e00, e01, 0], [0, e10, e11, 0], [0, 0, 0, 5]])
+    # Fil1 columns keep the summand order (torus, elliptic); the rational
+    # torus column is promoted to the elliptic line's doubled precision
+    work = C5.doubled()
+    z, one = PadicScalar.exact_zero(5), PadicScalar.one(5, work.precision)
+    line = elliptic.fil1.column(0)
+    assert m.fil1 == Matrix(4, 2, [z, z, z, line[0], z, line[1], one, z], PADIC, work)
+    assert m.label == "torus(1) + elliptic(t=1) + lattice(1)"
+
+
 def test_split_extension_coincident_but_solvable():
     loose = FilteredPhiModule(
         C5,
@@ -486,7 +516,7 @@ def test_filtration_stability_examples():
     assert check_filtration_stability(realize_elliptic(1, AUTO, C5))
     assert not check_filtration_stability(realize_elliptic(0, AUTO, C5))
     assert not check_filtration_stability(
-        realize_elliptic(1, EllipticFilMode.generic(), C5)
+        realize_elliptic(1, EllipticFilMode("generic"), C5)
     )
 
 
@@ -521,6 +551,30 @@ def test_validate_rejects_wrong_slopes():
     bad = FilteredPhiModule(C5, 1, frac_matrix([[5]]), ((0, 1),), Matrix.zeros(1, 0))
     with pytest.raises(ValueError):
         validate_graded(bad)
+
+
+@pytest.mark.parametrize(
+    "weight, entry, message",
+    [
+        (0, 5, "weight 0 block has slopes [Fraction(1, 1)], expected all 0"),
+        (-1, 25, "weight -1 block has slopes [Fraction(2, 1)] outside [0, 1]"),
+        (-2, 1, "weight -2 block has slopes [Fraction(0, 1)], expected all 1"),
+    ],
+)
+def test_slope_rules_name_the_weight_and_the_slopes(weight, entry, message):
+    bad = FilteredPhiModule(C5, 1, frac_matrix([[entry]]), ((weight, 1),), Matrix.zeros(1, 0))
+    with pytest.raises(ValueError) as err:
+        validate_graded(bad)
+    assert str(err.value) == message
+
+
+def test_split_extension_rejects_a_block_of_no_weight():
+    src = FilteredPhiModule(
+        C5, 2, frac_matrix([[25, 1], [0, 1]]), (), Matrix.zeros(2, 0), graded=False, split_at=1
+    )
+    with pytest.raises(ValueError) as err:
+        split_extension(src)
+    assert str(err.value) == "block slopes [Fraction(2, 1)] fit no weight"
 
 
 def test_validate_rejects_singular_phi_in_a_later_block():
@@ -622,6 +676,29 @@ def test_module_from_jsonable_names_a_missing_field():
     del obj["fil1"]
     with pytest.raises(ValueError, match="fil1"):
         module_from_jsonable(obj)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda e: e[0].pop("unit"),
+        lambda e: e.__setitem__(-1, "1/1"),
+        lambda e: e[0].update(prec=-2),
+        lambda e: e[0].update(prec=0),
+    ],
+    ids=["entry-without-unit", "string-among-padic-entries", "negative-prec", "unit-without-digits"],
+)
+def test_module_from_jsonable_rejects_malformed_padic_entries(corrupt):
+    obj = module_to_jsonable(realize_elliptic(1, AUTO, C5))
+    assert obj["fil1"]["entries"][0]["prec"] > 0
+    corrupt(obj["fil1"]["entries"])
+    with pytest.raises(ValueError):
+        module_from_jsonable(obj)
+
+
+def test_spec_from_jsonable_names_unknown_fields():
+    with pytest.raises(ValueError, match="unknown field\\(s\\) 'torus', 'traces'"):
+        spec_from_jsonable({"lattice_rank": 1, "torus": 1, "traces": [1]})
 
 
 def test_spec_serialization_roundtrip():

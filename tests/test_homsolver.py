@@ -49,7 +49,7 @@ from onemotives.padic import PadicContext, PadicScalar
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
-AUTO = EllipticFilMode.auto()
+AUTO = EllipticFilMode("auto")
 
 
 def frac_matrix(rows):
@@ -134,7 +134,7 @@ def test_supersingular_z_to_e():
 
 
 def test_scalar_mode_z_to_e():
-    m = z_to_e(10, C25, EllipticFilMode.scalar())
+    m = z_to_e(10, C25, EllipticFilMode("scalar"))
     e = end_algebra(m)
     assert e.dimension == 4
     assert classify_end(m, e).tag_for_weight(-1) == UPPER_TRIANGULAR_FULL
@@ -142,7 +142,7 @@ def test_scalar_mode_z_to_e():
 
 
 def test_jordan_mode_z_to_e():
-    m = z_to_e(10, C25, EllipticFilMode.jordan())
+    m = z_to_e(10, C25, EllipticFilMode("jordan"))
     e = end_algebra(m)
     assert e.dimension == 3
     assert classify_end(m, e).tag_for_weight(-1) == POLYNOMIAL_ALGEBRA_OF_PHI
@@ -298,7 +298,7 @@ def _answer_hom_system_with(monkeypatch, h):
 def test_hom_rejects_an_exact_fil1_escape_without_precision_advice(monkeypatch):
     # phi commutes with itself but moves the generic Hodge line span(e1);
     # rational input, so more digits cannot help
-    m = realize_elliptic(0, EllipticFilMode.generic(), C5)
+    m = realize_elliptic(0, EllipticFilMode("generic"), C5)
     assert m.phi.kind == RATIONAL and m.fil1.kind == RATIONAL
     _answer_hom_system_with(monkeypatch, m.phi)
     with pytest.raises(VerificationFailure, match="image of Fil1 escapes"):
@@ -314,7 +314,7 @@ def test_hom_padic_non_equivariant_vector_is_a_precision_failure(monkeypatch):
 
 
 def test_hom_padic_fil1_escape_is_a_precision_failure(monkeypatch):
-    generic = realize_elliptic(0, EllipticFilMode.generic(), C5)
+    generic = realize_elliptic(0, EllipticFilMode("generic"), C5)
     m = FilteredPhiModule(
         C5, 2, generic.phi, generic.weights, linalg.to_padic(generic.fil1, C5.doubled()), label="padic line"
     )
@@ -413,8 +413,8 @@ def test_weight_block_structure_of_identity():
 def test_hom_between_different_eigenline_choices():
     # h = x I + y phi must kill the source line before landing in the
     # target line, leaving exactly the rank-one map phi - u I
-    e0 = realize_elliptic(1, EllipticFilMode.eigenline(0), C5)
-    e1 = realize_elliptic(1, EllipticFilMode.eigenline(1), C5)
+    e0 = realize_elliptic(1, EllipticFilMode("eigenline", 0), C5)
+    e1 = realize_elliptic(1, EllipticFilMode("eigenline", 1), C5)
     assert hom_space(e0, e1).dimension == 1
     assert hom_space(e1, e0).dimension == 1
     assert end_algebra(e0).dimension == 2

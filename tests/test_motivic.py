@@ -80,7 +80,7 @@ def test_hom_complex_disjoint_degree_supports():
     mods = [
         realize_lattice(1, C5),
         realize_torus(1, C5),
-        realize_elliptic(1, EllipticFilMode.auto(), C5),
+        realize_elliptic(1, EllipticFilMode("auto"), C5),
     ]
     for _ in range(10):
         degs_x = rng.sample(range(-3, 4), 3)
@@ -94,7 +94,7 @@ def test_hom_complex_biadditive():
     pool = [
         realize_lattice(1, C5),
         realize_torus(1, C5),
-        realize_elliptic(2, EllipticFilMode.auto(), C5),
+        realize_elliptic(2, EllipticFilMode("auto"), C5),
     ]
     for _ in range(5):
         xs = [MotivicComplex(((rng.choice(pool), rng.randint(-1, 1)),)) for _ in range(3)]

@@ -18,6 +18,7 @@ from onemotives.padic import (
     from_rational,
     hensel_lift_root,
     integer_square_root,
+    is_padic_square,
     is_prime,
     newton_slopes,
     poly_eval_mod,
@@ -231,6 +232,22 @@ def test_integer_square_root():
     assert integer_square_root(3, 2, 40) is None  # 3 mod 8 is not a square
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_is_padic_square_matches_brute_force_residues(p):
+    # d with v = v_p(d) is a square in Q_p iff it is a square modulo
+    # p^(v+3): a root mod p^(v+3) has valuation v/2, so the unit part is a
+    # square mod p^3, resp. mod 8, and lifts
+    for d in range(-300, 301):
+        if d == 0:
+            continue
+        v = 0
+        while d % p ** (v + 1) == 0:
+            v += 1
+        mod = p ** (v + 3)
+        squares = {x * x % mod for x in range(mod)}
+        assert is_padic_square(d, p) == (d % mod in squares), (d, p)
+
+
 def test_truncate_keeps_value():
     x = from_rational(Fraction(10, 3), C5)
     t = x.truncate(10)
@@ -243,6 +260,29 @@ def test_scalar_serialization_roundtrip():
     for value in [Fraction(0), Fraction(1), Fraction(10, 3), Fraction(-7, 25)]:
         s = from_rational(value, C5)
         assert scalar_from_jsonable(scalar_to_jsonable(s), C5) == s
+
+
+def test_scalar_from_jsonable_accepts_every_written_state():
+    for s in [PadicScalar.exact_zero(5), PadicScalar.unresolved_zero(5, 7), PadicScalar(5, -2, 124, 3)]:
+        assert scalar_from_jsonable(scalar_to_jsonable(s), C5) == s
+    assert scalar_from_jsonable({"v": "inf", "unit": "0"}, C5) == PadicScalar.exact_zero(5)
+    assert scalar_from_jsonable({"v": 1, "unit": "3"}, C5) == PadicScalar(5, 1, 3, C5.precision)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        "7", [0, "1", 3], None,
+        {"unit": "1", "prec": 3}, {"v": 0, "prec": 3},
+        {"v": 0, "unit": "7", "prec": -2}, {"v": 0, "unit": "10", "prec": 3}, {"v": 0, "unit": "126", "prec": 3},
+        {"v": 0, "unit": "0", "prec": 3}, {"v": 2, "unit": "3", "prec": 0}, {"v": "inf", "unit": "1", "prec": 1},
+        {"v": "1", "unit": "1", "prec": 3}, {"v": 1.0, "unit": "1", "prec": 3}, {"v": 0, "unit": "-1", "prec": 3},
+        {"v": 0, "unit": "x", "prec": 3}, {"v": 0, "unit": "1", "prec": "3"},
+    ],
+)
+def test_scalar_from_jsonable_rejects_impossible_states(obj):
+    with pytest.raises(ValueError):
+        scalar_from_jsonable(obj, C5)
 
 
 def test_rational_from_str_rejects_a_zero_denominator():
