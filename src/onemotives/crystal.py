@@ -16,7 +16,7 @@ are produced by Hensel lifting inside Q_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import groupby
 
@@ -95,6 +95,10 @@ class FilteredPhiModule:
     generators of the Hodge subspace.  ``graded=False`` marks the
     two-block extension demo, whose weights are unresolved until
     ``split_extension`` runs; ``split_at`` remembers its block split.
+    ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
+    of a ``direct_sum`` not itself made by ``direct_sum`` (empty for an
+    atom); ``block_polys`` the weight blocks' characteristic polynomials once
+    ``validate_graded`` computed them.  Neither is part of ``==`` or ``repr``.
     """
 
     ctx: PadicContext
@@ -105,6 +109,8 @@ class FilteredPhiModule:
     label: str = ""
     graded: bool = True
     split_at: int | None = None
+    parts: tuple = field(default=(), compare=False, repr=False)
+    block_polys: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = tuple((int(w), int(d)) for w, d in self.weights)
@@ -114,6 +120,10 @@ class FilteredPhiModule:
             raise ValueError("phi shape does not match dim")
         if self.fil1.rows != self.dim:
             raise ValueError("fil1 row count does not match dim")
+
+    def atoms(self) -> tuple:
+        """``parts``, or this module as its own single atom."""
+        return self.parts or ((self, range(self.dim), range(self.fil1.cols)),)
 
     def weight_offsets(self) -> list[tuple[int, int, int]]:
         """List of (weight, offset, block dimension)."""
@@ -149,7 +159,7 @@ def validate_graded(m: FilteredPhiModule) -> None:
     off_block = (linalg.submatrix(m.phi, b1, b2) for b1 in blocks for b2 in blocks if b1 != b2)
     if not all(linalg.is_zero(x) for x in off_block):
         raise ValueError("phi is not block-diagonal for the stated grading")
-    polys = [linalg.char_poly(linalg.submatrix(m.phi, b, b)) for b in blocks]
+    polys = tuple(linalg.char_poly(linalg.submatrix(m.phi, b, b)) for b in blocks)
     # phi is block-diagonal, so det(phi) is the product of the blocks' +-cp[0]
     if any(cp[0] == 0 for cp in polys):
         raise ValueError("phi is singular")
@@ -168,6 +178,7 @@ def validate_graded(m: FilteredPhiModule) -> None:
         # a rank drop here is a Fil1 element supported in the weight-0 block
         if w0 > 0 and linalg.rank(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))) != r:
             raise ValueError("Fil1 meets the weight-0 block nontrivially")
+    m.block_polys = polys
 
 
 def _graded(ctx, phi, weights, fil1, label) -> FilteredPhiModule:
@@ -176,16 +187,19 @@ def _graded(ctx, phi, weights, fil1, label) -> FilteredPhiModule:
     return m
 
 
-def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str) -> FilteredPhiModule:
+def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str, parts=()) -> FilteredPhiModule:
     """The unvalidated module on phi and Fil1 in weight order: the (weight,
     index range) ``blocks`` covering the basis are sorted stably by
     descending weight, adjacent blocks of equal weight merge, and phi's rows
-    and columns and Fil1's rows are permuted to match."""
+    and columns and Fil1's rows are permuted to match, and so are the basis
+    positions of ``parts``, which are listed by their first position."""
     ordered = sorted(blocks, key=lambda b: -b[0])
     perm = [i for _, block in ordered for i in block]
     weights = tuple((w, sum(len(b) for _, b in run)) for w, run in groupby(ordered, key=lambda b: b[0]))
     fil1 = linalg.submatrix(fil1, perm, range(fil1.cols))
-    return FilteredPhiModule(ctx, len(perm), linalg.submatrix(phi, perm, perm), weights, fil1, label)
+    where = {i: k for k, i in enumerate(perm)}
+    parts = tuple(sorted(((a, tuple(where[i] for i in r), c) for a, r, c in parts), key=lambda x: x[1][0]))
+    return FilteredPhiModule(ctx, len(perm), linalg.submatrix(phi, perm, perm), weights, fil1, label, parts=parts)
 
 
 # -- symbolic one-motive descriptions ----------------------------------------
@@ -357,7 +371,8 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
     """Block-diagonal sum with weight blocks merged per weight.
 
     The basis is permuted so all weight-0 blocks come first, then -1,
-    then -2; within a weight, summands keep their input order.
+    then -2; within a weight, summands keep their input order.  The atoms
+    of the summands, nested sums flattened, are kept in ``parts``.
 
     The sum is not validated again: every summand is, and reordering
     block-diagonal summands keeps the weight order, block-diagonality,
@@ -378,15 +393,17 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
     modules = [m for m in modules if m.dim > 0]
     if not modules:
         return zero_module(ctx)
-    blocks, start = [], 0
+    blocks, parts, start, col = [], [], 0, 0
     for m in modules:
         blocks += [(w, range(start + o, start + o + d)) for w, o, d in m.weight_offsets()]
+        parts += [(a, [start + i for i in rows], range(col + c.start, col + c.stop)) for a, rows, c in m.atoms()]
         start += m.dim
-    padic_fil = any(m.fil1.kind == PADIC for m in modules)
-    fils = [linalg.to_padic(m.fil1, ctx.doubled()) if padic_fil else m.fil1 for m in modules]
+        col += m.fil1.cols
+    work = ctx.doubled() if any(m.fil1.kind == PADIC for m in modules) else None
+    fils = [linalg.to_padic(m.fil1, work) if work and m.fil1.ctx != work else m.fil1 for m in modules]
     phi = linalg.block_diag([m.phi for m in modules])
     label = " + ".join(m.label for m in modules)
-    return _in_weight_order(ctx, phi, linalg.block_diag(fils), blocks, label)
+    return _in_weight_order(ctx, phi, linalg.block_diag(fils), blocks, label, parts)
 
 
 def realize_one_motive(
@@ -407,18 +424,19 @@ def realize_one_motive(
             "kummer_lambda is a demo for the rank-1 lattice / 1-dimensional torus shape"
         )
     mode = fil_mode or EllipticFilMode("auto")
-    parts = []
+    summands = []
     if spec.lattice_rank:
-        parts.append(realize_lattice(spec.lattice_rank, ctx))
-    for t in spec.elliptic_traces:
-        parts.append(realize_elliptic(t, mode, ctx))
+        summands.append(realize_lattice(spec.lattice_rank, ctx))
+    # one block per distinct trace: repeated traces share one atom
+    elliptic = {t: realize_elliptic(t, mode, ctx) for t in dict.fromkeys(spec.elliptic_traces)}
+    summands += [elliptic[t] for t in spec.elliptic_traces]
     for phi, fil1 in spec.abelian_explicit:
-        parts.append(realize_abelian_block(phi, fil1, ctx))
+        summands.append(realize_abelian_block(phi, fil1, ctx))
     if spec.torus_dim:
-        parts.append(realize_torus(spec.torus_dim, ctx))
-    if not parts:
+        summands.append(realize_torus(spec.torus_dim, ctx))
+    if not summands:
         return zero_module(ctx)
-    return direct_sum(parts)
+    return direct_sum(summands)
 
 
 # -- duality --------------------------------------------------------------------
@@ -429,13 +447,17 @@ def dual(m: FilteredPhiModule) -> FilteredPhiModule:
 
     phi goes to q * (phi^T)^{-1}, weight w blocks to weight -2-w (basis
     permuted back into canonical order), and Fil1 to the annihilator of
-    Fil1 in the dual basis.
+    Fil1 in the dual basis.  An atom's dual is validated; a ``direct_sum``'s
+    dual is the ``direct_sum`` of its atoms' duals, so it keeps its atoms.
     """
     if not m.graded:
         raise ValueError("dual of a non-graded module; split the extension first")
     ctx = m.ctx
     if m.dim == 0:
         return zero_module(ctx)
+    if m.parts:
+        duals = {key: dual(a) for key, a in {id(a): a for a, _, _ in m.parts}.items()}
+        return replace(direct_sum([duals[id(a)] for a, _, _ in m.parts]), label=f"dual({m.label})")
     phi = linalg.mat_scale(Fraction(ctx.q), linalg.inverse(linalg.transpose(m.phi)))
     fil1 = linalg.transpose(linalg.annihilator_rows(m.fil1))
     blocks = [(-2 - w, range(o, o + d)) for w, o, d in m.weight_offsets()]
@@ -493,11 +515,10 @@ def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
     lam = linalg.submatrix(m.phi, top, bottom)
     if not linalg.is_zero(linalg.submatrix(m.phi, bottom, top)):
         raise ValueError("lower-left block is not zero")
-    # spectra disjoint iff the resultant of the characteristic polynomials is nonzero
-    res = linalg.resultant(linalg.char_poly(a), linalg.char_poly(b))
     x = linalg.solve(linalg.sylvester(a, b), lam.entries)
     if x is None:
-        if res != 0:
+        # by Sylvester's theorem the system is solvable when the spectra are disjoint
+        if not linalg.share_root(linalg.char_poly(a), linalg.char_poly(b)):
             raise VerificationFailure(
                 "the Sylvester system is inconsistent although the diagonal spectra are disjoint"
             )
@@ -582,14 +603,21 @@ def module_to_jsonable(m: FilteredPhiModule) -> dict:
     return out
 
 
+def _unknown_keys(obj: dict, known, what: str) -> None:
+    if unknown := [repr(k) for k in obj if k not in known]:
+        raise ValueError(f"{what} has unknown field(s) {', '.join(unknown)}")
+
+
 def module_from_jsonable(obj: dict) -> FilteredPhiModule:
     """Inverse of ``module_to_jsonable``; a graded module is validated, and
-    a missing field raises ``ValueError`` naming it."""
+    a missing or unknown field raises ``ValueError`` naming it."""
     missing = [k for k in ("ctx", "dim", "phi", "weights", "fil1") if k not in obj]
     if not missing:
         missing = [f"ctx.{k}" for k in ("p", "f", "precision") if k not in obj["ctx"]]
     if missing:
         raise ValueError(f"module JSON lacks the field(s) {', '.join(missing)}")
+    _unknown_keys(obj, ("ctx", "dim", "phi", "weights", "fil1", "label", "graded", "split_at"), "module JSON")
+    _unknown_keys(obj["ctx"], ("p", "f", "precision"), "module JSON ctx")
     ctx = PadicContext(obj["ctx"]["p"], obj["ctx"]["f"], obj["ctx"]["precision"])
     m = FilteredPhiModule(
         ctx,
@@ -635,10 +663,7 @@ def spec_from_jsonable(obj: dict) -> OneMotiveSpec:
     input, unknown fields included."""
     if not isinstance(obj, dict):
         raise ValueError(f"a motive spec must be a JSON object, got {type(obj).__name__}")
-    known = {f.name for f in fields(OneMotiveSpec)}  # the JSON keys are its field names
-    unknown = [repr(k) for k in obj if k not in known]
-    if unknown:
-        raise ValueError(f"spec has unknown field(s) {', '.join(unknown)}")
+    _unknown_keys(obj, {f.name for f in fields(OneMotiveSpec)}, "spec")  # the JSON keys are its field names
     traces = obj.get("elliptic_traces", [])
     if not isinstance(traces, list) or any(type(t) is not int for t in traces):
         raise ValueError(f"spec field 'elliptic_traces' must be a list of integers, got {traces!r}")
@@ -647,6 +672,8 @@ def spec_from_jsonable(obj: dict) -> OneMotiveSpec:
         isinstance(blk, dict) and "phi" in blk and "fil1" in blk for blk in blocks
     ):
         raise ValueError("spec field 'abelian_explicit' must be a list of objects with 'phi' and 'fil1'")
+    for blk in blocks:
+        _unknown_keys(blk, ("phi", "fil1"), "an 'abelian_explicit' block")
     abelian = tuple(
         (linalg.matrix_from_jsonable(blk["phi"]), linalg.matrix_from_jsonable(blk["fil1"]))
         for blk in blocks

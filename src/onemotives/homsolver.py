@@ -2,15 +2,17 @@
 
 A map h between modules is admissible when it commutes with the linear
 Frobenius operators and carries the Hodge subspace of the source into
-that of the target.  Both conditions are linear in the entries of h, so
-the Hom space is the kernel of one stacked system: the commutation rows
-are ``linalg.sylvester(phi_B, phi_A)``, the matrix of phi_B h - h phi_A,
-and the filtration rows come from Q h C = 0, where C generates Fil1 of the
-source and the rows of Q span the annihilator of Fil1 of the target.
+that of the target.  Hom is additive over the atoms a ``direct_sum``
+remembers, and an atom pair whose Frobenius characteristic polynomials
+share no root (an exact gcd over Q) contributes nothing.  Each other pair
+is the kernel of one stacked system: the commutation rows are
+``linalg.sylvester(phi_B, phi_A)``, the matrix of phi_B h - h phi_A, and
+the filtration rows come from Q h C = 0, where C generates Fil1 of the
+source atom and the rows of Q span the annihilator of Fil1 of the target.
 
 Unknowns are enumerated row-major and the returned bases are echelonized
 against that enumeration, so identical inputs give byte-identical output.
-When any input carries p-adic entries the system is solved at the context
+When any input carries p-adic entries every pair is solved at the context
 precision and re-solved at twice that precision; a dimension flip raises
 ``PrecisionExhausted`` instead of returning a guess.
 
@@ -44,7 +46,9 @@ UPPER_TRIANGULAR_FULL = "upper_triangular_full"
 
 @dataclass
 class HomSpace:
-    """Basis of maps source -> target, each of shape (target.dim x source.dim)."""
+    """Basis of maps source -> target, each of shape (target.dim x source.dim);
+    ``precision_report`` is the fewest digits behind any p-adic pivot
+    decision made, None when the space was decided exactly."""
 
     source: FilteredPhiModule
     target: FilteredPhiModule
@@ -85,31 +89,50 @@ def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
         raise error("image of Fil1 escapes the target Hodge subspace")
 
 
+def _pair_kernel(stages: list, part_a: tuple, part_b: tuple, reports: list) -> list:
+    """Kernel vectors of one atom pair's system, cut out of each stage's
+    inputs (at N, then 2N); nothing is solved for disjoint Frobenius spectra."""
+    (a, ra, ca), (b, rb, cb) = part_a, part_b
+    if a.phi.kind == b.phi.kind == RATIONAL:
+        fs, gs = (m.block_polys or (linalg.char_poly(m.phi),) for m in (a, b))
+        if not any(linalg.share_root(f, g) for f in fs for g in gs):
+            return []
+    cuts = ((ra, ra), (ra, ca), (rb, rb), (rb, cb))
+    kernels = [linalg.kernel(_hom_system(tuple(linalg.submatrix(x, *rc) for x, rc in zip(m, cuts)))) for m in stages]
+    if kernels[0].dimension != kernels[-1].dimension:
+        (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in stages)
+        raise PrecisionExhausted(
+            f"hom dimension flipped between precisions ({lo.dimension} at {n_lo}, {hi.dimension} at {n_hi})"
+        )
+    reports += [k.precision_report for k in kernels if k.precision_report is not None]
+    return kernels[-1].basis
+
+
 def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
-    """All Frobenius-equivariant, filtration-preserving maps src -> tgt."""
+    """All Frobenius-equivariant, filtration-preserving maps src -> tgt,
+    solved per atom pair and memoised by atom identity within the call."""
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
-    ctx = src.ctx
-    if src.dim == 0 or tgt.dim == 0:
-        return HomSpace(src, tgt, 0, [], None)
-    mats = (src.phi, src.fil1, tgt.phi, tgt.fil1)
-    if all(x.kind == RATIONAL for x in mats):
-        lo, work = None, None
-    else:
-        lo = linalg.kernel(_hom_system(tuple(linalg.to_padic(x, ctx) for x in mats)))
-        work = ctx.doubled()
-        mats = tuple(linalg.to_padic(x, work) for x in mats)
-    hi = linalg.kernel(_hom_system(mats))
-    if lo is not None and lo.dimension != hi.dimension:
-        raise PrecisionExhausted(
-            f"hom dimension flipped between precisions "
-            f"({lo.dimension} at {ctx.precision}, {hi.dimension} at {work.precision})"
-        )
-    reports = [k.precision_report for k in (lo, hi) if k is not None and k.precision_report is not None]
-    kind = RATIONAL if work is None else PADIC
-    basis = [Matrix(tgt.dim, src.dim, list(v), kind, work) for v in hi.basis]
+    stages = [(src.phi, src.fil1, tgt.phi, tgt.fil1)]
+    if any(x.kind == PADIC for x in stages[0]):
+        stages = [tuple(linalg.to_padic(x, c) for x in stages[0]) for c in (src.ctx, src.ctx.doubled())]
+    kind, work, n = stages[-1][0].kind, stages[-1][0].ctx, src.dim
+    blank = Matrix.zeros(tgt.dim, n, kind, work).entries
+    vectors, reports, solved = [], [], {}
+    for part_a in src.atoms():
+        for part_b in tgt.atoms():
+            key = (id(part_a[0]), id(part_b[0]))
+            if key not in solved:
+                solved[key] = _pair_kernel(stages, part_a, part_b, reports)
+            # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
+            at = [i * n + j for i in part_b[1] for j in part_a[1]]
+            for v in solved[key]:
+                vectors.append(list(blank))
+                for k, x in zip(at, v):
+                    vectors[-1][k] = x
+    basis = [Matrix(tgt.dim, n, v, kind, work) for v in linalg.echelon_rows(vectors, kind, work)]
     for h in basis:
-        _verify_element(h, mats, work)
+        _verify_element(h, stages[-1], work)
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None))
 
 

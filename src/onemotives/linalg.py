@@ -531,35 +531,25 @@ def annihilator_rows(f: Matrix) -> Matrix:
     return Matrix(len(ker.basis), f.rows, entries, f.kind, f.ctx)
 
 
-def resultant(f: list, g: list) -> Fraction:
-    """Resultant of two polynomials; nonzero iff they share no root."""
-    fc = [Fraction(c) for c in f]
-    gc = [Fraction(c) for c in g]
-    m = len(fc) - 1
-    n = len(gc) - 1
-    while m >= 0 and fc[m] == 0:
-        m -= 1
-    while n >= 0 and gc[n] == 0:
-        n -= 1
-    if m < 0 or n < 0:
-        raise ValueError("resultant of the zero polynomial")
-    if m == 0:
-        return fc[0] ** n
-    if n == 0:
-        return gc[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for k in range(m + 1):
-            row[i + k] = fc[m - k]
-        rows.append(row)
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for k in range(n + 1):
-            row[i + k] = gc[n - k]
-        rows.append(row)
-    return det(Matrix.from_rows(rows))
+def share_root(f: list, g: list) -> bool:
+    """Whether two nonzero polynomials (ascending coefficients) have a common
+    complex root: Euclid's algorithm over Q, exact."""
+
+    def trimmed(h: list) -> list:
+        h = [Fraction(c) for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    a, b = trimmed(f), trimmed(g)
+    if not a or not b:
+        raise ValueError("share_root of the zero polynomial")
+    while b:
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            k, s = a[-1] / b[-1], len(a) - len(b)
+            a = trimmed([c - k * b[i - s] if i >= s else c for i, c in enumerate(a)])
+        a, b = b, a
+    return len(a) > 1  # a is gcd(f, g) up to a unit
 
 
 # -- serialization -------------------------------------------------------------

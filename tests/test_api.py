@@ -26,3 +26,4 @@ def test_removed_names_are_gone():
         assert not hasattr(crystal.EllipticFilMode, name)
     assert not hasattr(crystal, "_eigenline_matrix") and not hasattr(crystal, "_rational_eigenline")
     assert not hasattr(homsolver, "_solve_once")
+    assert not hasattr(linalg, "resultant")

@@ -260,11 +260,12 @@ _PADIC_ONE = {"v": 0, "unit": "1", "prec": 40}
         {"lattice_rank": 1, "torus_dim": 1, "kummer_lambda": "1/0"},
         {"abelian_explicit": [{"phi": {**_PHI, "entries": ["0/1", "1/0", "1/1", "1/1"]}, "fil1": _FIL}]},
         {"lattice_rank": 1, "torus": 1},
+        {"abelian_explicit": [{"phi": _PHI, "fil1": _FIL, "fill1": 3}]},
     ],
     ids=[
         "not-an-object", "string-rank", "fil1-missing", "padic-fil1", "traces-not-a-list", "lambda-list",
         "matrix-without-entries", "matrix-not-an-object", "null-entry", "float-rows",
-        "lambda-zero-denominator", "entry-zero-denominator", "unknown-field",
+        "lambda-zero-denominator", "entry-zero-denominator", "unknown-field", "unknown-block-field",
     ],
 )
 def test_malformed_spec_file_exits_2(tmp_path, capsys, spec):

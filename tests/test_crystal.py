@@ -1,5 +1,6 @@
 """Realization constructors, duality, extensions, and numeric invariants."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -228,10 +229,51 @@ def test_direct_sum_does_not_validate_again(monkeypatch):
     monkeypatch.setattr(crystal, "validate_graded", calls.append)
     m = direct_sum(parts)
     assert m.weights == ((0, 1), (-1, 2), (-2, 1)) and calls == []
-    # dual, split_extension and the realize_* constructors still validate
-    assert dual(m) is calls[-1]
+    # dual validates each atom's dual; the sum of those is not validated again
+    d = dual(m)
+    assert [x.label for x in calls] == ["dual(lattice(1))", "dual(elliptic(t=1))", "dual(torus(1))"]
+    assert d.label == "dual(lattice(1) + elliptic(t=1) + torus(1))" and all(x is not d for x in calls)
+    # split_extension and the realize_* constructors still validate
     assert split_extension(extension_module(3, C5))[0] is calls[-1]
-    assert realize_torus(2, C5) is calls[-1] and len(calls) == 3
+    assert realize_torus(2, C5) is calls[-1] and len(calls) == 5
+
+
+def _assert_parts_cut_out_their_atoms(m):
+    """Every atom's phi and Fil1 sit at its basis positions and Fil1
+    columns, and the parts cover the basis and Fil1 exactly once."""
+    rows = sorted(i for _, r, _ in m.parts for i in r)
+    cols = sorted(j for _, _, c in m.parts for j in c)
+    assert rows == list(range(m.dim)) and cols == list(range(m.fil1.cols))
+    for atom, r, c in m.parts:
+        assert not atom.parts
+        assert linalg.submatrix(m.phi, r, r) == atom.phi
+        fil = to_padic(atom.fil1, m.fil1.ctx) if m.fil1.kind == PADIC else atom.fil1
+        assert linalg.submatrix(m.fil1, r, c) == fil
+        others = [i for i in range(m.dim) if i not in r]
+        assert linalg.is_zero(linalg.submatrix(m.phi, others, r))
+        assert linalg.is_zero(linalg.submatrix(m.fil1, others, c))
+
+
+def test_parts_of_a_nested_sum_and_its_dual_point_at_their_atoms():
+    lat, ell, tor = realize_lattice(1, C5), realize_elliptic(1, AUTO, C5), realize_torus(1, C5)
+    m = direct_sum([direct_sum([tor, ell]), lat, ell])
+    # weight 0: lat; weight -1: ell from the inner sum, then ell; weight -2: tor.
+    # Fil1 columns: tor, ell (inner sum), then lat's none and the outer ell
+    assert [(a, r, c) for a, r, c in m.parts] == [
+        (lat, (0,), range(2, 2)), (ell, (1, 2), range(1, 2)), (ell, (3, 4), range(2, 3)), (tor, (5,), range(0, 1))
+    ]
+    assert m.parts[1][0] is m.parts[2][0] is ell
+    _assert_parts_cut_out_their_atoms(m)
+    d = dual(m)
+    assert [(a.label, r) for a, r, _ in d.parts] == [
+        ("dual(torus(1))", (0,)), ("dual(elliptic(t=1))", (1, 2)), ("dual(elliptic(t=1))", (3, 4)),
+        ("dual(lattice(1))", (5,)),
+    ]
+    # one dual per distinct atom
+    assert d.parts[1][0] is d.parts[2][0]
+    _assert_parts_cut_out_their_atoms(d)
+    # the same module as the dual of the whole sum taken as one atom
+    assert d == dual(dataclasses.replace(m, parts=()))
 
 
 def test_dual_validates_its_output():
@@ -699,6 +741,21 @@ def test_module_from_jsonable_rejects_malformed_padic_entries(corrupt):
 def test_spec_from_jsonable_names_unknown_fields():
     with pytest.raises(ValueError, match="unknown field\\(s\\) 'torus', 'traces'"):
         spec_from_jsonable({"lattice_rank": 1, "torus": 1, "traces": [1]})
+    phi = linalg.matrix_to_jsonable(frac_matrix([[0, -5], [1, 1]]))
+    block = {"phi": phi, "fil1": {"rows": 2, "cols": 0, "entries": []}}
+    with pytest.raises(ValueError, match="block has unknown field\\(s\\) 'fill1'"):
+        spec_from_jsonable({"abelian_explicit": [{**block, "fill1": 3}]})
+
+
+def test_module_from_jsonable_names_unknown_fields():
+    obj = module_to_jsonable(realize_elliptic(1, AUTO, C5))
+    with pytest.raises(ValueError, match="module JSON has unknown field\\(s\\) 'extra'"):
+        module_from_jsonable({**obj, "extra": 1})
+    with pytest.raises(ValueError, match="module JSON ctx has unknown field\\(s\\) 'junk'"):
+        module_from_jsonable({**obj, "ctx": {**obj["ctx"], "junk": 0}})
+    # every field module_to_jsonable writes is known, the non-graded ones included
+    ext = extension_module(Fraction(7, 2), C5)
+    assert module_from_jsonable(module_to_jsonable(ext)) == ext
 
 
 def test_spec_serialization_roundtrip():

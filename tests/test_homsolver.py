@@ -45,7 +45,7 @@ from onemotives.homsolver import (
 )
 from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL
-from onemotives.padic import PadicContext, PadicScalar
+from onemotives.padic import PadicContext, PadicScalar, from_rational
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
@@ -270,15 +270,18 @@ def test_end_closure_first_failing_target_decides(monkeypatch):
 
 
 def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
-    m = kummer(C5)
-    assert m.phi.kind == RATIONAL and m.phi != Matrix.identity(2)
-    # E12 does not commute with phi = diag(1, 5); only the 4-unknown Hom
-    # system is answered wrongly, the annihilator of Fil1 is left intact
+    split = split_extension(extension_module(3, C5))[0]
+    assert not split.parts and split.phi == frac_matrix([[1, 0], [0, 5]])
+    # E12 does not commute with phi = diag(1, 5); only the 4-unknown system
+    # of the (split, split) pair is answered wrongly, the annihilator of Fil1
+    # is left intact.  The bogus vector fails the final check whether the
+    # split module is the whole source or one atom of a sum.
     bogus = linalg.KernelResult(1, [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]])
     real = linalg.kernel
     monkeypatch.setattr(linalg, "kernel", lambda system: bogus if system.cols == 4 else real(system))
-    with pytest.raises(VerificationFailure, match="non-equivariant"):
-        hom_space(m, m)
+    for m in (split, direct_sum([split, realize_lattice(1, C5)])):
+        with pytest.raises(VerificationFailure, match="non-equivariant"):
+            hom_space(m, m)
 
 
 def _answer_hom_system_with(monkeypatch, h):
@@ -334,9 +337,108 @@ def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
 
     monkeypatch.setattr(linalg, "to_padic", counting)
     h = hom_space(m, m)
-    assert h.dimension == 3
-    # the four inputs, at N and then at 2N; nothing per basis element
+    assert h.dimension == 3 and len(m.parts) == 2
+    # the four inputs, at N and then at 2N; the atom pairs' blocks are cut
+    # out of those, and nothing is promoted per pair or per basis element
     assert sorted(calls) == [40] * 4 + [80] * 4
+
+
+def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1, 1), torus_dim=2), C5)
+    assert len(m.parts) == 5 and len({id(a) for a, _, _ in m.parts}) == 3
+    systems = []
+    real = homsolver._hom_system
+
+    def spy(mats):
+        systems.append((mats[1].cols, mats[3].cols, mats[0].ctx.precision))
+        return real(mats)
+
+    monkeypatch.setattr(homsolver, "_hom_system", spy)
+    e = end_algebra(m)
+    assert e.dimension == 4 + 9 * 2 + 4
+    # (Fil1 ranks, precision) per solved pair: lattice 0, elliptic 1, torus 2;
+    # the three elliptic copies share one solve per precision, and the pairs
+    # of distinct weights are decided by the gcd without a system
+    assert sorted(systems) == [(0, 0, 40), (0, 0, 80), (1, 1, 40), (1, 1, 80), (2, 2, 40), (2, 2, 80)]
+    lattice, elliptic = realize_lattice(1, C5), realize_elliptic(1, AUTO, C5)
+    kernels = []
+    monkeypatch.setattr(linalg, "kernel", kernels.append)
+    h = hom_space(lattice, elliptic)
+    assert h.dimension == 0 and h.precision_report is None and kernels == []
+
+
+def _unipotent(n, rng):
+    u = Matrix.identity(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            u.entries[i * n + j] = Fraction(rng.randint(-2, 2))
+    return u
+
+
+def _integral(h):
+    """h scaled by a power of p until its entries are p-integral; the span
+    test then compares digits at one scale."""
+    if h.kind == RATIONAL:
+        return h
+    v = min((e.v for e in h.entries if e.v is not None), default=0)
+    return linalg.mat_scale(from_rational(Fraction(h.ctx.p) ** -v, h.ctx), h) if v < 0 else h
+
+
+def _times(a, b):
+    """a b, a rational factor promoted to the other's p-adic context."""
+    ctx = a.ctx or b.ctx
+    a, b = (linalg.to_padic(x, ctx) if ctx and x.kind == RATIONAL else x for x in (a, b))
+    return linalg.mat_mul(a, b)
+
+
+@pytest.mark.parametrize(
+    "q",
+    (
+        pytest.param(
+            4,
+            marks=pytest.mark.xfail(
+                raises=PrecisionExhausted,
+                strict=True,
+                reason="ROADMAP item 1: the dense system's equivariance residual misses the "
+                "valuation-blind zero threshold at p = 2",
+            ),
+        ),
+        5,
+        7,
+        9,
+    ),
+)
+def test_conjugated_sum_has_the_per_pair_hom(q):
+    """Oracle for the single-atom path: a sum seen in the basis of a seeded
+    unipotent U (phi -> U phi U^-1, Fil1 -> U Fil1) has no parts, so its
+    Hom is one dense system; it must match the per-pair Hom, and U carries
+    one basis into the span of the other."""
+    ctx = PadicContext.from_q(q)
+    rng = random.Random(q)
+    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
+
+    def motive():
+        spec = OneMotiveSpec(
+            lattice_rank=rng.randint(1, 2),
+            torus_dim=rng.randint(0, 1),
+            elliptic_traces=rng.sample(traces, 2)[: rng.randint(1, 2)],
+        )
+        return realize_one_motive(spec, ctx)
+
+    for _ in range(3):
+        a, b = motive(), motive()
+        u = _unipotent(a.dim, rng)
+        u_inv = linalg.inverse(u)
+        phi = linalg.mat_mul(linalg.mat_mul(u, a.phi), u_inv)
+        c = FilteredPhiModule(ctx, a.dim, phi, (), _times(u, a.fil1), "conjugated", graded=False)
+        assert a.parts and not c.parts
+        for per_pair, dense, carry in (
+            (hom_space(a, b), hom_space(c, b), lambda h: _times(h, u_inv)),
+            (hom_space(b, a), hom_space(b, c), lambda h: _times(u, h)),
+        ):
+            assert dense.dimension == per_pair.dimension
+            for h in per_pair.basis:
+                assert in_span(dense.basis, _integral(carry(h))) is not None
 
 
 def test_homspace_serialization():

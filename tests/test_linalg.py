@@ -22,7 +22,7 @@ from onemotives.linalg import (
     mat_scale,
     mat_sub,
     rank,
-    resultant,
+    share_root,
     solve,
     solve_many,
     submatrix,
@@ -571,13 +571,47 @@ def test_annihilator_rows():
     assert mat_mul(q, f) == Matrix.zeros(1, 1)
 
 
-def test_resultant_detects_shared_roots():
+def test_share_root_detects_shared_roots():
     # (T-1)(T-2) against (T-3): no shared root
-    assert resultant([2, -3, 1], [-3, 1]) != 0
+    assert not share_root([2, -3, 1], [-3, 1])
     # (T-1)(T-2) against (T-2): shared root
-    assert resultant([2, -3, 1], [-2, 1]) == 0
-    # degree-zero convention
-    assert resultant([5], [2, -3, 1]) == 25
+    assert share_root([2, -3, 1], [-2, 1])
+    # a nonzero constant has no root; trailing zero coefficients are ignored
+    assert not share_root([5], [2, -3, 1]) and share_root([2, -3, 1, 0], [-2, 1])
+    # T^2 + 1 and T^2 - T + 1 are irreducible over Q and coprime; T^4 - 1 meets T^2 + 1
+    assert not share_root([1, 0, 1], [1, -1, 1]) and share_root([-1, 0, 0, 0, 1], [1, 0, 1])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        share_root([0], [1, 1])
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_share_root_matches_sympy_gcd_degree():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(66)
+    shared = 0
+    for _ in range(300):
+        # a common factor of degree 0 to 2 makes shared roots common
+        common = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+        common[-1] = common[-1] or 1
+        f, g = (
+            _poly_mul(common, [rng.randint(-5, 5) for _ in range(rng.randint(1, 8 - len(common)))])
+            for _ in range(2)
+        )
+        if not any(f) or not any(g):
+            continue
+        as_sympy = [sympy.Poly(list(reversed(h)), x, domain="QQ") for h in (f, g)]
+        expected = sympy.gcd(*as_sympy).degree() >= 1
+        assert share_root(f, g) == expected, (f, g)
+        shared += expected
+    assert 50 < shared < 250
 
 
 def test_matrix_serialization_roundtrip():

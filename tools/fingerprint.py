@@ -2,9 +2,13 @@
 
     python3 tools/fingerprint.py --seed N
 
-Prints ``<records> <sha256>`` for the checkout this file sits in: the
-number of records and the sha256 over them.  Two checkouts that print the
-same line computed the same outputs, byte for byte.  The records are:
+Prints two lines ``<records> <sha256>`` for the checkout this file sits
+in: the number of records and a sha256 over them.  The first line covers
+the records as they are; two checkouts that print the same first line
+computed the same outputs, byte for byte.  The second line covers the same
+records with every ``precision_report`` key removed, so it also matches
+between checkouts that differ only in how many p-adic digits they report
+behind their pivot decisions.  The records are:
 
 * every ``survey``, ``end`` and ``hom`` answer of ``bench/workloads.py``
   for the seed, or the error it raised, message included;
@@ -174,6 +178,19 @@ def split_records(rec: Records, seed: int) -> None:
         rec.add("split", item, split)
 
 
+def _without_reports(x):
+    if isinstance(x, dict):
+        return {k: _without_reports(v) for k, v in x.items() if k != "precision_report"}
+    if isinstance(x, list):
+        return [_without_reports(v) for v in x]
+    return x
+
+
+def _digest_line(lines: list[str]) -> str:
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return f"{len(lines)} {digest}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
@@ -181,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     rec = Records()
     for records in (survey_records, end_records, hom_records, split_records):
         records(rec, args.seed)
-    digest = hashlib.sha256("\n".join(rec.lines).encode("utf-8")).hexdigest()
-    print(f"{len(rec.lines)} {digest}")
+    print(_digest_line(rec.lines))
+    print(_digest_line([json.dumps(_without_reports(json.loads(x)), sort_keys=True) for x in rec.lines]))
     return 0
 
 
