@@ -168,17 +168,23 @@ def validate_graded(m: FilteredPhiModule) -> None:
         fits, tail = _SLOPE_RULES[w]
         if not all(fits(s) for s in slopes):
             raise ValueError(f"weight {w} block has slopes {slopes}{tail}")
+    _validate_fil1_basis(m)
     r = m.fil1.cols
-    if r > m.dim:
-        raise ValueError("fil1 has more columns than the dimension")
     if r > 0:
-        if linalg.rank(m.fil1) != r:
-            raise ValueError("fil1 generators are linearly dependent")
         w0 = next((d for w, _, d in offsets if w == 0), 0)
         # a rank drop here is a Fil1 element supported in the weight-0 block
         if w0 > 0 and linalg.rank(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))) != r:
             raise ValueError("Fil1 meets the weight-0 block nontrivially")
     m.block_polys = polys
+
+
+def _validate_fil1_basis(m: FilteredPhiModule) -> None:
+    """Fil1's columns are at most dim, linearly independent generators."""
+    r = m.fil1.cols
+    if r > m.dim:
+        raise ValueError("fil1 has more columns than the dimension")
+    if r > 0 and linalg.rank(m.fil1) != r:
+        raise ValueError("fil1 generators are linearly dependent")
 
 
 def _graded(ctx, phi, weights, fil1, label) -> FilteredPhiModule:
@@ -609,8 +615,9 @@ def _unknown_keys(obj: dict, known, what: str) -> None:
 
 
 def module_from_jsonable(obj: dict) -> FilteredPhiModule:
-    """Inverse of ``module_to_jsonable``; a graded module is validated, and
-    a missing or unknown field raises ``ValueError`` naming it."""
+    """Inverse of ``module_to_jsonable``; a graded module is validated, the
+    Fil1 generators of any module must be independent, and a missing or
+    unknown field raises ``ValueError`` naming it."""
     missing = [k for k in ("ctx", "dim", "phi", "weights", "fil1") if k not in obj]
     if not missing:
         missing = [f"ctx.{k}" for k in ("p", "f", "precision") if k not in obj["ctx"]]
@@ -632,6 +639,8 @@ def module_from_jsonable(obj: dict) -> FilteredPhiModule:
     )
     if m.graded:
         validate_graded(m)
+    else:
+        _validate_fil1_basis(m)
     return m
 
 

@@ -73,7 +73,9 @@ def _hom_system(mats: tuple) -> Matrix:
 
 
 def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
-    """Exact inputs fail with ``VerificationFailure``, p-adic ones with
+    """Check one Hom element: equivariance against the full modules, then
+    that h carries Fil1 into Fil1 (an all-exact-zero image needs no rank
+    test).  Exact inputs fail with ``VerificationFailure``, p-adic ones with
     ``PrecisionExhausted``: only there can more digits change the answer."""
     phi_a, c_a, phi_b, c_b = mats
     resid = linalg.mat_sub(linalg.mat_mul(phi_b, h), linalg.mat_mul(h, phi_a))
@@ -81,10 +83,12 @@ def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
         if work is None:
             raise VerificationFailure("solver returned a non-equivariant map")
         raise PrecisionExhausted("equivariance residual above the zero threshold")
-    if c_a.cols == 0:
+    image = linalg.mat_mul(h, c_a)
+    # an image of exact zeros is {0}, inside every subspace: no rank test
+    if not any(map(linalg.nonzero_test(image.kind), image.entries)):
         return
     # stacking an m x 0 block c_b onto the image leaves the image
-    if linalg.rank(linalg.hstack([c_b, linalg.mat_mul(h, c_a)])) != c_b.cols:
+    if linalg.rank(linalg.hstack([c_b, image])) != c_b.cols:
         error = VerificationFailure if work is None else PrecisionExhausted
         raise error("image of Fil1 escapes the target Hodge subspace")
 
@@ -169,14 +173,23 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
     """End space of m, verified to contain the identity and to be closed
     under composition (each pairwise product re-expressed in the basis).
 
-    The identity and all pairwise products are tested against one shared
+    A product hi*hj is formed only when the nonzero columns of hi meet the
+    nonzero rows of hj (an unresolved p-adic zero counts as nonzero);
+    otherwise every term has an exact-zero factor, so it is the zero
+    matrix, in the span with coordinates 0, decided without elimination.
+    The identity and the formed products are tested against one shared
     elimination; the first failing one, in the order identity, h0*h0,
-    h0*h1, ..., decides the error."""
+    h0*h1, ..., decides the error, as a zero product never fails."""
     e = hom_space(m, m)
     if m.dim == 0:
         return e
-    targets = [Matrix.identity(m.dim)]
-    targets += [linalg.mat_mul(hi, hj) for hi in e.basis for hj in e.basis]
+    supports = []
+    for h in e.basis:
+        nonzero = linalg.nonzero_test(h.kind)
+        at = [divmod(k, m.dim) for k, x in enumerate(h.entries) if nonzero(x)]
+        supports.append(({i for i, _ in at}, {j for _, j in at}))
+    meet = [(hi, hj) for hi, (_, ci) in zip(e.basis, supports) for hj, (rj, _) in zip(e.basis, supports) if ci & rj]
+    targets = [Matrix.identity(m.dim)] + [linalg.mat_mul(hi, hj) for hi, hj in meet]
     for k, x in enumerate(in_span_many(e.basis, targets)):
         if isinstance(x, PrecisionExhausted):
             raise x

@@ -121,11 +121,23 @@ def _zero_like(m: Matrix):
     return Fraction(0) if m.kind == RATIONAL else PadicScalar.exact_zero(m.ctx.p)
 
 
+def nonzero_test(kind: str):
+    """Predicate false exactly on the entries whose products vanish exactly:
+    Fraction 0, or the p-adic exact zero.  Unresolved p-adic zeros carry
+    precision and count as nonzero."""
+    return bool if kind == RATIONAL else (lambda x: x.v is not None)
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    """a - b, entry for entry.  An exact-zero operand is skipped: x - 0 is x
+    and 0 - y is -y, which is what ``x - y`` returns for both scalar kinds
+    (a p-adic sum hands back the other operand of an exact zero)."""
     _require_same_kind(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in subtraction")
-    return Matrix(a.rows, a.cols, [x - y for x, y in zip(a.entries, b.entries)], a.kind, a.ctx)
+    nonzero = nonzero_test(a.kind)
+    out = [(x - y if nonzero(x) else -y) if nonzero(y) else x for x, y in zip(a.entries, b.entries)]
+    return Matrix(a.rows, a.cols, out, a.kind, a.ctx)
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
@@ -140,33 +152,29 @@ def shift_diagonal(m: Matrix, c) -> Matrix:
     return out
 
 
-def _nonzero_test(kind: str):
-    """Predicate false exactly on the entries whose products vanish exactly:
-    Fraction 0, or the p-adic exact zero.  Unresolved p-adic zeros carry
-    precision and count as nonzero."""
-    return bool if kind == RATIONAL else (lambda x: x.v is not None)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Row i of the product is the sum over k of a[i,k] * (row k of b).
 
-    Terms with an exact-zero factor are skipped; adding them would leave the
-    sum unchanged, so every entry, p-adic precision included, is what the
-    dense triple loop gives when it sums over k in increasing order.
+    Terms with an exact-zero factor are skipped, and a[i,k] is only read
+    when row k of b has a nonzero; adding such terms would leave the sum
+    unchanged, so every entry, p-adic precision included, is what the dense
+    triple loop gives when it sums over k in increasing order from the
+    kind's zero.
     """
     _require_same_kind(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    nonzero = _nonzero_test(a.kind)
-    b_rows = [[(j, x) for j, x in enumerate(b.row(k)) if nonzero(x)] for k in range(b.rows)]
-    out = []
+    nonzero = nonzero_test(a.kind)
+    b_rows = [(k, [(j, x) for j, x in enumerate(b.row(k)) if nonzero(x)]) for k in range(b.rows)]
+    b_rows = [(k, row) for k, row in b_rows if row]
+    out = [_zero_like(a)] * (a.rows * b.cols)
     for i in range(a.rows):
-        acc = [_zero_like(a)] * b.cols
-        for aik, b_row in zip(a.row(i), b_rows):
+        a_off, o_off = i * a.cols, i * b.cols
+        for k, b_row in b_rows:
+            aik = a.entries[a_off + k]
             if nonzero(aik):
                 for j, bkj in b_row:
-                    acc[j] = acc[j] + aik * bkj
-        out.extend(acc)
+                    out[o_off + j] = out[o_off + j] + aik * bkj
     return Matrix(a.rows, b.cols, out, a.kind, a.ctx)
 
 
@@ -284,7 +292,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
     """
     nrows = len(data)
     threshold = ctx.threshold if kind == PADIC else None
-    nonzero = _nonzero_test(kind)
+    nonzero = nonzero_test(kind)
     pivots: list[tuple[int, int]] = []
     rank = 0
     for c in range(ncols):

@@ -721,6 +721,23 @@ def test_module_from_jsonable_names_a_missing_field():
 
 
 @pytest.mark.parametrize(
+    "fil1, message",
+    [
+        ({"rows": 2, "cols": 2, "entries": ["0", "0", "1", "1"]}, "linearly dependent"),
+        ({"rows": 2, "cols": 3, "entries": ["1", "0", "0", "0", "1", "0"]}, "more columns than the dimension"),
+    ],
+    ids=["dependent-generators", "three-columns-in-dimension-2"],
+)
+def test_module_from_jsonable_rejects_a_bad_fil1_basis_of_a_non_graded_module(fil1, message):
+    # bad input, not a solver bug: loading fails before hom_space could
+    # report the image of Fil1 as escaping
+    obj = module_to_jsonable(extension_module(0, C5))
+    assert obj["graded"] is False
+    with pytest.raises(ValueError, match=message):
+        module_from_jsonable({**obj, "fil1": fil1})
+
+
+@pytest.mark.parametrize(
     "corrupt",
     [
         lambda e: e[0].pop("unit"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hom_oracle import naive_hom_dimension, random_rational_module
+from test_linalg import dense_product
 from onemotives.crystal import (
     EllipticFilMode,
     FilteredPhiModule,
@@ -269,6 +270,81 @@ def test_end_closure_first_failing_target_decides(monkeypatch):
         _end_with_basis(monkeypatch, [ident, e12, f])
 
 
+def _closure_targets(monkeypatch):
+    """Targets passed to every ``in_span_many`` call from now on."""
+    seen = []
+    real = homsolver.in_span_many
+
+    def spy(basis, targets):
+        seen.append(targets)
+        return real(basis, targets)
+
+    monkeypatch.setattr(homsolver, "in_span_many", spy)
+    return seen
+
+
+def test_end_closure_forms_only_products_whose_supports_meet(monkeypatch):
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, torus_dim=2), C5)
+    seen = _closure_targets(monkeypatch)
+    e = end_algebra(m)
+    # the basis is the matrix units of the two 2x2 blocks: E_ij E_kl is
+    # formed only when j == k, 8 products per block, and the identity
+    assert e.dimension == 8 and [len(t) for t in seen] == [1 + 2 * 8]
+
+
+@pytest.mark.parametrize("q", (5, 7, 9))
+def test_end_closure_of_a_conjugated_sum_forms_every_product(monkeypatch, q):
+    seen = _closure_targets(monkeypatch)
+    for _a, _b, _u, c in _conjugated_sums(q):
+        e = end_algebra(c)
+        assert len(seen[-1]) == 1 + e.dimension**2
+
+
+@pytest.mark.parametrize("q", (2, 4, 5, 9, 25))
+def test_end_closure_skips_only_exact_zero_products(monkeypatch, q):
+    """Every product end_algebra does not form is, by the textbook triple
+    loop, all exact zeros; rational and p-adic Hodge lines both occur."""
+    ctx = PadicContext.from_q(q)
+    rng = random.Random(q)
+    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
+    formed = []
+    real = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: formed.append((a, b)) or real(a, b))
+    kinds, skipped = set(), 0
+    for _ in range(6):
+        spec = OneMotiveSpec(
+            lattice_rank=rng.randint(0, 2),
+            torus_dim=rng.randint(0, 2),
+            elliptic_traces=rng.sample(traces, 2)[: rng.randint(0, 2)],
+        )
+        m = realize_one_motive(spec, ctx, fil_mode=EllipticFilMode(rng.choice(["auto", "generic"])))
+        kinds.add(m.fil1.kind)
+        formed.clear()
+        e = end_algebra(m)
+        index = {id(h): k for k, h in enumerate(e.basis)}
+        pairs = {(index[id(a)], index[id(b)]) for a, b in formed if id(a) in index and id(b) in index}
+        for i, hi in enumerate(e.basis):
+            for j, hj in enumerate(e.basis):
+                if (i, j) not in pairs:
+                    skipped += 1
+                    assert all(x == 0 if hi.kind == RATIONAL else x.is_exact_zero for x in dense_product(hi, hj))
+    assert kinds == {RATIONAL, PADIC} and skipped > 0
+
+
+def test_end_closure_forms_a_product_linked_by_an_unresolved_zero(monkeypatch):
+    # X = [[0, 1], [O(5^10), 0]]: column 0 and row 1 of X are nonzero only
+    # through the unresolved zero, so every term of X*X = O(5^10) I has it
+    # as a factor; the product is formed, and its span test is ambiguous
+    fuzz = PadicScalar.unresolved_zero(5, 10)
+    x = _padic_2x2([[0, 1], [fuzz, 0]])
+    seen = _closure_targets(monkeypatch)
+    with pytest.raises(PrecisionExhausted, match="consistency check is ambiguous"):
+        _end_with_basis(monkeypatch, [x, _padic_2x2([[1, 0], [0, 1]])])
+    # targets: I, X*X, X*I, I*X, I*I; none is skipped
+    (targets,) = seen
+    assert len(targets) == 5 and targets[1] == _padic_2x2([[fuzz, 0], [0, fuzz]])
+
+
 def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
     split = split_extension(extension_module(3, C5))[0]
     assert not split.parts and split.phi == frac_matrix([[1, 0], [0, 5]])
@@ -324,6 +400,17 @@ def test_hom_padic_fil1_escape_is_a_precision_failure(monkeypatch):
     _answer_hom_system_with(monkeypatch, m.phi)
     with pytest.raises(PrecisionExhausted, match="image of Fil1 escapes"):
         hom_space(m, m)
+
+
+def test_hom_tests_no_zero_fil1_image_for_rank(monkeypatch):
+    # End(lattice 1 + torus 1) is spanned by E11 and E22; E11 sends the
+    # torus Hodge line to 0, so only E22's image needs a rank test
+    m = kummer(C5)
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda a: calls.append(a) or real(a))
+    assert hom_space(m, m).dimension == 2
+    assert len(calls) == 1
 
 
 def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
@@ -391,6 +478,29 @@ def _times(a, b):
     return linalg.mat_mul(a, b)
 
 
+def _conjugated_sums(q):
+    """Three seeded (a, b, U, c) over F_q: graded sums a and b, a unipotent
+    U, and c, the sum a seen in the basis of U (phi -> U phi U^-1,
+    Fil1 -> U Fil1)."""
+    ctx = PadicContext.from_q(q)
+    rng = random.Random(q)
+    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
+
+    def motive():
+        spec = OneMotiveSpec(
+            lattice_rank=rng.randint(1, 2),
+            torus_dim=rng.randint(0, 1),
+            elliptic_traces=rng.sample(traces, 2)[: rng.randint(1, 2)],
+        )
+        return realize_one_motive(spec, ctx)
+
+    for _ in range(3):
+        a, b = motive(), motive()
+        u = _unipotent(a.dim, rng)
+        phi = linalg.mat_mul(linalg.mat_mul(u, a.phi), linalg.inverse(u))
+        yield a, b, u, FilteredPhiModule(ctx, a.dim, phi, (), _times(u, a.fil1), "conjugated", graded=False)
+
+
 @pytest.mark.parametrize(
     "q",
     (
@@ -413,24 +523,8 @@ def test_conjugated_sum_has_the_per_pair_hom(q):
     unipotent U (phi -> U phi U^-1, Fil1 -> U Fil1) has no parts, so its
     Hom is one dense system; it must match the per-pair Hom, and U carries
     one basis into the span of the other."""
-    ctx = PadicContext.from_q(q)
-    rng = random.Random(q)
-    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
-
-    def motive():
-        spec = OneMotiveSpec(
-            lattice_rank=rng.randint(1, 2),
-            torus_dim=rng.randint(0, 1),
-            elliptic_traces=rng.sample(traces, 2)[: rng.randint(1, 2)],
-        )
-        return realize_one_motive(spec, ctx)
-
-    for _ in range(3):
-        a, b = motive(), motive()
-        u = _unipotent(a.dim, rng)
+    for a, b, u, c in _conjugated_sums(q):
         u_inv = linalg.inverse(u)
-        phi = linalg.mat_mul(linalg.mat_mul(u, a.phi), u_inv)
-        c = FilteredPhiModule(ctx, a.dim, phi, (), _times(u, a.fil1), "conjugated", graded=False)
         assert a.parts and not c.parts
         for per_pair, dense, carry in (
             (hom_space(a, b), hom_space(c, b), lambda h: _times(h, u_inv)),

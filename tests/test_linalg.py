@@ -198,6 +198,22 @@ def test_mat_mul_equals_dense_reference_product(seed):
         assert mat_mul(a, b).entries == dense_product(a, b)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_mat_sub_equals_entrywise_difference(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        a = Matrix(r, c, [_random_fraction(rng) for _ in range(r * c)])
+        b = Matrix(r, c, [_random_fraction(rng) for _ in range(r * c)])
+        got = mat_sub(a, b).entries
+        assert got == [x - y for x, y in zip(a.entries, b.entries)]
+        assert all(type(e) is Fraction for e in got)
+        a = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], PADIC, C5)
+        b = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], PADIC, C5)
+        # PadicScalar equality compares p, v, unit and prec
+        assert mat_sub(a, b).entries == [x - y for x, y in zip(a.entries, b.entries)]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_submatrix_cuts_blocks_and_permutes(seed):
     rng = random.Random(seed)
