@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision failure: {exc}; retry with a larger --prec", file=sys.stderr)
         return 3
-    except (OneMotivesError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (OneMotivesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

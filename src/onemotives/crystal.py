@@ -37,7 +37,6 @@ from .padic import (
     fraction_valuation,
     hensel_lift_root,
     integer_square_root,
-    is_padic_square,
     newton_slopes,
     rational_from_str,
     rational_to_str,
@@ -57,9 +56,9 @@ _SLOPE_RULES = {
 class EllipticFilMode:
     """Choice of the Hodge line for an elliptic block.
 
-    ``auto`` resolves to the slope-1 eigenline in the ordinary case, to
-    the generic line span(e1) when the characteristic polynomial is
-    irreducible over Q_p, and to the eigenline of root index 0 otherwise.
+    ``auto`` is a root index: root 1 (the slope-1 eigenline) in the
+    ordinary case, root 0 when p | t and the characteristic polynomial
+    splits over Q_p, and the generic line span(e1) when it is irreducible.
     ``scalar`` and ``jordan`` are only meaningful when t^2 = 4q.
     """
 
@@ -278,20 +277,17 @@ def scalar_frobenius_analysis(trace: int, ctx: PadicContext) -> Fraction | None:
     return None
 
 
-def _splits_over_qp(trace: int, ctx: PadicContext) -> bool:
-    """T^2 - tT + q splits over Q_p iff its discriminant is a p-adic square."""
-    d = trace * trace - 4 * ctx.q
-    return d == 0 or is_padic_square(d, ctx.p)
-
-
-def _padic_roots(trace: int, ctx: PadicContext, digits: int) -> list[PadicScalar] | None:
-    """Both roots of T^2 - tT + q, t^2 != 4q, in Q_p at the given precision,
+def _padic_roots(trace: int, work: PadicContext) -> list[PadicScalar] | None:
+    """Both roots of T^2 - tT + q, t^2 != 4q, in Q_p at ``work``'s precision,
     in the canonical order (valuation, then unit residue mod p); None when
-    the polynomial is irreducible over Q_p."""
-    p, q = ctx.p, ctx.q
-    d = trace * trace - 4 * q
-    work = ctx.with_precision(digits)
-    s = integer_square_root(d, p, digits)
+    the polynomial is irreducible over Q_p.  When p does not divide t the
+    unit root u is lifted by Hensel from t mod p and the roots are [u, q/u];
+    only when p | t is the discriminant's square root taken."""
+    p, q = work.p, work.q
+    if is_ordinary(trace, work):
+        u = hensel_lift_root(frobenius_char_poly(trace, work), trace % p, work)
+        return [u, from_rational(q, work) / u]
+    s = integer_square_root(trace * trace - 4 * q, p, work.precision)
     if s is None:
         return None
     t_s = from_rational(trace, work)
@@ -315,29 +311,25 @@ def _eigenline(phi: Matrix, lam: Fraction | PadicScalar, work: PadicContext | No
 
 
 def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: PadicContext) -> Matrix:
-    p, q = ctx.p, ctx.q
+    """The Hodge line as one column: span(e1) for generic/scalar/jordan, the
+    exact eigenline at t/2 when t^2 = 4q, else the eigenline at root K of
+    ``_padic_roots`` for ``eigenline:K``.  ``auto`` takes root 1 when p does
+    not divide t (the slope-1 root, the line of the connected part), root 0
+    when p | t, and span(e1), not phi-stable, when there are no roots."""
     span_e1 = Matrix(2, 1, [Fraction(1), Fraction(0)])
     if mode.kind in ("generic", "scalar", "jordan"):
         return span_e1
-    if mode.kind == "auto":
-        if is_ordinary(trace, ctx):
-            # unit root by Hensel, then the eigenline of the complementary
-            # slope-1 root q/u; this is the line of the connected part
-            work = ctx.doubled()
-            u = hensel_lift_root([q, -trace, 1], trace % p, work)
-            lam = from_rational(q, work) / u
-            return _eigenline(phi, lam, work)
-        if not _splits_over_qp(trace, ctx):
-            # generic supersingular line, not phi-stable
-            return span_e1
-        mode = EllipticFilMode("eigenline", 0)
-    # explicit eigenline request
-    if trace * trace == 4 * q:
-        return _eigenline(phi, Fraction(trace, 2), None)
+    lam = scalar_frobenius_analysis(trace, ctx)
+    if lam is not None:
+        return _eigenline(phi, lam, None)
     work = ctx.doubled()
-    roots = _padic_roots(trace, ctx, work.precision)
+    roots = _padic_roots(trace, work)
     if roots is None:
+        if mode.kind == "auto":
+            return span_e1
         raise ModeMismatch("characteristic polynomial is irreducible over Q_p; no eigenline exists")
+    if mode.kind == "auto":
+        mode = EllipticFilMode("eigenline", 1 if is_ordinary(trace, ctx) else 0)
     return _eigenline(phi, roots[mode.root_index], work)
 
 
@@ -353,13 +345,12 @@ def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Fi
         raise HasseViolation(
             f"trace {trace} violates |t| <= 2*sqrt(q): t^2 = {trace * trace} > {4 * q}"
         )
-    if mode.kind in ("scalar", "jordan") and trace * trace != 4 * q:
+    lam = scalar_frobenius_analysis(trace, ctx)
+    if mode.kind in ("scalar", "jordan") and lam is None:
         raise ModeMismatch(f"{mode.kind} mode needs t^2 = 4q, got t = {trace}, q = {q}")
     if mode.kind == "scalar":
-        lam = Fraction(trace, 2)
         phi = linalg.mat_scale(lam, Matrix.identity(2))
     elif mode.kind == "jordan":
-        lam = Fraction(trace, 2)
         phi = Matrix.from_rows([[lam, Fraction(1)], [Fraction(0), lam]])
     else:
         phi = linalg.companion(frobenius_char_poly(trace, ctx))

@@ -35,13 +35,14 @@ from .errors import (
 from . import linalg
 from .crystal import FilteredPhiModule
 from .linalg import Matrix, PADIC, RATIONAL
-from .padic import PadicContext
 
 LATTICE_SCALARS = "lattice_scalars"
 TORUS_SCALARS = "torus_scalars"
 POLYNOMIAL_ALGEBRA_OF_PHI = "polynomial_algebra_of_phi"
 SCALAR_ONLY = "scalar_only"
 UPPER_TRIANGULAR_FULL = "upper_triangular_full"
+# weight -> tag of a block that must carry its full matrix algebra
+_FULL_ALGEBRA = {0: LATTICE_SCALARS, -2: TORUS_SCALARS}
 
 
 @dataclass
@@ -72,15 +73,16 @@ def _hom_system(mats: tuple) -> Matrix:
     return linalg.vstack(blocks)
 
 
-def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
+def _verify_element(h: Matrix, mats: tuple) -> None:
     """Check one Hom element: equivariance against the full modules, then
     that h carries Fil1 into Fil1 (an all-exact-zero image needs no rank
     test).  Exact inputs fail with ``VerificationFailure``, p-adic ones with
     ``PrecisionExhausted``: only there can more digits change the answer."""
     phi_a, c_a, phi_b, c_b = mats
+    exact = h.kind == RATIONAL
     resid = linalg.mat_sub(linalg.mat_mul(phi_b, h), linalg.mat_mul(h, phi_a))
     if not linalg.is_zero(resid):
-        if work is None:
+        if exact:
             raise VerificationFailure("solver returned a non-equivariant map")
         raise PrecisionExhausted("equivariance residual above the zero threshold")
     image = linalg.mat_mul(h, c_a)
@@ -89,7 +91,7 @@ def _verify_element(h: Matrix, mats: tuple, work: PadicContext | None) -> None:
         return
     # stacking an m x 0 block c_b onto the image leaves the image
     if linalg.rank(linalg.hstack([c_b, image])) != c_b.cols:
-        error = VerificationFailure if work is None else PrecisionExhausted
+        error = VerificationFailure if exact else PrecisionExhausted
         raise error("image of Fil1 escapes the target Hodge subspace")
 
 
@@ -136,7 +138,7 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
                     vectors[-1][k] = x
     basis = [Matrix(tgt.dim, n, v, kind, work) for v in linalg.echelon_rows(vectors, kind, work)]
     for h in basis:
-        _verify_element(h, stages[-1], work)
+        _verify_element(h, stages[-1])
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None))
 
 
@@ -220,10 +222,7 @@ class EndClassification:
     total_dimension: int
 
     def tag_for_weight(self, w: int) -> str | None:
-        for weight, tag in self.blocks:
-            if weight == w:
-                return tag
-        return None
+        return dict(self.blocks).get(w)
 
     def summary(self) -> str:
         return "+".join(tag for _, tag in self.blocks) if self.blocks else "zero"
@@ -240,36 +239,30 @@ def weight_block_structure(h: Matrix, m: FilteredPhiModule) -> dict:
 def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     """Match the computed basis against the known case shapes.
 
-    Weight 0 and -2 blocks must carry the full matrix algebra of their
-    size; a 2x2 weight -1 block is sorted into scalars, the polynomial
-    algebra of its Frobenius block, or the full upper-triangular algebra
-    in a basis adapted to the Hodge line.  Anything else raises
-    ``UnclassifiedShape``; nothing is coerced.
+    Checks run in this order: no basis element couples two weights, each
+    weight block in weight order, then the block dimensions sum to the End
+    dimension.  Weight 0 and -2 blocks must carry the full matrix algebra
+    of their size; a 2x2 weight -1 block is sorted into scalars, the
+    polynomial algebra of its Frobenius block, or the full upper-triangular
+    algebra in a basis adapted to the Hodge line.  The zero module has no
+    blocks.  Anything else raises ``UnclassifiedShape``; nothing is coerced.
     """
     if not m.graded:
         raise UnclassifiedShape("classification needs a graded module")
-    if m.dim == 0:
-        return EndClassification((), 0)
-    offsets = m.weight_offsets()
     for h in e.basis:
-        structure = weight_block_structure(h, m)
-        for (w1, w2), is_zero in structure.items():
+        for (w1, w2), is_zero in weight_block_structure(h, m).items():
             if w1 != w2 and not is_zero:
                 raise UnclassifiedShape(
                     f"an endomorphism couples weight {w2} into weight {w1}"
                 )
+    kind, ctx = (e.basis[0].kind, e.basis[0].ctx) if e.basis else (RATIONAL, None)
     tags = []
     total = 0
-    for w, off, d in offsets:
+    for w, off, d in m.weight_offsets():
         block = range(off, off + d)
-        blocks = [linalg.submatrix(h, block, block) for h in e.basis]
-        vectors = [list(b.entries) for b in blocks]
-        kind = blocks[0].kind if blocks else RATIONAL
-        ctx = blocks[0].ctx if blocks else None
-        reduced = linalg.echelon_rows(vectors, kind, ctx)
-        span = [Matrix(d, d, list(v), kind, ctx) for v in reduced]
-        bd = len(span)
-        total += bd
+        vectors = [linalg.submatrix(h, block, block).entries for h in e.basis]
+        span = [Matrix(d, d, v, kind, ctx) for v in linalg.echelon_rows(vectors, kind, ctx)]
+        total += len(span)
         tags.append((w, _classify_block(m, w, block, span)))
     if total != e.dimension:
         raise UnclassifiedShape(
@@ -281,21 +274,16 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
 
 def _classify_block(m: FilteredPhiModule, w: int, block: range, span: list[Matrix]) -> str:
     d, bd = len(block), len(span)
-    if w == 0:
+    if w in _FULL_ALGEBRA:
         if bd == d * d:
-            return LATTICE_SCALARS
-        raise UnclassifiedShape(f"weight 0 block algebra has dimension {bd}, expected {d * d}")
-    if w == -2:
-        if bd == d * d:
-            return TORUS_SCALARS
-        raise UnclassifiedShape(f"weight -2 block algebra has dimension {bd}, expected {d * d}")
+            return _FULL_ALGEBRA[w]
+        raise UnclassifiedShape(f"weight {w} block algebra has dimension {bd}, expected {d * d}")
     # weight -1
     if d == 2:
         if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
             return SCALAR_ONLY
-        if bd == 2:
-            if in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
-                return POLYNOMIAL_ALGEBRA_OF_PHI
+        if bd == 2 and in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
+            return POLYNOMIAL_ALGEBRA_OF_PHI
         if bd == 3:
             # a 3-dimensional unital subalgebra of M_2 preserving a line is
             # the full stabilizer of that line

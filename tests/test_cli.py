@@ -191,6 +191,17 @@ def test_fil_mode_flag(capsys):
     assert code == 2
 
 
+def test_ordinary_eigenline_at_p2_realizes(capsys):
+    # the eigenline of an ordinary trace comes from the Hensel-lifted unit
+    # root, so no square root at p = 2 can come out one digit short
+    code, out, _ = run_cli(
+        capsys, "end", "--p", "2", "--f", "3", "--elliptic", "1",
+        "--fil-mode", "eigenline:1", "--prec", "160", "--format", "table",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "end dimension: 2"
+
+
 def test_survey_takes_no_fil_mode(capsys):
     # survey sweeps the modes itself; the flag would be silently ignored
     with pytest.raises(SystemExit) as exc:
@@ -301,6 +312,15 @@ def test_kummer_lambda_flag_with_zero_denominator_exits_2(capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_spec_file_that_is_not_json_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text("{lattice_rank: 1", encoding="utf-8")
+    code, out, err = run_cli(capsys, "end", "--p", "5", "--spec", str(spec_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_missing_spec_file_exits_2(capsys):

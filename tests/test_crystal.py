@@ -146,6 +146,20 @@ def test_elliptic_explicit_eigenlines_differ():
     assert linalg.rank(stacked) == 2
 
 
+@pytest.mark.parametrize("q", [2**f for f in range(1, 9)] + [3, 5, 9, 25, 27, 49, 125, 243])
+def test_ordinary_eigenlines_share_auto_root_finder(q):
+    # every mode lifts the unit root by Hensel when p does not divide t, so
+    # eigenline:1 is auto's line, and eigenline:0 realizes at p = 2 as well
+    ctx = PadicContext.from_q(q)
+    bound = math.isqrt(4 * q)
+    for t in range(-bound, bound + 1):
+        if not is_ordinary(t, ctx):
+            continue
+        auto = realize_elliptic(t, AUTO, ctx)
+        assert realize_elliptic(t, EllipticFilMode("eigenline", 1), ctx).fil1 == auto.fil1, (q, t)
+        realize_elliptic(t, EllipticFilMode("eigenline", 0), ctx)
+
+
 # -- whole motives ------------------------------------------------------------
 
 

@@ -218,6 +218,35 @@ def test_unclassified_shape_for_doubled_elliptic():
         classify_end(m, e)
 
 
+def test_classification_rejects_cross_weight_relations():
+    # the split Fil1 (c, 1) ties the two weight blocks: End is the scalars,
+    # while each 1x1 block alone carries a 1-dimensional algebra
+    split, _ = split_extension(extension_module(3, C5))
+    e = end_algebra(split)
+    assert e.dimension == 1
+    message = (
+        "block dimensions sum to 2 but the endomorphism space has dimension 1; "
+        "cross-weight relations are present"
+    )
+    with pytest.raises(UnclassifiedShape, match=message):
+        classify_end(split, e)
+
+
+def test_zero_module_classifies_through_the_general_path():
+    z = zero_module(C5)
+    c = classify_end(z, end_algebra(z))
+    assert c == homsolver.EndClassification((), 0)
+    assert c.summary() == "zero"
+
+
+def test_tag_for_an_absent_weight_is_none():
+    m = kummer(C5)
+    c = classify_end(m, end_algebra(m))
+    assert c.tag_for_weight(0) == LATTICE_SCALARS
+    assert c.tag_for_weight(-2) == TORUS_SCALARS
+    assert c.tag_for_weight(-1) is None
+
+
 def test_in_span_empty_basis():
     assert in_span([], Matrix.zeros(2, 2)) == []
     assert in_span([], Matrix.identity(2)) is None
