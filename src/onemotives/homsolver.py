@@ -10,8 +10,11 @@ is the kernel of one stacked system: the commutation rows are
 the filtration rows come from Q h C = 0, where C generates Fil1 of the
 source atom and the rows of Q span the annihilator of Fil1 of the target.
 
-Unknowns are enumerated row-major and the returned bases are echelonized
-against that enumeration, so identical inputs give byte-identical output.
+Each pair's kernel is verified on the pair's own blocks and placed at its
+positions of h, whose unknowns are enumerated row-major.  Placement keeps
+the order of a pair's unknowns and pairs' blocks are disjoint, so ordering
+by pivot gives the echelon form of the whole space: identical inputs give
+byte-identical output.
 When any input carries p-adic entries every pair is solved at the context
 precision and re-solved at twice that precision; a dimension flip raises
 ``PrecisionExhausted`` instead of returning a guess.
@@ -74,10 +77,10 @@ def _hom_system(mats: tuple) -> Matrix:
 
 
 def _verify_element(h: Matrix, mats: tuple) -> None:
-    """Check one Hom element: equivariance against the full modules, then
-    that h carries Fil1 into Fil1 (an all-exact-zero image needs no rank
-    test).  Exact inputs fail with ``VerificationFailure``, p-adic ones with
-    ``PrecisionExhausted``: only there can more digits change the answer."""
+    """Check one element of an atom pair's Hom on that pair's own blocks:
+    equivariance, then Fil1 into Fil1 (no rank test for an image of exact
+    zeros).  Exact inputs fail with ``VerificationFailure``, p-adic ones
+    with ``PrecisionExhausted``: only there can more digits help."""
     phi_a, c_a, phi_b, c_b = mats
     exact = h.kind == RATIONAL
     resid = linalg.mat_sub(linalg.mat_mul(phi_b, h), linalg.mat_mul(h, phi_a))
@@ -95,50 +98,58 @@ def _verify_element(h: Matrix, mats: tuple) -> None:
         raise error("image of Fil1 escapes the target Hodge subspace")
 
 
-def _pair_kernel(stages: list, part_a: tuple, part_b: tuple, reports: list) -> list:
-    """Kernel vectors of one atom pair's system, cut out of each stage's
-    inputs (at N, then 2N); nothing is solved for disjoint Frobenius spectra."""
-    (a, ra, ca), (b, rb, cb) = part_a, part_b
+def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, systems: list, reports: list) -> list:
+    """(pivot, vector) per kernel vector of one atom pair, solved on each
+    stage's ``(phi_a, Fil1_a, phi_b, Fil1_b)`` (N, then 2N; or one exact
+    stage) and verified at the last; disjoint spectra solve nothing."""
     if a.phi.kind == b.phi.kind == RATIONAL:
         fs, gs = (m.block_polys or (linalg.char_poly(m.phi),) for m in (a, b))
         if not any(linalg.share_root(f, g) for f in fs for g in gs):
             return []
-    cuts = ((ra, ra), (ra, ca), (rb, rb), (rb, cb))
-    kernels = [linalg.kernel(_hom_system(tuple(linalg.submatrix(x, *rc) for x, rc in zip(m, cuts)))) for m in stages]
+    kernels = [linalg.kernel(_hom_system(m)) for m in systems]
     if kernels[0].dimension != kernels[-1].dimension:
-        (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in stages)
+        (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in systems)
         raise PrecisionExhausted(
             f"hom dimension flipped between precisions ({lo.dimension} at {n_lo}, {hi.dimension} at {n_hi})"
         )
     reports += [k.precision_report for k in kernels if k.precision_report is not None]
-    return kernels[-1].basis
+    kind, ctx = systems[-1][0].kind, systems[-1][0].ctx
+    # echelon_rows is no fixed point on a p-adic kernel basis: a second pass
+    # cuts each entry to its pivot's digits, the form the output carries
+    basis = linalg.echelon_rows(kernels[-1].basis, kind, ctx)
+    for v in basis:
+        _verify_element(Matrix(b.dim, a.dim, v, kind, ctx), systems[-1])
+    # unresolved zeros may precede a p-adic pivot
+    leads = bool if kind == RATIONAL else (lambda x: x.is_resolved)
+    return [(next(k for k, x in enumerate(v) if leads(x)), v) for v in basis]
 
 
 def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
-    """All Frobenius-equivariant, filtration-preserving maps src -> tgt,
-    solved per atom pair and memoised by atom identity within the call."""
+    """All Frobenius-equivariant, filtration-preserving maps src -> tgt: each
+    distinct atom pair's verified vectors at its positions, ordered by pivot."""
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
-    stages = [(src.phi, src.fil1, tgt.phi, tgt.fil1)]
-    if any(x.kind == PADIC for x in stages[0]):
-        stages = [tuple(linalg.to_padic(x, c) for x in stages[0]) for c in (src.ctx, src.ctx.doubled())]
-    kind, work, n = stages[-1][0].kind, stages[-1][0].ctx, src.dim
-    blank = Matrix.zeros(tgt.dim, n, kind, work).entries
-    vectors, reports, solved = [], [], {}
-    for part_a in src.atoms():
-        for part_b in tgt.atoms():
-            key = (id(part_a[0]), id(part_b[0]))
+    exact = all(x.kind == RATIONAL for x in (src.phi, src.fil1, tgt.phi, tgt.fil1))
+    kind, ctxs = (RATIONAL, [src.phi.ctx]) if exact else (PADIC, [src.ctx, src.ctx.doubled()])
+    # each distinct atom's (phi, Fil1) per stage; src and tgt keep the atoms alive
+    stages = {id(a): a for a, _, _ in src.atoms() + tgt.atoms()}
+    for k, a in stages.items():
+        stages[k] = [tuple(x if exact else linalg.to_padic(x, c) for x in (a.phi, a.fil1)) for c in ctxs]
+    n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, kind, ctxs[-1]).entries
+    placed, reports, solved = [], [], {}
+    for a, rows_a, _ in src.atoms():
+        for b, rows_b, _ in tgt.atoms():
+            key = (id(a), id(b))
             if key not in solved:
-                solved[key] = _pair_kernel(stages, part_a, part_b, reports)
+                solved[key] = _pair_kernel(a, b, [x + y for x, y in zip(stages[id(a)], stages[id(b)])], reports)
             # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
-            at = [i * n + j for i in part_b[1] for j in part_a[1]]
-            for v in solved[key]:
-                vectors.append(list(blank))
+            at = [i * n + j for i in rows_b for j in rows_a]
+            for pivot, v in solved[key]:
+                h = list(blank)
                 for k, x in zip(at, v):
-                    vectors[-1][k] = x
-    basis = [Matrix(tgt.dim, n, v, kind, work) for v in linalg.echelon_rows(vectors, kind, work)]
-    for h in basis:
-        _verify_element(h, stages[-1])
+                    h[k] = x
+                placed.append((at[pivot], h))
+    basis = [Matrix(tgt.dim, n, h, kind, ctxs[-1]) for _, h in sorted(placed, key=lambda x: x[0])]
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None))
 
 
@@ -183,8 +194,6 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
     elimination; the first failing one, in the order identity, h0*h0,
     h0*h1, ..., decides the error, as a zero product never fails."""
     e = hom_space(m, m)
-    if m.dim == 0:
-        return e
     supports = []
     for h in e.basis:
         nonzero = linalg.nonzero_test(h.kind)
@@ -206,8 +215,6 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
 
 def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
     """Whether phi itself lies in the computed endomorphism span."""
-    if m.dim == 0:
-        return True
     return in_span(e.basis, m.phi) is not None
 
 

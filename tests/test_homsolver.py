@@ -92,6 +92,7 @@ def test_hom_zero_module():
     z = zero_module(C5)
     assert hom_space(z, realize_torus(1, C5)).dimension == 0
     assert end_algebra(z).dimension == 0
+    assert frobenius_membership(z, end_algebra(z)) is True
 
 
 # -- End algebras of the worked examples -------------------------------------------
@@ -476,6 +477,13 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
     # the three elliptic copies share one solve per precision, and the pairs
     # of distinct weights are decided by the gcd without a system
     assert sorted(systems) == [(0, 0, 40), (0, 0, 80), (1, 1, 40), (1, 1, 80), (2, 2, 40), (2, 2, 80)]
+    # each distinct pair is verified on its own 2 x 2 blocks: 4 lattice,
+    # 2 elliptic and 4 torus maps, not every basis element of the sum
+    checked = []
+    verify = homsolver._verify_element
+    monkeypatch.setattr(homsolver, "_verify_element", lambda h, mats: checked.append((h.rows, h.cols)) or verify(h, mats))
+    end_algebra(m)
+    assert checked == [(2, 2)] * 10
     lattice, elliptic = realize_lattice(1, C5), realize_elliptic(1, AUTO, C5)
     kernels = []
     monkeypatch.setattr(linalg, "kernel", kernels.append)
@@ -562,6 +570,48 @@ def test_conjugated_sum_has_the_per_pair_hom(q):
             assert dense.dimension == per_pair.dimension
             for h in per_pair.basis:
                 assert in_span(dense.basis, _integral(carry(h))) is not None
+
+
+def _assert_reduced_echelon(space):
+    """The basis is its own echelon form, and its pivots (first nonzero
+    Fraction or resolved p-adic entry; unresolved zeros may come before
+    it) strictly increase."""
+    vectors = [h.entries for h in space.basis]
+    if not vectors:
+        return
+    kind, ctx = space.basis[0].kind, space.basis[0].ctx
+    assert linalg.echelon_rows(vectors, kind, ctx) == vectors
+    leads = bool if kind == RATIONAL else (lambda x: x.is_resolved)
+    pivots = [next(k for k, x in enumerate(v) if leads(x)) for v in vectors]
+    assert pivots == sorted(set(pivots))
+
+
+@pytest.mark.parametrize("q", (4, 5, 9, 25))
+def test_hom_basis_is_ordered_reduced_echelon(q):
+    """The per-pair vectors, placed and sorted by pivot, are the reduced
+    echelon basis of the whole space: sums with repeated atoms and with
+    rational and p-adic Hodge lines, and sums without parts."""
+    ctx = PadicContext.from_q(q)
+    rng = random.Random(q)
+    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
+    kinds, repeated = set(), False
+    for _ in range(6):
+        t = rng.choice(traces)
+        spec = OneMotiveSpec(
+            lattice_rank=rng.randint(0, 2),
+            torus_dim=rng.randint(0, 2),
+            elliptic_traces=(t, rng.choice(traces), t)[: rng.randint(1, 3)],
+        )
+        m = realize_one_motive(spec, ctx, fil_mode=EllipticFilMode(rng.choice(["auto", "generic"])))
+        kinds.add(m.fil1.kind)
+        repeated |= len(m.parts) > len({id(a) for a, _, _ in m.parts})
+        _assert_reduced_echelon(end_algebra(m))
+        _assert_reduced_echelon(hom_space(dual(m), m))
+    assert kinds == {RATIONAL, PADIC} and repeated
+    if q != 4:  # ROADMAP item 1: the dense systems at p = 2 exhaust the precision
+        for _a, b, _u, c in _conjugated_sums(q):
+            for space in (hom_space(c, c), hom_space(c, b), hom_space(b, c)):
+                _assert_reduced_echelon(space)
 
 
 def test_homspace_serialization():
