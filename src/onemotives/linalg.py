@@ -14,6 +14,7 @@ the vectorized solvers), so everything is dense and written for clarity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -332,9 +333,17 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
         piv = data[rank][c]
         if kind == PADIC and digits is not None:
             digits.append(piv.prec)
-        # exact zeros of the pivot row neither change under the division
-        # nor change the rows it is subtracted from, so they are skipped
-        prow = data[rank] = [e / piv if nonzero(e) else e for e in data[rank]]
+        # normalise the pivot row: p-adic entries are multiplied by one
+        # reciprocal (x * (1/piv) equals x / piv digit for digit); rational
+        # entries are divided, and not at all when the pivot is 1.  Exact
+        # zeros neither change under this nor change the rows the pivot row
+        # is subtracted from, so they are skipped.
+        prow = data[rank]
+        if kind == PADIC:
+            inv = piv.reciprocal()
+            prow = data[rank] = [e * inv if nonzero(e) else e for e in prow]
+        elif piv != 1:
+            prow = data[rank] = [e / piv if e else e for e in prow]
         support = [j for j, e in enumerate(prow) if nonzero(e)]
         for i in range(nrows):
             if i == rank:
@@ -541,23 +550,32 @@ def annihilator_rows(f: Matrix) -> Matrix:
 
 def share_root(f: list, g: list) -> bool:
     """Whether two nonzero polynomials (ascending coefficients) have a common
-    complex root: Euclid's algorithm over Q, exact."""
+    complex root: Euclid's algorithm over Z on primitive polynomials, exact."""
 
-    def trimmed(h: list) -> list:
+    def primitive(h: list) -> list:
+        content = math.gcd(*h)
+        return [c // content for c in h] if content > 1 else h
+
+    def integral(h: list) -> list:
+        # the primitive integer multiple, trailing zeros dropped
         h = [Fraction(c) for c in h]
         while h and h[-1] == 0:
             h.pop()
-        return h
+        den = math.lcm(*(c.denominator for c in h))
+        return primitive([c.numerator * (den // c.denominator) for c in h])
 
-    a, b = trimmed(f), trimmed(g)
+    a, b = integral(f), integral(g)
     if not a or not b:
         raise ValueError("share_root of the zero polynomial")
     while b:
-        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
-            k, s = a[-1] / b[-1], len(a) - len(b)
-            a = trimmed([c - k * b[i - s] if i >= s else c for i, c in enumerate(a)])
-        a, b = b, a
-    return len(a) > 1  # a is gcd(f, g) up to a unit
+        while len(a) >= len(b):  # pseudo-remainder: cancel a's leading term
+            m = math.gcd(a[-1], b[-1])
+            ka, kb, s = b[-1] // m, a[-1] // m, len(a) - len(b)
+            a = [ka * c - kb * b[i - s] if i >= s else ka * c for i, c in enumerate(a)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, primitive(a)
+    return len(a) > 1  # a is gcd(f, g) up to a constant
 
 
 # -- serialization -------------------------------------------------------------

@@ -10,6 +10,10 @@ vanishing order clears the working precision minus ``ZERO_MARGIN``;
 anything in between is an ambiguity and raises ``PrecisionExhausted``
 rather than guessing.
 
+Division is multiplication by ``reciprocal()``, whose unit is inverted
+modulo ``p**prec`` once; so elimination normalises a pivot row with one
+modular inverse, digit for digit as if it divided every entry.
+
 Scalars are immutable after construction and all operations are pure, so
 values may be shared freely between threads.
 """
@@ -228,44 +232,53 @@ class PadicScalar:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: PadicScalar) -> None:
-        if not isinstance(other, PadicScalar):
-            raise TypeError(f"expected PadicScalar, got {type(other).__name__}")
         if self.p != other.p:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
 
     def __neg__(self) -> PadicScalar:
-        if not self.is_resolved:
+        if self.v is None or self.prec == 0:
             return self
         return PadicScalar(self.p, self.v, (-self.unit) % self.p**self.prec, self.prec)
 
-    def __add__(self, other: PadicScalar) -> PadicScalar:
+    def _add(self, other: PadicScalar, sign: int) -> PadicScalar:
+        """self + sign * other, for sign = 1 or -1."""
         if not isinstance(other, PadicScalar):
             return NotImplemented
         self._check(other)
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
+        sv, ov = self.v, other.v
+        if sv is None:
+            return other if sign == 1 else -other
+        if ov is None:
             return self
         p = self.p
-        bound = min(self.v + self.prec, other.v + other.prec)
-        base = min(self.v, other.v)
+        bound = min(sv + self.prec, ov + other.prec)
+        base = min(sv, ov)
         width = bound - base
         if width <= 0:
             return PadicScalar.unresolved_zero(p, bound)
-        mod = p**width
-        s = (self.unit * p ** (self.v - base) + other.unit * p ** (other.v - base)) % mod
-        return PadicScalar.from_residue(p, s, width, shift=base)
+        a = self.unit if sv == base else self.unit * p ** (sv - base)
+        b = other.unit if ov == base else other.unit * p ** (ov - base)
+        s = (a + b if sign == 1 else a - b) % p**width
+        if s == 0:
+            return PadicScalar.unresolved_zero(p, bound)
+        # s is already reduced: strip the factors of p from its valuation
+        w = 0
+        while s % p == 0:
+            s //= p
+            w += 1
+        return PadicScalar(p, base + w, s, width - w)
+
+    def __add__(self, other: PadicScalar) -> PadicScalar:
+        return self._add(other, 1)
 
     def __sub__(self, other: PadicScalar) -> PadicScalar:
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        return self.__add__(-other)
+        return self._add(other, -1)
 
     def __mul__(self, other: PadicScalar) -> PadicScalar:
         if not isinstance(other, PadicScalar):
             return NotImplemented
         self._check(other)
-        if self.is_exact_zero or other.is_exact_zero:
+        if self.v is None or other.v is None:
             return PadicScalar.exact_zero(self.p)
         prec = min(self.prec, other.prec)
         if prec == 0:
@@ -273,24 +286,21 @@ class PadicScalar:
         unit = self.unit * other.unit % self.p**prec
         return PadicScalar(self.p, self.v + other.v, unit, prec)
 
+    def reciprocal(self) -> PadicScalar:
+        """1 / self to as many digits as self.  Its unit, the inverse modulo
+        ``p**prec``, is the inverse modulo every lower power too, so
+        ``x * self.reciprocal()`` equals ``x / self`` digit for digit."""
+        if self.v is None:
+            raise DivisionByZero("division by exact p-adic zero")
+        if self.prec == 0:
+            raise PrecisionExhausted(f"divisor is zero to the known precision O({self.p}^{self.v})")
+        return PadicScalar(self.p, -self.v, modular_inverse(self.unit, self.p**self.prec), self.prec)
+
     def __truediv__(self, other: PadicScalar) -> PadicScalar:
         if not isinstance(other, PadicScalar):
             return NotImplemented
         self._check(other)
-        if other.is_exact_zero:
-            raise DivisionByZero("division by exact p-adic zero")
-        if other.is_unresolved:
-            raise PrecisionExhausted(
-                f"divisor is zero to the known precision O({other.p}^{other.v})"
-            )
-        if self.is_exact_zero:
-            return self
-        if self.is_unresolved:
-            return PadicScalar.unresolved_zero(self.p, self.v - other.v)
-        prec = min(self.prec, other.prec)
-        mod = self.p**prec
-        unit = self.unit * modular_inverse(other.unit, mod) % mod
-        return PadicScalar(self.p, self.v - other.v, unit, prec)
+        return self * other.reciprocal()
 
     # -- comparison and display --------------------------------------------
 

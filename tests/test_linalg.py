@@ -33,7 +33,7 @@ from onemotives.linalg import (
     matrix_to_jsonable,
     matrix_from_jsonable,
 )
-from onemotives import homsolver, linalg
+from onemotives import homsolver, linalg, padic
 from onemotives.padic import PadicContext, PadicScalar, from_rational, hensel_lift_root
 
 C5 = PadicContext(5, 1, 40)
@@ -326,6 +326,93 @@ def test_solve_many_raises_an_ambiguous_pivot_for_every_column():
     with pytest.raises(PrecisionExhausted, match="pivot decision in column 0"):
         solve_many(m, rhss)
     assert _column_outcomes_agree(m, rhss) == {"precision"}
+
+
+def _plain_rref(rows, ncols, kind, ctx):
+    """Reference Gauss-Jordan with the kernel's pivot rule (first nonzero
+    rational, least p-adic valuation), dividing the pivot row entry by entry
+    and subtracting over whole rows.  Returns the rows and the pivots."""
+    data = [list(r) for r in rows]
+    if kind == RATIONAL:
+        dead = lambda x: x == 0  # noqa: E731
+    else:
+        dead = lambda x: x.negligible(ctx.threshold)  # noqa: E731
+    pivots = []
+    for c in range(ncols):
+        rank = len(pivots)
+        live = [i for i in range(rank, len(data)) if not dead(data[i][c])]
+        if not live:
+            continue
+        best = live[0] if kind == RATIONAL else min(live, key=lambda i: (data[i][c].v, i))
+        data[rank], data[best] = data[best], data[rank]
+        piv = data[rank][c]
+        data[rank] = [e / piv for e in data[rank]]
+        for i in range(len(data)):
+            if i != rank and not dead(data[i][c]):
+                factor = data[i][c]
+                data[i] = [e - factor * g for e, g in zip(data[i], data[rank])]
+        pivots.append((c, piv))
+    return data, pivots
+
+
+def _assert_plain_rref_answers(m, rhs):
+    """kernel, rank and solve_many of m equal what the plain RREF gives."""
+    one, zero = (
+        (Fraction(1), Fraction(0)) if m.kind == RATIONAL
+        else (PadicScalar.one(m.ctx.p, m.ctx.precision), PadicScalar.exact_zero(m.ctx.p))
+    )
+    rows = [m.row(i) for i in range(m.rows)]
+    red, pivots = _plain_rref(rows, m.cols, m.kind, m.ctx)
+    assert rank(m) == len(pivots)
+    basis = []
+    for fc in sorted(set(range(m.cols)) - {c for c, _ in pivots}):
+        vec = [zero] * m.cols
+        vec[fc] = one
+        for r, (c, _) in enumerate(pivots):
+            vec[c] = -red[r][fc]
+        basis.append(vec)
+    basis_red, basis_pivots = _plain_rref(basis, m.cols, m.kind, m.ctx)
+    assert kernel(m).basis == basis_red[: len(basis_pivots)]
+    aug, _ = _plain_rref([row + [b] for row, b in zip(rows, rhs)], m.cols, m.kind, m.ctx)
+    x = [zero] * m.cols
+    for r, (c, _) in enumerate(pivots):
+        x[c] = aug[r][m.cols]
+    assert solve_many(m, [rhs]) == [x]
+    return [piv for _, piv in pivots]
+
+
+def test_rref_takes_one_reciprocal_per_pivot_and_equals_plain_rref(monkeypatch):
+    rng = random.Random(1406)
+    ints = [[rng.randint(-30, 30) * 5 ** rng.randint(0, 2) for _ in range(9)] for _ in range(6)]
+    m = to_padic(frac_matrix(ints), C5)
+    rhs = [from_rational(rng.randint(-9, 9), C5) for _ in range(6)]
+    assert len(_assert_plain_rref_answers(m, rhs)) == 6
+    inverses, pivots = [], []
+    real_inverse, real_rref = padic.modular_inverse, linalg._rref
+
+    def counted_inverse(a, mod):
+        inverses.append(a)
+        return real_inverse(a, mod)
+
+    def counted_rref(*args):
+        out = real_rref(*args)
+        pivots.extend(out)
+        return out
+
+    monkeypatch.setattr(padic, "modular_inverse", counted_inverse)
+    monkeypatch.setattr(linalg, "_rref", counted_rref)
+    for run in (lambda: kernel(m), lambda: rank(m), lambda: solve_many(m, [rhs])):
+        inverses.clear()
+        pivots.clear()
+        run()
+        assert pivots and len(inverses) <= len(pivots)
+
+
+def test_rational_rref_with_unit_pivots_equals_plain_rref():
+    # the first pivot is 1, and so is the second after eliminating the first
+    m = frac_matrix([[1, 2, 3, 4, 5], [2, 5, 7, 1, 0], [3, 1, 4, 1, 6], [0, 2, -1, 3, Fraction(1, 2)]])
+    pivots = _assert_plain_rref_answers(m, [Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(0)])
+    assert pivots[:2] == [1, 1] and any(piv != 1 for piv in pivots)
 
 
 def test_inverse_roundtrip():
@@ -628,6 +715,45 @@ def test_share_root_matches_sympy_gcd_degree():
         assert share_root(f, g) == expected, (f, g)
         shared += expected
     assert 50 < shared < 250
+
+
+
+def _fraction_euclid_share_root(f, g):
+    """Reference: Euclid's algorithm over Q on Fraction coefficients."""
+
+    def trimmed(h):
+        h = [Fraction(c) for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    a, b = trimmed(f), trimmed(g)
+    while b:
+        while len(a) >= len(b):
+            k, s = a[-1] / b[-1], len(a) - len(b)
+            a = trimmed([c - k * b[i - s] if i >= s else c for i, c in enumerate(a)])
+        a, b = b, a
+    return len(a) > 1
+
+
+def test_share_root_matches_fraction_euclid():
+    rng = random.Random(6020)
+    shared = 0
+    for _ in range(2000):
+        common = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        common[-1] = common[-1] or Fraction(1)
+        f, g = (
+            _poly_mul(common, [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
+            if rng.random() < 0.5
+            else [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 7))]
+            for _ in range(2)
+        )
+        if not any(f) or not any(g):
+            continue
+        expected = _fraction_euclid_share_root(f, g)
+        assert share_root(f, g) == expected, (f, g)
+        shared += expected
+    assert 200 < shared < 1800
 
 
 def test_matrix_serialization_roundtrip():

@@ -332,3 +332,82 @@ def test_arithmetic_chains_stable_under_precision_doubling():
             if lo.is_resolved:
                 assert hi.is_resolved and hi.v == lo.v
                 assert hi.unit % 5**lo.prec == lo.unit
+
+
+def _coset(x):
+    """(exact rational representative, absolute bound) of a scalar's coset:
+    the scalar is that rational + O(p^bound)."""
+    if x.is_exact_zero:
+        return Fraction(0), math.inf
+    return Fraction(x.unit) * Fraction(x.p) ** x.v, x.v + x.prec
+
+
+def _model(p, r, bound):
+    """The scalar a representative r known to O(p^bound) must come out as:
+    exact zero, the unresolved zero O(p^bound), or v = v_p(r) with the unit
+    of r / p^v modulo p^(bound - v)."""
+    if bound == math.inf:
+        assert r == 0
+        return PadicScalar.exact_zero(p)
+    v = math.inf if r == 0 else (
+        _valuation(r.numerator, p) - _valuation(r.denominator, p)
+    )
+    if v >= bound:
+        return PadicScalar.unresolved_zero(p, bound)
+    mod = p ** (bound - v)
+    u = r / Fraction(p) ** v
+    return PadicScalar(p, v, u.numerator * pow(u.denominator, -1, mod) % mod, bound - v)
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _any_state(rng, p):
+    roll = rng.random()
+    if roll < 0.15:
+        return PadicScalar.exact_zero(p)
+    if roll < 0.35:
+        return PadicScalar.unresolved_zero(p, rng.randint(-3, 9))
+    prec = rng.randint(1, 9)
+    unit = rng.randrange(1, p**prec)
+    while unit % p == 0:
+        unit = rng.randrange(1, p**prec)
+    return PadicScalar(p, rng.randint(-3, 6), unit, prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_arithmetic_matches_the_coset_model(p):
+    """add, sub, mul, div and neg over every pair of states agree with the
+    cosets they stand for: a sum is known to min(v1 + prec1, v2 + prec2),
+    a product or quotient to its valuation plus min(prec1, prec2)."""
+    rng = random.Random(7000 + p)
+    for _ in range(3000):
+        x, y = _any_state(rng, p), _any_state(rng, p)
+        (rx, bx), (ry, by) = _coset(x), _coset(y)
+        assert -x == _model(p, -rx, bx)
+        assert x + y == _model(p, rx + ry, min(bx, by))
+        assert x - y == _model(p, rx - ry, min(bx, by))
+        if x.is_exact_zero or y.is_exact_zero:
+            assert x * y == PadicScalar.exact_zero(p)
+        else:
+            prec = min(x.prec, y.prec)
+            assert x * y == _model(p, rx * ry, x.v + y.v + prec)
+        if y.is_exact_zero:
+            with pytest.raises(DivisionByZero, match="exact p-adic zero"):
+                x / y
+        elif y.is_unresolved:
+            with pytest.raises(PrecisionExhausted, match=rf"O\({p}\^{y.v}\)"):
+                x / y
+        elif x.is_exact_zero:
+            assert x / y == PadicScalar.exact_zero(p)
+        else:
+            assert x / y == _model(p, rx / ry, x.v - y.v + min(x.prec, y.prec))
+        other = PadicScalar.one(7, 3)
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            with pytest.raises(ValueError, match="mixed primes"):
+                getattr(x, op)(other)

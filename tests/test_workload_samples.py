@@ -1,6 +1,7 @@
-"""The benchmark's `hom` and `end` samples for seed 1, answered and checked
-in tier-1: every item must return an answer that passes the bench's own
-check, and no exception of any kind may escape an operation."""
+"""The benchmark's samples for seed 1, answered and checked in tier-1: every
+`hom` and `end` item must return an answer that passes the bench's own
+check, every `survey` row too unless it runs out of precision (ROADMAP item
+1), and no other exception may escape an operation."""
 
 import importlib.util
 import sys
@@ -10,8 +11,10 @@ from types import SimpleNamespace
 import pytest
 
 from onemotives import crystal, homsolver, linalg, motivic, padic
+from onemotives.errors import PrecisionExhausted
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
 LIB = SimpleNamespace(crystal=crystal, homsolver=homsolver, linalg=linalg, motivic=motivic, padic=padic)
 
 
@@ -36,3 +39,19 @@ def test_every_seed_1_item_is_answered_and_checked(workloads, workload):
     assert items
     for item in items:
         workloads.check(workload, item, op(LIB, item), {})
+
+
+def test_every_seed_1_survey_row_is_checked_or_out_of_precision(workloads):
+    make, op = workloads.WORKLOADS["survey"]
+    golden = workloads.load_golden(ROOT)
+    rows = make(1)
+    exhausted = 0
+    for row in rows:
+        try:
+            answer = op(LIB, row)
+        except PrecisionExhausted:
+            exhausted += 1
+            continue
+        workloads.check("survey", row, answer, golden)
+    # the rows item 1 makes fail today; a fix may only lower the count
+    assert rows and exhausted <= 42
