@@ -605,14 +605,29 @@ def _unknown_keys(obj: dict, known, what: str) -> None:
         raise ValueError(f"{what} has unknown field(s) {', '.join(unknown)}")
 
 
+def _int_pairs(x) -> bool:
+    return isinstance(x, list) and all(isinstance(w, list) and [*map(type, w)] == [int, int] for w in x)
+
+
 def module_from_jsonable(obj: dict) -> FilteredPhiModule:
     """Inverse of ``module_to_jsonable``; a graded module is validated, the
     Fil1 generators of any module must be independent, and a missing or
-    unknown field raises ``ValueError`` naming it."""
+    unknown field, or one of the wrong type, raises ``ValueError`` naming
+    it."""
     missing = [k for k in ("ctx", "dim", "phi", "weights", "fil1") if k not in obj]
-    if not missing:
-        missing = [f"ctx.{k}" for k in ("p", "f", "precision") if k not in obj["ctx"]]
     if missing:
+        raise ValueError(f"module JSON lacks the field(s) {', '.join(missing)}")
+    for key, ok, what in (
+        ("ctx", lambda x: isinstance(x, dict) and {*map(type, x.values())} <= {int}, "an object of integers"),
+        ("dim", lambda x: type(x) is int, "an integer"),
+        ("weights", _int_pairs, "a list of [weight, dimension] integer pairs"),
+        ("label", lambda x: type(x) is str, "a string"),
+        ("graded", lambda x: type(x) is bool, "true or false"),
+        ("split_at", lambda x: x is None or type(x) is int, "an integer or null"),
+    ):
+        if key in obj and not ok(obj[key]):
+            raise ValueError(f"module JSON field {key!r} must be {what}, got {obj[key]!r}")
+    if missing := [f"ctx.{k}" for k in ("p", "f", "precision") if k not in obj["ctx"]]:
         raise ValueError(f"module JSON lacks the field(s) {', '.join(missing)}")
     _unknown_keys(obj, ("ctx", "dim", "phi", "weights", "fil1", "label", "graded", "split_at"), "module JSON")
     _unknown_keys(obj["ctx"], ("p", "f", "precision"), "module JSON ctx")

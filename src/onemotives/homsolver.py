@@ -10,11 +10,11 @@ is the kernel of one stacked system: the commutation rows are
 the filtration rows come from Q h C = 0, where C generates Fil1 of the
 source atom and the rows of Q span the annihilator of Fil1 of the target.
 
-Each pair's kernel is verified on the pair's own blocks and placed at its
-positions of h, whose unknowns are enumerated row-major.  Placement keeps
-the order of a pair's unknowns and pairs' blocks are disjoint, so ordering
-by pivot gives the echelon form of the whole space: identical inputs give
-byte-identical output.
+Each pair's kernel is verified on the pair's own blocks, on which End
+closure is checked too, and placed at its positions of h, whose unknowns
+are enumerated row-major.  Placement keeps the order of a pair's unknowns
+and pairs' blocks are disjoint, so ordering by pivot gives the echelon
+form of the whole space: identical inputs give byte-identical output.
 When any input carries p-adic entries every pair is solved at the context
 precision and re-solved at twice that precision; a dimension flip raises
 ``PrecisionExhausted`` instead of returning a guess.
@@ -26,7 +26,7 @@ with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ClosureFailure,
@@ -52,13 +52,15 @@ _FULL_ALGEBRA = {0: LATTICE_SCALARS, -2: TORUS_SCALARS}
 class HomSpace:
     """Basis of maps source -> target, each of shape (target.dim x source.dim);
     ``precision_report`` is the fewest digits behind any p-adic pivot
-    decision made, None when the space was decided exactly."""
+    decision made, None when the space was decided exactly; ``blocks`` maps
+    each distinct atom pair (id(a), id(b)) to its verified blocks (no JSON)."""
 
     source: FilteredPhiModule
     target: FilteredPhiModule
     dimension: int
     basis: list[Matrix]
     precision_report: int | None = None
+    blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _hom_system(mats: tuple) -> Matrix:
@@ -99,9 +101,9 @@ def _verify_element(h: Matrix, mats: tuple) -> None:
 
 
 def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, systems: list, reports: list) -> list:
-    """(pivot, vector) per kernel vector of one atom pair, solved on each
-    stage's ``(phi_a, Fil1_a, phi_b, Fil1_b)`` (N, then 2N; or one exact
-    stage) and verified at the last; disjoint spectra solve nothing."""
+    """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom, solved
+    on each stage's ``(phi_a, Fil1_a, phi_b, Fil1_b)`` (N, then 2N; or one
+    exact stage) and verified at the last; disjoint spectra solve nothing."""
     if a.phi.kind == b.phi.kind == RATIONAL:
         fs, gs = (m.block_polys or (linalg.char_poly(m.phi),) for m in (a, b))
         if not any(linalg.share_root(f, g) for f in fs for g in gs):
@@ -116,17 +118,15 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, systems: list, repo
     kind, ctx = systems[-1][0].kind, systems[-1][0].ctx
     # echelon_rows is no fixed point on a p-adic kernel basis: a second pass
     # cuts each entry to its pivot's digits, the form the output carries
-    basis = linalg.echelon_rows(kernels[-1].basis, kind, ctx)
-    for v in basis:
-        _verify_element(Matrix(b.dim, a.dim, v, kind, ctx), systems[-1])
-    # unresolved zeros may precede a p-adic pivot
-    leads = bool if kind == RATIONAL else (lambda x: x.is_resolved)
-    return [(next(k for k, x in enumerate(v) if leads(x)), v) for v in basis]
+    blocks = [Matrix(b.dim, a.dim, v, kind, ctx) for v in linalg.echelon_rows(kernels[-1].basis, kind, ctx)]
+    for h in blocks:
+        _verify_element(h, systems[-1])
+    return blocks
 
 
 def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     """All Frobenius-equivariant, filtration-preserving maps src -> tgt: each
-    distinct atom pair's verified vectors at its positions, ordered by pivot."""
+    distinct atom pair's verified blocks at its positions, ordered by pivot."""
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
     exact = all(x.kind == RATIONAL for x in (src.phi, src.fil1, tgt.phi, tgt.fil1))
@@ -135,22 +135,24 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     stages = {id(a): a for a, _, _ in src.atoms() + tgt.atoms()}
     for k, a in stages.items():
         stages[k] = [tuple(x if exact else linalg.to_padic(x, c) for x in (a.phi, a.fil1)) for c in ctxs]
+    # unresolved zeros may precede a p-adic pivot
+    leads = bool if exact else (lambda x: x.is_resolved)
     n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, kind, ctxs[-1]).entries
-    placed, reports, solved = [], [], {}
+    placed, reports, blocks = [], [], {}
     for a, rows_a, _ in src.atoms():
         for b, rows_b, _ in tgt.atoms():
             key = (id(a), id(b))
-            if key not in solved:
-                solved[key] = _pair_kernel(a, b, [x + y for x, y in zip(stages[id(a)], stages[id(b)])], reports)
+            if key not in blocks:
+                blocks[key] = _pair_kernel(a, b, [x + y for x, y in zip(stages[id(a)], stages[id(b)])], reports)
             # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
             at = [i * n + j for i in rows_b for j in rows_a]
-            for pivot, v in solved[key]:
+            for blk in blocks[key]:
                 h = list(blank)
-                for k, x in zip(at, v):
+                for k, x in zip(at, blk.entries):
                     h[k] = x
-                placed.append((at[pivot], h))
+                placed.append((next(k for k, x in zip(at, blk.entries) if leads(x)), h))
     basis = [Matrix(tgt.dim, n, h, kind, ctxs[-1]) for _, h in sorted(placed, key=lambda x: x[0])]
-    return HomSpace(src, tgt, len(basis), basis, min(reports, default=None))
+    return HomSpace(src, tgt, len(basis), basis, min(reports, default=None), blocks)
 
 
 # -- span membership -----------------------------------------------------------
@@ -184,32 +186,29 @@ def in_span(basis: list[Matrix], target: Matrix) -> list | None:
 
 def end_algebra(m: FilteredPhiModule) -> HomSpace:
     """End space of m, verified to contain the identity and to be closed
-    under composition (each pairwise product re-expressed in the basis).
-
-    A product hi*hj is formed only when the nonzero columns of hi meet the
-    nonzero rows of hj (an unresolved p-adic zero counts as nonzero);
-    otherwise every term has an exact-zero factor, so it is the zero
-    matrix, in the span with coordinates 0, decided without elimination.
-    The identity and the formed products are tested against one shared
-    elimination; the first failing one, in the order identity, h0*h0,
-    h0*h1, ..., decides the error, as a zero product never fails."""
+    under composition on the atom-pair blocks of ``hom_space``: a (b -> c)
+    block after an (a -> b) block is an (a -> c) map, so each distinct pair
+    (a, c) with targets (a's identity when a is c, then those products) is
+    tested in one ``in_span_many`` against its blocks.  The first failing
+    target decides the error; for a single atom the order is identity,
+    h0*h0, h0*h1, ...."""
     e = hom_space(m, m)
-    supports = []
-    for h in e.basis:
-        nonzero = linalg.nonzero_test(h.kind)
-        at = [divmod(k, m.dim) for k, x in enumerate(h.entries) if nonzero(x)]
-        supports.append(({i for i, _ in at}, {j for _, j in at}))
-    meet = [(hi, hj) for hi, (_, ci) in zip(e.basis, supports) for hj, (rj, _) in zip(e.basis, supports) if ci & rj]
-    targets = [Matrix.identity(m.dim)] + [linalg.mat_mul(hi, hj) for hi, hj in meet]
-    for k, x in enumerate(in_span_many(e.basis, targets)):
-        if isinstance(x, PrecisionExhausted):
-            raise x
-        if x is None:
-            raise ClosureFailure(
-                "identity is missing from the computed endomorphism span"
-                if k == 0
-                else "basis product escaped the computed span"
-            )
+    atoms = {id(a): a for a, _, _ in m.atoms()}
+    for a, atom in atoms.items():
+        for c in atoms:
+            targets = [Matrix.identity(atom.dim)] if a == c else []
+            targets += [linalg.mat_mul(hi, hj) for b in atoms for hi in e.blocks[b, c] for hj in e.blocks[a, b]]
+            if not targets:
+                continue
+            for k, x in enumerate(in_span_many(e.blocks[a, c], targets)):
+                if isinstance(x, PrecisionExhausted):
+                    raise x
+                if x is None:
+                    raise ClosureFailure(
+                        "identity is missing from the computed endomorphism span"
+                        if a == c and k == 0
+                        else "basis product escaped the computed span"
+                    )
     return e
 
 

@@ -769,6 +769,42 @@ def test_module_from_jsonable_rejects_malformed_padic_entries(corrupt):
         module_from_jsonable(obj)
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda o: o.update(ctx=None), "'ctx'"),
+        (lambda o: o["ctx"].update(p="5"), "'ctx'"),
+        (lambda o: o["ctx"].update(precision=40.5), "'ctx'"),
+        (lambda o: o["ctx"].update(f=True), "'ctx'"),
+        (lambda o: o.update(dim="2"), "'dim'"),
+        (lambda o: o.update(weights=5), "'weights'"),
+        (lambda o: o["weights"][0].__setitem__(0, "0"), "'weights'"),
+        (lambda o: o["weights"].__setitem__(0, [0]), "'weights'"),
+        (lambda o: o.update(label=None), "'label'"),
+        (lambda o: o.update(graded="no"), "'graded'"),
+        (lambda o: o.update(split_at="1"), "'split_at'"),
+    ],
+    ids=[
+        "null-ctx",
+        "string-p",
+        "float-precision",
+        "bool-f",
+        "string-dim",
+        "int-weights",
+        "string-weight",
+        "short-weight-pair",
+        "null-label",
+        "string-graded",
+        "string-split-at",
+    ],
+)
+def test_module_from_jsonable_names_a_field_of_the_wrong_type(mutate, field):
+    obj = module_to_jsonable(realize_one_motive(OneMotiveSpec(lattice_rank=1, torus_dim=1), C5))
+    mutate(obj)
+    with pytest.raises(ValueError, match=f"field {field} must be"):
+        module_from_jsonable(obj)
+
+
 def test_spec_from_jsonable_names_unknown_fields():
     with pytest.raises(ValueError, match="unknown field\\(s\\) 'torus', 'traces'"):
         spec_from_jsonable({"lattice_rank": 1, "torus": 1, "traces": [1]})

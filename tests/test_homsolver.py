@@ -257,8 +257,11 @@ def test_in_span_empty_basis():
 
 
 def _end_with_basis(monkeypatch, basis):
-    """end_algebra of lattice:2 with hom_space forced to return ``basis``."""
-    monkeypatch.setattr(homsolver, "hom_space", lambda s, t: HomSpace(s, t, len(basis), basis))
+    """end_algebra of lattice:2 with hom_space forced to return ``basis``,
+    the single atom's only block list."""
+    monkeypatch.setattr(
+        homsolver, "hom_space", lambda s, t: HomSpace(s, t, len(basis), basis, blocks={(id(s), id(s)): basis})
+    )
     return end_algebra(realize_lattice(2, C5))
 
 
@@ -300,6 +303,48 @@ def test_end_closure_first_failing_target_decides(monkeypatch):
         _end_with_basis(monkeypatch, [ident, e12, f])
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([frac_matrix([[1, 0], [0, 0]])], "identity is missing"),
+        (
+            [frac_matrix([[1, 0], [0, 1]]), frac_matrix([[0, 1], [0, 0]]), frac_matrix([[0, 0], [1, 0]])],
+            "basis product escaped",
+        ),
+    ],
+    ids=["no-identity", "product-escapes"],
+)
+def test_end_closure_fails_on_one_atom_pair_of_a_sum(monkeypatch, blocks, message):
+    # lattice 2 + torus 1 with the lattice pair answered wrongly: E11 alone
+    # lacks the lattice identity, and E12 * E21 = E11 is outside I, E12, E21
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, torus_dim=1), C5)
+    lattice = m.parts[0][0]
+    assert lattice.dim == 2 and len(m.parts) == 2
+    real = homsolver._pair_kernel
+    monkeypatch.setattr(
+        homsolver,
+        "_pair_kernel",
+        lambda a, b, systems, reports: blocks if a is b is lattice else real(a, b, systems, reports),
+    )
+    with pytest.raises(ClosureFailure, match=message):
+        end_algebra(m)
+
+
+def test_end_closure_tests_products_through_a_third_atom(monkeypatch):
+    # three lattice 1 atoms x, y, z with Hom(x, z) answered as 0: the map
+    # x -> y -> z escapes it, though neither factor starts at x and ends at z
+    m = direct_sum([realize_lattice(1, C5) for _ in range(3)])
+    x, z = m.parts[0][0], m.parts[2][0]
+    real = homsolver._pair_kernel
+    monkeypatch.setattr(
+        homsolver,
+        "_pair_kernel",
+        lambda a, b, systems, reports: [] if a is x and b is z else real(a, b, systems, reports),
+    )
+    with pytest.raises(ClosureFailure, match="basis product escaped"):
+        end_algebra(m)
+
+
 def _closure_targets(monkeypatch):
     """Targets passed to every ``in_span_many`` call from now on."""
     seen = []
@@ -313,13 +358,30 @@ def _closure_targets(monkeypatch):
     return seen
 
 
-def test_end_closure_forms_only_products_whose_supports_meet(monkeypatch):
-    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, torus_dim=2), C5)
-    seen = _closure_targets(monkeypatch)
-    e = end_algebra(m)
-    # the basis is the matrix units of the two 2x2 blocks: E_ij E_kl is
-    # formed only when j == k, 8 products per block, and the identity
-    assert e.dimension == 8 and [len(t) for t in seen] == [1 + 2 * 8]
+@pytest.mark.parametrize(
+    "spec, calls",
+    [
+        (OneMotiveSpec(lattice_rank=2, torus_dim=2), [17, 17]),
+        (OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1, 1), torus_dim=2), [17, 5, 17]),
+    ],
+    ids=["lattice2-torus2", "lattice2-elliptic1x3-torus2"],
+)
+def test_end_closure_tests_each_distinct_atom_pair_once(monkeypatch, spec, calls):
+    """One span test per distinct atom pair with targets, on that pair's
+    2 x 2 blocks: the identity and every block product, 1 + 4 * 4 for the
+    matrix units of lattice 2 and torus 2, 1 + 2 * 2 for the elliptic
+    atom shared by three summands; pairs of distinct weights have none."""
+    m = realize_one_motive(spec, C5)
+    seen = []
+    real = homsolver.in_span_many
+
+    def spy(basis, targets):
+        seen.append((len(targets), {(h.rows, h.cols) for h in basis + targets}))
+        return real(basis, targets)
+
+    monkeypatch.setattr(homsolver, "in_span_many", spy)
+    end_algebra(m)
+    assert seen == [(k, {(2, 2)}) for k in calls]
 
 
 @pytest.mark.parametrize("q", (5, 7, 9))
@@ -331,34 +393,37 @@ def test_end_closure_of_a_conjugated_sum_forms_every_product(monkeypatch, q):
 
 
 @pytest.mark.parametrize("q", (2, 4, 5, 9, 25))
-def test_end_closure_skips_only_exact_zero_products(monkeypatch, q):
-    """Every product end_algebra does not form is, by the textbook triple
-    loop, all exact zeros; rational and p-adic Hodge lines both occur."""
+def test_end_closure_on_blocks_agrees_with_the_whole_module_closure(monkeypatch, q):
+    """The block check forms no product of module-sized matrices once a
+    sum has two atoms, and what it accepts passes the textbook check:
+    the identity and every product of two placed basis elements, by the
+    triple loop, lie in the span; rational and p-adic Hodge lines and
+    repeated atoms all occur."""
     ctx = PadicContext.from_q(q)
     rng = random.Random(q)
     traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
-    formed = []
+    shapes = []
     real = linalg.mat_mul
-    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: formed.append((a, b)) or real(a, b))
-    kinds, skipped = set(), 0
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: shapes.append((a.rows, a.cols, b.cols)) or real(a, b))
+    kinds, repeated = set(), False
     for _ in range(6):
+        t = rng.choice(traces)
         spec = OneMotiveSpec(
             lattice_rank=rng.randint(0, 2),
             torus_dim=rng.randint(0, 2),
-            elliptic_traces=rng.sample(traces, 2)[: rng.randint(0, 2)],
+            elliptic_traces=(t, rng.choice(traces), t)[: rng.randint(0, 3)],
         )
         m = realize_one_motive(spec, ctx, fil_mode=EllipticFilMode(rng.choice(["auto", "generic"])))
         kinds.add(m.fil1.kind)
-        formed.clear()
+        repeated |= len(m.parts) > len({id(a) for a, _, _ in m.parts})
+        shapes.clear()
         e = end_algebra(m)
-        index = {id(h): k for k, h in enumerate(e.basis)}
-        pairs = {(index[id(a)], index[id(b)]) for a, b in formed if id(a) in index and id(b) in index}
-        for i, hi in enumerate(e.basis):
-            for j, hj in enumerate(e.basis):
-                if (i, j) not in pairs:
-                    skipped += 1
-                    assert all(x == 0 if hi.kind == RATIONAL else x.is_exact_zero for x in dense_product(hi, hj))
-    assert kinds == {RATIONAL, PADIC} and skipped > 0
+        if len(m.atoms()) > 1:
+            assert max(map(max, shapes)) == max(a.dim for a, _, _ in m.atoms()) < m.dim
+        kind, ctx_e = (e.basis[0].kind, e.basis[0].ctx) if e.basis else (RATIONAL, None)
+        products = [Matrix(m.dim, m.dim, dense_product(hi, hj), kind, ctx_e) for hi in e.basis for hj in e.basis]
+        assert all(isinstance(x, list) for x in homsolver.in_span_many(e.basis, [Matrix.identity(m.dim)] + products))
+    assert kinds == {RATIONAL, PADIC} and repeated
 
 
 def test_end_closure_forms_a_product_linked_by_an_unresolved_zero(monkeypatch):

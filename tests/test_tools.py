@@ -54,3 +54,33 @@ def test_digest_line_depends_on_record_order(fingerprint):
     forward = fingerprint._digest_line(["a", "b"])
     assert forward.startswith("2 ") and forward == fingerprint._digest_line(["a", "b"])
     assert forward != fingerprint._digest_line(["b", "a"])
+
+
+def test_split_records_add_three_end_records_per_split_module(fingerprint, monkeypatch):
+    monkeypatch.setattr(fingerprint, "SPLIT_SAMPLE", 8)
+    rec, ends = fingerprint.Records(), fingerprint.Records()
+    fingerprint.split_records(rec, 1, ends)
+    split_ok = [json.loads(x)[1] for x in rec.lines if json.loads(x)[2][0] == "ok"]
+    assert len(rec.lines) == 8 and 0 < len(split_ok) < 8
+    records = [json.loads(x) for x in ends.lines]
+    # the split module and its sum for every split that succeeded, the
+    # two-block module for every record
+    assert len(records) == 2 * len(split_ok) + 8
+    assert [r[1] for r in records if r[0] != "split.unsplit_end"] == [i for i in split_ok for _ in range(2)]
+    for tag, _item, out in records:
+        assert tag in ("split.end", "split.sum_end", "split.unsplit_end")
+        if out[0] == "ok":
+            end, phi_member = out[1]
+            assert end["dimension"] == len(end["basis"]) and isinstance(phi_member, bool)
+
+
+def test_main_prints_the_end_digest_as_a_third_line(fingerprint, monkeypatch, capsys):
+    for name in ("survey_records", "end_records", "hom_records"):
+        monkeypatch.setattr(fingerprint, name, lambda rec, seed: None)
+    monkeypatch.setattr(fingerprint, "SPLIT_SAMPLE", 3)
+    assert fingerprint.main(["--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and [x.split()[0] for x in lines[:2]] == ["3", "3"]
+    rec, ends = fingerprint.Records(), fingerprint.Records()
+    fingerprint.split_records(rec, 1, ends)
+    assert lines[2] == fingerprint._digest_line(ends.lines)

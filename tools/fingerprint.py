@@ -2,13 +2,13 @@
 
     python3 tools/fingerprint.py --seed N
 
-Prints two lines ``<records> <sha256>`` for the checkout this file sits
-in: the number of records and a sha256 over them.  The first line covers
-the records as they are; two checkouts that print the same first line
-computed the same outputs, byte for byte.  The second line covers the same
-records with every ``precision_report`` key removed, so it also matches
-between checkouts that differ only in how many p-adic digits they report
-behind their pivot decisions.  The records are:
+Prints three lines ``<records> <sha256>`` for the checkout this file
+sits in: the number of records and a sha256 over them.  The first line
+covers the records below as they are; two checkouts that print the same
+first line computed the same outputs, byte for byte.  The second line
+covers the same records with every ``precision_report`` key removed, so it
+also matches between checkouts that differ only in how many p-adic digits
+they report behind their pivot decisions.  The records are:
 
 * every ``survey``, ``end`` and ``hom`` answer of ``bench/workloads.py``
   for the seed, or the error it raised, message included;
@@ -20,6 +20,11 @@ behind their pivot decisions.  The records are:
 * ``split_extension`` of seeded two-block modules, every other one with
   the top block of the lower weight where the weights differ, as the
   graded module and U.
+
+The third line covers End where an atom is a whole two-block module,
+not a ``direct_sum``: ``homspace_to_jsonable(end_algebra(.))`` and
+``frobenius_membership`` of every two-block module, of its split module,
+and of the sum of the split module with lattice 1 and an elliptic block.
 
 Inputs come from ``bench/workloads.py``, which is imported without
 writing anything under ``bench/``.  This is a comparison tool, not a test:
@@ -47,6 +52,7 @@ import workloads  # noqa: E402
 
 LIB = SimpleNamespace(crystal=crystal, homsolver=homsolver, linalg=linalg, motivic=motivic, padic=padic)
 SPLIT_SAMPLE = 200
+AUTO = crystal.EllipticFilMode("auto")
 
 
 class Records:
@@ -150,7 +156,15 @@ def _split_blocks(q: int, rng: random.Random) -> list[tuple[int, list[list[int]]
     ]
 
 
-def split_records(rec: Records, seed: int) -> None:
+def _end_and_phi(m) -> list:
+    e = homsolver.end_algebra(m)
+    return [homsolver.homspace_to_jsonable(e), homsolver.frobenius_membership(m, e)]
+
+
+def split_records(rec: Records, seed: int, ends: Records) -> None:
+    """Split records into ``rec``; End records of the modules into ``ends``,
+    the elliptic trace of the sum cycling through -2..2 (every trace
+    satisfies t^2 <= 4q here), so that ``rec`` sees the same draws."""
     rng = random.Random(seed)
     for i in range(SPLIT_SAMPLE):
         p, f = rng.choice([(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)])
@@ -171,11 +185,22 @@ def split_records(rec: Records, seed: int) -> None:
             ctx, n, linalg.Matrix.from_rows(rows), (), fil, label=f"two blocks {i}", graded=False, split_at=k
         )
 
-        def split():
-            g, u = crystal.split_extension(m)
-            return [crystal.module_to_jsonable(g), linalg.matrix_to_jsonable(u)]
+        split = rec.add(
+            "split",
+            item,
+            lambda: crystal.split_extension(m),
+            lambda gu: [crystal.module_to_jsonable(gu[0]), linalg.matrix_to_jsonable(gu[1])],
+        )
+        if split is not None:
+            g, t = split[0], i % 5 - 2
 
-        rec.add("split", item, split)
+            def in_a_sum():
+                lattice, elliptic = crystal.realize_lattice(1, ctx), crystal.realize_elliptic(t, AUTO, ctx)
+                return crystal.direct_sum([g, lattice, elliptic])
+
+            ends.add("split.end", item, lambda: _end_and_phi(g))
+            ends.add("split.sum_end", item, lambda: _end_and_phi(in_a_sum()))
+        ends.add("split.unsplit_end", item, lambda: _end_and_phi(m))
 
 
 def _without_reports(x):
@@ -195,11 +220,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     args = parser.parse_args(argv)
-    rec = Records()
-    for records in (survey_records, end_records, hom_records, split_records):
+    rec, ends = Records(), Records()
+    for records in (survey_records, end_records, hom_records):
         records(rec, args.seed)
+    split_records(rec, args.seed, ends)
     print(_digest_line(rec.lines))
     print(_digest_line([json.dumps(_without_reports(json.loads(x)), sort_keys=True) for x in rec.lines]))
+    print(_digest_line(ends.lines))
     return 0
 
 
