@@ -93,11 +93,6 @@ class Matrix:
         return cls(r, c, [e for row in rows for e in row], kind, ctx)
 
     @classmethod
-    def from_columns(cls, columns: list, nrows: int, kind: str = RATIONAL, ctx: PadicContext | None = None) -> Matrix:
-        entries = [columns[j][i] for i in range(nrows) for j in range(len(columns))]
-        return cls(nrows, len(columns), entries, kind, ctx)
-
-    @classmethod
     def zeros(cls, r: int, c: int, kind: str = RATIONAL, ctx: PadicContext | None = None) -> Matrix:
         z = Fraction(0) if kind == RATIONAL else PadicScalar.exact_zero(ctx.p)
         return cls(r, c, [z] * (r * c), kind, ctx)
@@ -432,8 +427,10 @@ def solve_many(m: Matrix, rhss: list[list]) -> list:
     """
     if any(len(rhs) != m.rows for rhs in rhss):
         raise ValueError("right-hand side length mismatch")
-    rhs_block = Matrix.from_columns(rhss, m.rows, m.kind, m.ctx)
-    data = [m.row(i) + rhs_block.row(i) for i in range(m.rows)]
+    if m.kind == RATIONAL:
+        # coerced like matrix entries: rational rows hold Fractions only
+        rhss = [[e if type(e) is Fraction else Fraction(e) for e in rhs] for rhs in rhss]
+    data = [m.row(i) + [rhs[i] for rhs in rhss] for i in range(m.rows)]
     pivots = _rref(data, m.cols, m.kind, m.ctx)
     threshold = m.ctx.threshold if m.kind == PADIC else None
     zero = _zero_like(m)
@@ -485,16 +482,24 @@ def inverse(m: Matrix) -> Matrix:
 def char_poly(m: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial, ascending coefficients, exact.
 
-    Faddeev-LeVerrier recursion; divisions are by integers only, so the
+    Closed forms for a 2x2 block, [ad - bc, -(a + d), 1], and for a scalar
+    block cI, (T - c)^n from binomials; the Faddeev-LeVerrier recursion
+    for every other block.  Its divisions are by integers only, so the
     result of an integer matrix is integral.
     """
     if m.kind != RATIONAL:
         raise ValueError("characteristic polynomial requires the rational kind")
     if not m.is_square:
         raise NonSquare(f"characteristic polynomial of a {m.rows}x{m.cols} matrix")
-    n = m.rows
+    n, e = m.rows, m.entries
     if n == 0:
         return [Fraction(1)]
+    if n == 2:
+        a, b, c, d = e
+        return [a * d - b * c, -(a + d), Fraction(1)]
+    c = e[0]
+    if all(x == (c if i % (n + 1) == 0 else 0) for i, x in enumerate(e)):
+        return [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
     coeffs = []
     ak = m
     for k in range(1, n + 1):
@@ -549,8 +554,9 @@ def annihilator_rows(f: Matrix) -> Matrix:
 
 
 def share_root(f: list, g: list) -> bool:
-    """Whether two nonzero polynomials (ascending coefficients) have a common
-    complex root: Euclid's algorithm over Z on primitive polynomials, exact."""
+    """Whether two nonzero polynomials (ascending int or ``Fraction``
+    coefficients) have a common complex root: Euclid's algorithm over Z on
+    primitive polynomials, exact."""
 
     def primitive(h: list) -> list:
         content = math.gcd(*h)
@@ -558,7 +564,7 @@ def share_root(f: list, g: list) -> bool:
 
     def integral(h: list) -> list:
         # the primitive integer multiple, trailing zeros dropped
-        h = [Fraction(c) for c in h]
+        h = list(h)
         while h and h[-1] == 0:
             h.pop()
         den = math.lcm(*(c.denominator for c in h))

@@ -80,13 +80,3 @@ def realize_motive(spec: OneMotiveSpec, ctx: PadicContext, **kwargs) -> MotivicC
     if module.dim == 0:
         return MotivicComplex.empty()
     return MotivicComplex.of(module, 0)
-
-
-def complex_to_jsonable(x: MotivicComplex) -> dict:
-    from .crystal import module_to_jsonable
-
-    return {
-        "summands": [
-            {"degree": d, "module": module_to_jsonable(m)} for m, d in x.summands
-        ]
-    }

@@ -330,16 +330,20 @@ class PadicScalar:
 
 def from_rational(x: Fraction | int, ctx: PadicContext) -> PadicScalar:
     """Image of an exact rational in Q_p to ``ctx.precision`` digits."""
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if not x:
         return PadicScalar.exact_zero(ctx.p)
     p, digits = ctx.p, ctx.precision
-    vn = padic_valuation(x.numerator, p)
-    vd = padic_valuation(x.denominator, p)
+    num, den = x.numerator, x.denominator
+    vn = padic_valuation(num, p)
+    vd = padic_valuation(den, p) if den != 1 else 0
+    if vn:
+        num //= p**vn
+    if vd:
+        den //= p**vd
     mod = p**digits
-    num = x.numerator // p**vn
-    den = x.denominator // p**vd
-    unit = num * modular_inverse(den, mod) % mod
+    unit = (num if den == 1 else num * modular_inverse(den, mod)) % mod
     return PadicScalar(p, vn - vd, unit, digits)
 
 
@@ -399,9 +403,9 @@ def hensel_lift_root(poly: list, r0: int, ctx: PadicContext) -> PadicScalar:
     return PadicScalar.from_residue(p, r, target)
 
 
-def _lower_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
+def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Lower convex hull of points sorted by abscissa (monotone chain)."""
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
@@ -421,11 +425,11 @@ def newton_slopes(poly: list, ctx: PadicContext) -> list:
     constant coefficient contributes roots of infinite slope.  When the
     leading coefficient is a p-unit the slopes sum to ``v_p(a_0)/f``.
     """
-    coeffs = [Fraction(c) for c in poly]
+    coeffs = [c if type(c) is Fraction else Fraction(c) for c in poly]
     deg = poly_degree(coeffs)
     if deg < 0:
         raise ZeroPolynomial("newton_slopes of the zero polynomial")
-    points = [(i, Fraction(fraction_valuation(coeffs[i], ctx.p))) for i in range(deg + 1) if coeffs[i] != 0]
+    points = [(i, fraction_valuation(coeffs[i], ctx.p)) for i in range(deg + 1) if coeffs[i] != 0]
     slopes: list = [math.inf] * points[0][0]
     hull = _lower_hull(points)
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):

@@ -570,10 +570,13 @@ def test_det():
 
 
 def _oracle_matrix(rng, n, shape):
-    """Random n x n rational matrix: dense, sparse, or block-diagonal."""
+    """Random n x n rational matrix: dense, sparse, block-diagonal, or
+    scalar (c I, with c = 0 about half the time)."""
     def entry():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
+    if shape == "scalar":
+        return mat_scale(rng.choice([Fraction(0), entry()]), Matrix.identity(n))
     if shape == "dense":
         return Matrix(n, n, [entry() for _ in range(n * n)])
     if shape == "sparse":
@@ -589,7 +592,7 @@ def _oracle_matrix(rng, n, shape):
     return m
 
 
-@pytest.mark.parametrize("shape", ["dense", "sparse", "block"])
+@pytest.mark.parametrize("shape", ["dense", "sparse", "block", "scalar"])
 def test_char_poly_and_det_match_sympy(shape):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(f"char_poly-{shape}")

@@ -16,7 +16,6 @@ from onemotives.errors import ContextMismatch
 from onemotives.homsolver import end_algebra
 from onemotives.motivic import (
     MotivicComplex,
-    complex_to_jsonable,
     direct_sum_complex,
     hom_complex,
     realize_motive,
@@ -122,10 +121,3 @@ def test_context_mismatch():
         MotivicComplex(((a, 0), (b, 0)))
     with pytest.raises(ContextMismatch):
         hom_complex(MotivicComplex.of(a), MotivicComplex.of(b))
-
-
-def test_complex_serialization():
-    x = realize_motive(KUMMER, C5)
-    obj = complex_to_jsonable(x)
-    assert obj["summands"][0]["degree"] == 0
-    assert obj["summands"][0]["module"]["dim"] == 2

@@ -117,6 +117,42 @@ def test_from_rational_is_multiplicative():
         assert from_rational(x * y, C5) == from_rational(x, C5) * from_rational(y, C5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_from_rational_matches_the_textbook_formula(p):
+    """Strip p from numerator and denominator, then num * den^-1 mod p^N."""
+    ctx = PadicContext(p, 1, 12)
+    mod = p**ctx.precision
+
+    def textbook(x: Fraction) -> PadicScalar:
+        if x == 0:
+            return PadicScalar.exact_zero(p)
+        num, den, v = x.numerator, x.denominator, 0
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        return PadicScalar(p, v, num * pow(den, -1, mod) % mod, ctx.precision)
+
+    rng = random.Random(f"from_rational-{p}")
+    values = [0, 1, -1, p, -p**3, Fraction(1, p), Fraction(-7, p**2)]
+    for _ in range(400):
+        num = rng.randint(-10**6, 10**6) * p ** rng.randint(0, 3)
+        den = rng.choice([1, rng.randint(1, 10**4) * p ** rng.randint(0, 3)])
+        values.append(Fraction(num, den))
+    values += [int(x) for x in values if x.denominator == 1]
+    for x in values:
+        assert from_rational(x, ctx) == textbook(Fraction(x)), x
+    kinds = {
+        "p | num": any(x and Fraction(x).numerator % p == 0 for x in values),
+        "p | den": any(Fraction(x).denominator % p == 0 for x in values),
+        "den 1, coprime to p": any(Fraction(x).denominator == 1 and x % p for x in values),
+        "den coprime to p, not 1": any(Fraction(x).denominator % p and Fraction(x).denominator > 1 for x in values),
+        "negative": any(x < 0 for x in values),
+        "zero": 0 in values,
+    }
+    assert all(kinds.values()), kinds
+
+
 def test_valuation_stable_under_precision_doubling():
     big = PadicContext(5, 1, 80)
     rng = random.Random(7)
@@ -199,6 +235,20 @@ def test_newton_slopes_zero_constant_term():
     # T^2 - T = T(T - 1): one unit root plus one root at zero
     slopes = newton_slopes([0, -1, 1], C5)
     assert slopes == [0, math.inf]
+
+
+def test_newton_slopes_equal_for_int_and_fraction_coefficients():
+    rng = random.Random("newton-int-fraction")
+    for ctx in (C5, PadicContext(2, 3, 40), PadicContext(3, 2, 40)):
+        p = ctx.p
+        for _ in range(60):
+            deg = rng.randint(1, 6)
+            ints = [rng.choice([0, 1, -2, p, -(p**2), 7 * p**3]) for _ in range(deg)] + [rng.choice([1, p])]
+            from_ints = newton_slopes(ints, ctx)
+            from_fractions = newton_slopes([Fraction(c) for c in ints], ctx)
+            assert from_ints == from_fractions, ints
+            assert [type(s) for s in from_ints] == [type(s) for s in from_fractions], ints
+            assert all(type(s) is Fraction or s == math.inf for s in from_ints), ints
 
 
 def test_newton_slopes_sum_matches_constant_valuation():

@@ -1,8 +1,10 @@
 """Tests of tools/fingerprint.py, the byte-identity check between two
-checkouts: its record format, report stripping and digest."""
+checkouts (its record format, report stripping and digest), and of
+tools/callcount.py, the call counts of one workload pass."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 
 from onemotives.errors import OneMotivesError, PrecisionExhausted
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOL = TOOLS / "fingerprint.py"
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +87,13 @@ def test_main_prints_the_end_digest_as_a_third_line(fingerprint, monkeypatch, ca
     rec, ends = fingerprint.Records(), fingerprint.Records()
     fingerprint.split_records(rec, 1, ends)
     assert lines[2] == fingerprint._digest_line(ends.lines)
+
+
+def test_callcount_prints_the_same_counts_in_two_runs():
+    # separate processes, so string hashing differs between the runs
+    command = [sys.executable, str(TOOLS / "callcount.py"), "--workload", "end", "--seed", "1"]
+    outputs = [subprocess.run(command, capture_output=True, text=True, check=True, timeout=300).stdout for _ in range(2)]
+    lines = [line.split() for line in outputs[0].splitlines()]
+    assert [name for name, _ in lines] == ["calls", "fraction_new", "padic_scalar_new"]
+    assert all(int(value) > 0 for _, value in lines)
+    assert outputs[0] == outputs[1]
