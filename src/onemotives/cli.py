@@ -29,8 +29,23 @@ def _context(args) -> PadicContext:
     return PadicContext(args.p, args.f, args.prec)
 
 
+def _integer(text: str, what: str) -> int:
+    """int(text), or a ValueError that names the input it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} needs an integer value") from None
+
+
 def _parse_traces(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
+    return tuple(_integer(t, f"--elliptic trace {t.strip()!r}") for t in text.split(",") if t.strip() != "")
+
+
+def _fil_mode(text: str) -> EllipticFilMode:
+    """The parsed --fil-mode; an eigenline index that is no integer is named."""
+    if text.startswith("eigenline:"):
+        _integer(text.split(":", 1)[1], f"fil mode {text!r}")
+    return EllipticFilMode.parse(text)
 
 
 def _spec_from_args(args) -> OneMotiveSpec:
@@ -63,14 +78,15 @@ def parse_inline_spec(text: str) -> OneMotiveSpec:
             kind, value = part.split(":", 1)
         except ValueError:
             raise ValueError(f"bad spec component {part!r}; expected kind:value") from None
-        if kind == "lattice":
-            lattice += int(value)
-        elif kind == "torus":
-            torus += int(value)
-        elif kind == "elliptic":
-            traces.append(int(value))
-        else:
+        if kind not in ("lattice", "torus", "elliptic"):
             raise ValueError(f"unknown spec component kind {kind!r}")
+        n = _integer(value, f"spec component {part!r}")
+        if kind == "lattice":
+            lattice += n
+        elif kind == "torus":
+            torus += n
+        else:
+            traces.append(n)
     return OneMotiveSpec(lattice_rank=lattice, torus_dim=torus, elliptic_traces=tuple(traces))
 
 
@@ -83,7 +99,7 @@ def parse_complex_spec(text: str, ctx: PadicContext, mode: EllipticFilMode) -> m
             continue
         if "@" in chunk:
             body, deg = chunk.rsplit("@", 1)
-            degree = int(deg)
+            degree = _integer(deg, f"degree of complex summand {chunk!r}")
         else:
             body, degree = chunk, 0
         module = crystal.realize_one_motive(parse_inline_spec(body), ctx, fil_mode=mode)
@@ -131,7 +147,7 @@ def _render_table(headers, rows) -> str:
 
 def cmd_realize(args) -> int:
     ctx = _context(args)
-    mode = EllipticFilMode.parse(args.fil_mode)
+    mode = _fil_mode(args.fil_mode)
     module = crystal.realize_one_motive(_spec_from_args(args), ctx, fil_mode=mode)
     if args.format == "json":
         _emit_json(crystal.module_to_jsonable(module))
@@ -154,7 +170,7 @@ def _classification_string(module, space) -> str:
 
 def cmd_end(args) -> int:
     ctx = _context(args)
-    mode = EllipticFilMode.parse(args.fil_mode)
+    mode = _fil_mode(args.fil_mode)
     module = crystal.realize_one_motive(_spec_from_args(args), ctx, fil_mode=mode)
     space = homsolver.end_algebra(module)
     tag = _classification_string(module, space)
@@ -170,7 +186,7 @@ def cmd_end(args) -> int:
 
 def cmd_hom(args) -> int:
     ctx = _context(args)
-    mode = EllipticFilMode.parse(args.fil_mode)
+    mode = _fil_mode(args.fil_mode)
     src = crystal.realize_one_motive(parse_inline_spec(args.a), ctx, fil_mode=mode)
     tgt = crystal.realize_one_motive(parse_inline_spec(args.b), ctx, fil_mode=mode)
     # motives are contravariant under realization: Hom(A, B) solves maps
@@ -241,7 +257,7 @@ def cmd_survey(args) -> int:
 
 def cmd_motivic_hom(args) -> int:
     ctx = _context(args)
-    mode = EllipticFilMode.parse(args.fil_mode)
+    mode = _fil_mode(args.fil_mode)
     a = parse_complex_spec(args.a, ctx, mode)
     b = parse_complex_spec(args.b, ctx, mode)
     # contravariant flip, as in cmd_hom

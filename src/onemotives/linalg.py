@@ -148,19 +148,30 @@ def shift_diagonal(m: Matrix, c) -> Matrix:
     return out
 
 
+def _fraction_add_product(x: Fraction, f: Fraction, y: Fraction, sign: int = 1) -> Fraction:
+    """x + sign * (f * y), for sign = 1 or -1, built as one Fraction from
+    numerators and denominators.  Fraction is canonical, so this is the
+    value, and the JSON string, of ``x + f * y`` or ``x - f * y``."""
+    xd, fd, yd = x.denominator, f.denominator, y.denominator
+    n = f.numerator * y.numerator * xd
+    return Fraction(x.numerator * fd * yd + (n if sign == 1 else -n), xd * fd * yd)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Row i of the product is the sum over k of a[i,k] * (row k of b).
 
-    Terms with an exact-zero factor are skipped, and a[i,k] is only read
-    when row k of b has a nonzero; adding such terms would leave the sum
-    unchanged, so every entry, p-adic precision included, is what the dense
-    triple loop gives when it sums over k in increasing order from the
-    kind's zero.
+    Each term is one fused multiply-add into the entry.  Terms with an
+    exact-zero factor are skipped, and a[i,k] is only read when row k of b
+    has a nonzero; adding such terms would leave the sum unchanged, so
+    every entry, p-adic precision included, is what the dense triple loop
+    ``out[i,j] = out[i,j] + a[i,k] * b[k,j]`` gives when it sums over k in
+    increasing order from the kind's zero.
     """
     _require_same_kind(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     nonzero = nonzero_test(a.kind)
+    add_product = _fraction_add_product if a.kind == RATIONAL else PadicScalar.add_product
     b_rows = [(k, [(j, x) for j, x in enumerate(b.row(k)) if nonzero(x)]) for k in range(b.rows)]
     b_rows = [(k, row) for k, row in b_rows if row]
     out = [_zero_like(a)] * (a.rows * b.cols)
@@ -170,7 +181,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             aik = a.entries[a_off + k]
             if nonzero(aik):
                 for j, bkj in b_row:
-                    out[o_off + j] = out[o_off + j] + aik * bkj
+                    out[o_off + j] = add_product(out[o_off + j], aik, bkj)
     return Matrix(a.rows, b.cols, out, a.kind, a.ctx)
 
 
@@ -281,7 +292,8 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
     """In-place reduced row echelon over the first ``ncols`` columns.
 
     Returns the list of (column, row) pivots.  Row operations extend over
-    the full row width, so callers may carry augmented columns.  Rows are
+    the full row width, so callers may carry augmented columns; each cell
+    update ``row[j] - factor * prow[j]`` is one fused multiply-add.  Rows are
     updated in place and must not be shared with anything else; rational
     rows must hold ``Fraction`` entries only.  A p-adic run appends to
     ``digits``, when given, the digits behind each pivot decision.
@@ -289,6 +301,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
     nrows = len(data)
     threshold = ctx.threshold if kind == PADIC else None
     nonzero = nonzero_test(kind)
+    add_product = _fraction_add_product if kind == RATIONAL else PadicScalar.add_product
     pivots: list[tuple[int, int]] = []
     rank = 0
     for c in range(ncols):
@@ -349,7 +362,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
                 continue
             row = data[i]
             for j in support:
-                row[j] = row[j] - factor * prow[j]
+                row[j] = add_product(row[j], factor, prow[j], -1)
         pivots.append((c, rank))
         rank += 1
     return pivots

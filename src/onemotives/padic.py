@@ -13,9 +13,13 @@ rather than guessing.
 Division is multiplication by ``reciprocal()``, whose unit is inverted
 modulo ``p**prec`` once; so elimination normalises a pivot row with one
 modular inverse, digit for digit as if it divided every entry.
+``x.add_product(f, y, sign)``, the cell update of elimination and matrix
+products, is ``x + f * y`` or ``x - f * y`` in one step, digit for digit.
+Every modulus ``p**k`` comes from ``_POWERS``, a memo keyed by (p, k).
 
 Scalars are immutable after construction and all operations are pure, so
-values may be shared freely between threads.
+values may be shared freely between threads.  The memo only ever stores
+``p**k`` under (p, k), so concurrent fills write equal values.
 """
 
 from __future__ import annotations
@@ -145,6 +149,17 @@ class PadicContext:
         return cls(p, f, precision)
 
 
+class _PowerTable(dict):
+    """p**k keyed by (p, k), computed on first use."""
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        value = self[key] = key[0] ** key[1]
+        return value
+
+
+_POWERS = _PowerTable()  # the only state this module keeps
+
+
 class PadicScalar:
     """One element of Q_p known to finitely many digits.
 
@@ -238,7 +253,7 @@ class PadicScalar:
     def __neg__(self) -> PadicScalar:
         if self.v is None or self.prec == 0:
             return self
-        return PadicScalar(self.p, self.v, (-self.unit) % self.p**self.prec, self.prec)
+        return PadicScalar(self.p, self.v, (-self.unit) % _POWERS[self.p, self.prec], self.prec)
 
     def _add(self, other: PadicScalar, sign: int) -> PadicScalar:
         """self + sign * other, for sign = 1 or -1."""
@@ -250,23 +265,7 @@ class PadicScalar:
             return other if sign == 1 else -other
         if ov is None:
             return self
-        p = self.p
-        bound = min(sv + self.prec, ov + other.prec)
-        base = min(sv, ov)
-        width = bound - base
-        if width <= 0:
-            return PadicScalar.unresolved_zero(p, bound)
-        a = self.unit if sv == base else self.unit * p ** (sv - base)
-        b = other.unit if ov == base else other.unit * p ** (ov - base)
-        s = (a + b if sign == 1 else a - b) % p**width
-        if s == 0:
-            return PadicScalar.unresolved_zero(p, bound)
-        # s is already reduced: strip the factors of p from its valuation
-        w = 0
-        while s % p == 0:
-            s //= p
-            w += 1
-        return PadicScalar(p, base + w, s, width - w)
+        return _sum(self.p, sv, self.unit, self.prec, ov, other.unit if sign == 1 else -other.unit, other.prec)
 
     def __add__(self, other: PadicScalar) -> PadicScalar:
         return self._add(other, 1)
@@ -280,11 +279,31 @@ class PadicScalar:
         self._check(other)
         if self.v is None or other.v is None:
             return PadicScalar.exact_zero(self.p)
-        prec = min(self.prec, other.prec)
+        prec = self.prec if self.prec < other.prec else other.prec
         if prec == 0:
             return PadicScalar.unresolved_zero(self.p, self.v + other.v)
-        unit = self.unit * other.unit % self.p**prec
+        unit = self.unit * other.unit % _POWERS[self.p, prec]
         return PadicScalar(self.p, self.v + other.v, unit, prec)
+
+    def add_product(self, f: PadicScalar, y: PadicScalar, sign: int = 1) -> PadicScalar:
+        """self + sign * (f * y), for sign = 1 or -1: digit for digit, and
+        with the same errors, ``self + f * y`` or ``self - f * y``, without
+        reducing the product's unit on its own, which the sum does."""
+        p = f.p
+        if p != y.p:
+            raise ValueError(f"mixed primes {p} and {y.p}")
+        if self.p != p:
+            raise ValueError(f"mixed primes {self.p} and {p}")
+        fv, yv = f.v, y.v
+        if fv is None or yv is None:
+            return self
+        prec = f.prec if f.prec < y.prec else y.prec
+        unit = f.unit * y.unit if sign == 1 else -f.unit * y.unit
+        if self.v is None:
+            if prec == 0:
+                return PadicScalar(p, fv + yv, 0, 0)
+            return PadicScalar(p, fv + yv, unit % _POWERS[p, prec], prec)
+        return _sum(p, self.v, self.unit, self.prec, fv + yv, unit, prec)
 
     def reciprocal(self) -> PadicScalar:
         """1 / self to as many digits as self.  Its unit, the inverse modulo
@@ -294,7 +313,7 @@ class PadicScalar:
             raise DivisionByZero("division by exact p-adic zero")
         if self.prec == 0:
             raise PrecisionExhausted(f"divisor is zero to the known precision O({self.p}^{self.v})")
-        return PadicScalar(self.p, -self.v, modular_inverse(self.unit, self.p**self.prec), self.prec)
+        return PadicScalar(self.p, -self.v, modular_inverse(self.unit, _POWERS[self.p, self.prec]), self.prec)
 
     def __truediv__(self, other: PadicScalar) -> PadicScalar:
         if not isinstance(other, PadicScalar):
@@ -325,6 +344,28 @@ class PadicScalar:
         return f"{self.unit}*{self.p}^{self.v} + O({self.p}^{self.v + self.prec})"
 
 
+def _sum(p: int, sv: int, su: int, sprec: int, ov: int, ou: int, oprec: int) -> PadicScalar:
+    """The scalar ``su * p**sv + O(p**(sv + sprec))`` plus ``ou * p**ov +
+    O(p**(ov + oprec))``, neither of them exact zero.  The units need not be
+    reduced or positive, and that of an operand with no digits is ignored:
+    the sum keeps the digits both operands know and strips its factors of p."""
+    bound = sv + sprec if sv + sprec < ov + oprec else ov + oprec
+    base = sv if sv < ov else ov
+    width = bound - base
+    if width <= 0:
+        return PadicScalar(p, bound, 0, 0)
+    a = su if sv == base else su * _POWERS[p, sv - base]
+    b = ou if ov == base else ou * _POWERS[p, ov - base]
+    s = (a + b) % _POWERS[p, width]
+    if s == 0:
+        return PadicScalar(p, bound, 0, 0)
+    w = 0
+    while s % p == 0:
+        s //= p
+        w += 1
+    return PadicScalar(p, base + w, s, width - w)
+
+
 # -- scalar construction ------------------------------------------------------
 
 
@@ -342,7 +383,7 @@ def from_rational(x: Fraction | int, ctx: PadicContext) -> PadicScalar:
         num //= p**vn
     if vd:
         den //= p**vd
-    mod = p**digits
+    mod = _POWERS[p, digits]
     unit = (num if den == 1 else num * modular_inverse(den, mod)) % mod
     return PadicScalar(p, vn - vd, unit, digits)
 

@@ -177,6 +177,25 @@ def test_parse_inline_spec():
         parse_inline_spec("gerbe:1")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hom", "--a", "lattice:x", "--b", "torus:1"], "spec component 'lattice:x' needs an integer value"),
+        (["hom", "--a", "lattice:1@0", "--b", "torus:1"], "spec component 'lattice:1@0' needs an integer value"),
+        (["end", "--elliptic", "1,x"], "--elliptic trace 'x' needs an integer value"),
+        (["end", "--elliptic", "1", "--fil-mode", "eigenline:x"], "fil mode 'eigenline:x' needs an integer value"),
+        (
+            ["motivic-hom", "--a", "lattice:1@x", "--b", "torus:1"],
+            "degree of complex summand 'lattice:1@x' needs an integer value",
+        ),
+    ],
+    ids=["component", "hom-with-degree", "trace", "eigenline-index", "degree"],
+)
+def test_spec_parse_errors_name_their_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--p", "5")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fil_mode_flag(capsys):
     code, out, _ = run_cli(
         capsys, "end", "--p", "5", "--f", "2",

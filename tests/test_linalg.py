@@ -777,3 +777,43 @@ def test_matrix_from_jsonable_padic_entries_need_a_context():
     obj = matrix_to_jsonable(to_padic(frac_matrix([[1], [0]]), C5))
     with pytest.raises(ValueError, match="context"):
         matrix_from_jsonable(obj)
+
+
+def test_rational_add_product_is_one_fraction_equal_to_the_composed_operations():
+    rng = random.Random(1707)
+    values = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(60)]
+    for _ in range(500):
+        x, f, y = rng.sample(values, 3)
+        for sign, composed in ((1, x + f * y), (-1, x - f * y)):
+            out = linalg._fraction_add_product(x, f, y, sign)
+            assert type(out) is Fraction and out == composed
+            assert (out.numerator, out.denominator) == (composed.numerator, composed.denominator)
+
+
+def test_padic_elimination_and_products_use_only_fused_updates(monkeypatch):
+    rng = random.Random(1707)
+    ints = [[rng.randint(-30, 30) * 5 ** rng.randint(0, 2) for _ in range(9)] for _ in range(6)]
+    m = to_padic(frac_matrix(ints), C5)
+    b = to_padic(frac_matrix([[rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(4)] for _ in range(9)]), C5)
+    rhs = [from_rational(rng.randint(-9, 9), C5) for _ in range(6)]
+    # the plain triple loop, summing over k from the exact zero
+    product = []
+    for i in range(m.rows):
+        for j in range(b.cols):
+            acc = PadicScalar.exact_zero(5)
+            for k in range(m.cols):
+                acc = acc + m.at(i, k) * b.at(k, j)
+            product.append(acc)
+    assert len(_assert_plain_rref_answers(m, rhs)) == 6
+    calls = []
+    for name in ("__add__", "__sub__"):
+        real = getattr(PadicScalar, name)
+
+        def spy(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(PadicScalar, name, spy)
+    kernel(m), rank(m), solve_many(m, [rhs])
+    assert mat_mul(m, b).entries == product
+    assert calls == []

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from onemotives.errors import (
     PrecisionExhausted,
     ZeroPolynomial,
 )
+from onemotives import padic
 from onemotives.padic import (
     PadicContext,
     PadicScalar,
@@ -461,3 +464,79 @@ def test_arithmetic_matches_the_coset_model(p):
         for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
             with pytest.raises(ValueError, match="mixed primes"):
                 getattr(x, op)(other)
+
+
+def _composed(x, f, y, sign):
+    return x + f * y if sign == 1 else x - f * y
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_add_product_equals_multiply_then_add_or_subtract(p):
+    rng = random.Random(8100 + p)
+    unit = 1 if p == 2 else p - 1
+    a = PadicScalar(p, 0, unit, 3)
+    cases = [
+        # the product's valuation 20 lies far beyond x's 3 digits, and back
+        (a, PadicScalar(p, 10, 1, 3), PadicScalar(p, 10, unit, 5)),
+        (PadicScalar(p, 25, 1, 2), a, PadicScalar(p, -2, unit, 4)),
+        # an ambiguous factor: the product is an unresolved zero
+        (a, PadicScalar.unresolved_zero(p, 4), PadicScalar(p, 1, unit, 6)),
+        (PadicScalar.exact_zero(p), PadicScalar.unresolved_zero(p, -1), a),
+    ]
+    for _ in range(3000):
+        cases.append((_any_state(rng, p), _any_state(rng, p), _any_state(rng, p)))
+    for x, f, y in cases:
+        for sign in (1, -1):
+            # == compares p, v, unit and prec
+            assert x.add_product(f, y, sign) == _composed(x, f, y, sign)
+    # x = f * y: x - f * y cancels to the unresolved zero O(p^bound)
+    for _ in range(200):
+        f, y = _any_state(rng, p), _any_state(rng, p)
+        x = f * y
+        out = x.add_product(f, y, -1)
+        assert out == x - f * y
+        if x.is_resolved:
+            assert out == PadicScalar.unresolved_zero(p, x.v + x.prec)
+
+
+def test_add_product_rejects_mixed_primes_as_the_composed_operations_do():
+    five, seven = PadicScalar.one(5, 4), PadicScalar.one(7, 4)
+    for x, f, y in [(five, five, seven), (five, seven, five), (seven, five, five), (five, seven, seven)]:
+        with pytest.raises(ValueError, match="mixed primes") as composed:
+            _composed(x, f, y, -1)
+        with pytest.raises(ValueError, match="mixed primes") as fused:
+            x.add_product(f, y, -1)
+        assert str(fused.value) == str(composed.value)
+
+
+def test_power_memo_holds_the_powers():
+    for p in (2, 3, 5, 251):
+        for k in (0, 1, 7, 40, 80, 161):
+            # a miss fills the entry, a hit reads it
+            assert padic._POWERS[p, k] == p**k and padic._POWERS[p, k] == p**k
+    assert all(type(v) is int and v == p**k for (p, k), v in padic._POWERS.items())
+
+
+def test_power_memo_filled_from_many_threads_holds_the_powers():
+    # primes no other test uses, so every thread fills entries anew
+    primes, exponents = (1009, 1013, 1019), range(0, 240, 3)
+    errors = []
+
+    def fill(offset):
+        for k in exponents:
+            for p in primes[offset:] + primes[:offset]:
+                if padic._POWERS[p, k] != p**k:
+                    errors.append((p, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(i % 3,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert all(padic._POWERS[p, k] == p**k for p in primes for k in exponents)

@@ -1,9 +1,11 @@
 """Tests of tools/fingerprint.py, the byte-identity check between two
-checkouts (its record format, report stripping and digest), and of
-tools/callcount.py, the call counts of one workload pass."""
+checkouts (its record format, report stripping and digest), of
+tools/callcount.py, the call counts of one workload pass, and of
+tools/sweep.py, the records over every survey row up to a q."""
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +99,21 @@ def test_callcount_prints_the_same_counts_in_two_runs():
     assert [name for name, _ in lines] == ["calls", "fraction_new", "padic_scalar_new"]
     assert all(int(value) > 0 for _, value in lines)
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_covers_its_domain_and_prints_the_same_digest_in_two_runs():
+    # four modes per trace, and scalar and jordan at t = +-2 sqrt(q) for square q
+    prime_powers = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    size = sum(4 * (2 * math.isqrt(4 * q) + 1) + (4 if q in (4, 9, 16) else 0) for q in prime_powers)
+    assert size == 452
+    command = [sys.executable, str(TOOLS / "sweep.py"), "--qmax", "16"]
+    outputs = [subprocess.run(command, capture_output=True, text=True, check=True, timeout=300).stdout for _ in range(2)]
+    assert outputs[0] == outputs[1]
+    *counts, digest = [line.split() for line in outputs[0].splitlines()]
+    by_stage = {stage: 0 for stage in ("build", "end", "hom")}
+    for stage, _outcome, n in counts:
+        by_stage[stage] += int(n)
+    built = next(int(n) for stage, outcome, n in counts if (stage, outcome) == ("build", "ok"))
+    # one build record per (q, t, mode), an End and a Hom record per module built
+    assert by_stage == {"build": size, "end": built, "hom": built}
+    assert int(digest[0]) == size + 2 * built and len(digest[1]) == 64
