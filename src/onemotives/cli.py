@@ -42,10 +42,13 @@ def _parse_traces(text: str) -> tuple[int, ...]:
 
 
 def _fil_mode(text: str) -> EllipticFilMode:
-    """The parsed --fil-mode; an eigenline index that is no integer is named."""
+    """The parsed --fil-mode; its errors name the flag and the value."""
     if text.startswith("eigenline:"):
         _integer(text.split(":", 1)[1], f"fil mode {text!r}")
-    return EllipticFilMode.parse(text)
+    try:
+        return EllipticFilMode.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--fil-mode {text!r}: {exc}") from None
 
 
 def _spec_from_args(args) -> OneMotiveSpec:

@@ -307,7 +307,7 @@ def _eigenline(phi: Matrix, lam: Fraction | PadicScalar, work: PadicContext | No
         raise PrecisionExhausted(f"eigenline at {lam!r} came out {line.dimension}-dimensional")
     # p-adic Hodge data is stored, and tagged, at the doubled precision so
     # the solvers can re-derive structural answers at 2N
-    return Matrix(phi.rows, 1, list(line.basis[0]), RATIONAL if work is None else PADIC, work)
+    return Matrix(phi.rows, 1, list(line.basis[0]), work)
 
 
 def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: PadicContext) -> Matrix:

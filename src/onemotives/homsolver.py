@@ -37,7 +37,7 @@ from .errors import (
 )
 from . import linalg
 from .crystal import FilteredPhiModule
-from .linalg import Matrix, PADIC, RATIONAL
+from .linalg import Matrix, RATIONAL
 
 LATTICE_SCALARS = "lattice_scalars"
 TORUS_SCALARS = "torus_scalars"
@@ -65,7 +65,7 @@ class HomSpace:
 
 def _hom_system(mats: tuple) -> Matrix:
     """Stacked constraint matrix on vec(h), row-major, h: src -> tgt, from
-    ``(src.phi, src.fil1, tgt.phi, tgt.fil1)`` of one scalar kind."""
+    ``(src.phi, src.fil1, tgt.phi, tgt.fil1)`` over one field."""
     phi_a, c_a, phi_b, c_b = mats
     blocks = [linalg.sylvester(phi_b, phi_a)]
     if c_a.cols > 0:
@@ -74,7 +74,7 @@ def _hom_system(mats: tuple) -> Matrix:
             # row (r, s) of Q h C = 0 holds Q[r,i] * C[j,s] at unknown (i, j)
             cols = [c_a.column(s) for s in range(c_a.cols)]
             out = [x * y for r in range(q_b.rows) for col in cols for x in q_b.row(r) for y in col]
-            blocks.append(Matrix(q_b.rows * c_a.cols, q_b.cols * c_a.rows, out, q_b.kind, q_b.ctx))
+            blocks.append(Matrix(q_b.rows * c_a.cols, q_b.cols * c_a.rows, out, q_b.ctx))
     return linalg.vstack(blocks)
 
 
@@ -92,7 +92,7 @@ def _verify_element(h: Matrix, mats: tuple) -> None:
         raise PrecisionExhausted("equivariance residual above the zero threshold")
     image = linalg.mat_mul(h, c_a)
     # an image of exact zeros is {0}, inside every subspace: no rank test
-    if not any(map(linalg.nonzero_test(image.kind), image.entries)):
+    if not any(map(linalg.nonzero_test(image.ctx), image.entries)):
         return
     # stacking an m x 0 block c_b onto the image leaves the image
     if linalg.rank(linalg.hstack([c_b, image])) != c_b.cols:
@@ -115,10 +115,10 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, systems: list, repo
             f"hom dimension flipped between precisions ({lo.dimension} at {n_lo}, {hi.dimension} at {n_hi})"
         )
     reports += [k.precision_report for k in kernels if k.precision_report is not None]
-    kind, ctx = systems[-1][0].kind, systems[-1][0].ctx
+    ctx = systems[-1][0].ctx
     # echelon_rows is no fixed point on a p-adic kernel basis: a second pass
     # cuts each entry to its pivot's digits, the form the output carries
-    blocks = [Matrix(b.dim, a.dim, v, kind, ctx) for v in linalg.echelon_rows(kernels[-1].basis, kind, ctx)]
+    blocks = [Matrix(b.dim, a.dim, v, ctx) for v in linalg.echelon_rows(kernels[-1].basis, ctx)]
     for h in blocks:
         _verify_element(h, systems[-1])
     return blocks
@@ -130,14 +130,14 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
     exact = all(x.kind == RATIONAL for x in (src.phi, src.fil1, tgt.phi, tgt.fil1))
-    kind, ctxs = (RATIONAL, [src.phi.ctx]) if exact else (PADIC, [src.ctx, src.ctx.doubled()])
+    ctxs = [None] if exact else [src.ctx, src.ctx.doubled()]  # the stages' fields: Q, or Q_p at N then 2N
     # each distinct atom's (phi, Fil1) per stage; src and tgt keep the atoms alive
     stages = {id(a): a for a, _, _ in src.atoms() + tgt.atoms()}
     for k, a in stages.items():
         stages[k] = [tuple(x if exact else linalg.to_padic(x, c) for x in (a.phi, a.fil1)) for c in ctxs]
     # unresolved zeros may precede a p-adic pivot
     leads = bool if exact else (lambda x: x.is_resolved)
-    n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, kind, ctxs[-1]).entries
+    n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, ctxs[-1]).entries
     placed, reports, blocks = [], [], {}
     for a, rows_a, _ in src.atoms():
         for b, rows_b, _ in tgt.atoms():
@@ -151,7 +151,7 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
                 for k, x in zip(at, blk.entries):
                     h[k] = x
                 placed.append((next(k for k, x in zip(at, blk.entries) if leads(x)), h))
-    basis = [Matrix(tgt.dim, n, h, kind, ctxs[-1]) for _, h in sorted(placed, key=lambda x: x[0])]
+    basis = [Matrix(tgt.dim, n, h, ctxs[-1]) for _, h in sorted(placed, key=lambda x: x[0])]
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None), blocks)
 
 
@@ -166,12 +166,9 @@ def in_span_many(basis: list[Matrix], targets: list[Matrix]) -> list:
     if not basis:
         return [[] if linalg.is_zero(t) else None for t in targets]
     size = len(basis[0].entries)
-    kind, ctx = basis[0].kind, basis[0].ctx
-    stacked = Matrix(size, len(basis), [b.entries[i] for i in range(size) for b in basis], kind, ctx)
-    rhss = [
-        linalg.to_padic(t, ctx).entries if kind == PADIC and t.kind == RATIONAL else t.entries
-        for t in targets
-    ]
+    ctx = basis[0].ctx
+    stacked = Matrix(size, len(basis), [b.entries[i] for i in range(size) for b in basis], ctx)
+    rhss = [linalg.to_padic(t, ctx).entries if ctx and t.ctx is None else t.entries for t in targets]
     return linalg.solve_many(stacked, rhss)
 
 
@@ -261,13 +258,13 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
                 raise UnclassifiedShape(
                     f"an endomorphism couples weight {w2} into weight {w1}"
                 )
-    kind, ctx = (e.basis[0].kind, e.basis[0].ctx) if e.basis else (RATIONAL, None)
+    ctx = e.basis[0].ctx if e.basis else None
     tags = []
     total = 0
     for w, off, d in m.weight_offsets():
         block = range(off, off + d)
         vectors = [linalg.submatrix(h, block, block).entries for h in e.basis]
-        span = [Matrix(d, d, v, kind, ctx) for v in linalg.echelon_rows(vectors, kind, ctx)]
+        span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows(vectors, ctx)]
         total += len(span)
         tags.append((w, _classify_block(m, w, block, span)))
     if total != e.dimension:

@@ -1,12 +1,12 @@
 """Dense exact matrices over Q or over fixed-precision Q_p.
 
-One scalar kind per matrix: ``Fraction`` entries for the rational kind,
-``PadicScalar`` entries for the p-adic kind.  Elimination over Q is
-exact; p-adic elimination pivots on the entry of minimal valuation in
-each column (ties broken by lowest row index) and consults the context
-zero threshold before declaring an entry dead.  A column whose entries
-are all unresolved zeros below the threshold is an ambiguous pivot
-decision and raises ``PrecisionExhausted``.
+One scalar field per matrix, its context: none for Q (``Fraction``
+entries), a ``PadicContext`` for Q_p (``PadicScalar`` entries); ``kind``
+is read from it.  Elimination over Q is exact; p-adic elimination pivots
+on the entry of minimal valuation in each column (ties broken by lowest
+row index) and consults the context zero threshold before declaring an
+entry dead.  A column whose entries are all unresolved zeros below the
+threshold is an ambiguous pivot decision and raises ``PrecisionExhausted``.
 
 Dimensions in this package stay small (at most a few hundred unknowns in
 the vectorized solvers), so everything is dense and written for clarity.
@@ -40,7 +40,7 @@ PADIC = "padic"
 
 @dataclass
 class Matrix:
-    """Dense row-major matrix with a homogeneous scalar kind.
+    """Dense row-major matrix over Q, or over Q_p at ``ctx`` when given.
 
     Treated as immutable after construction; operations return new
     matrices and never mutate their operands.
@@ -49,8 +49,8 @@ class Matrix:
     rows: int
     cols: int
     entries: list = field(default_factory=list)
-    kind: str = RATIONAL
     ctx: PadicContext | None = None
+    kind: str = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows * self.cols:
@@ -58,14 +58,14 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
-        if self.kind == RATIONAL:
+        if self.ctx is None:
+            self.kind = RATIONAL
             if not all(type(e) is Fraction for e in self.entries):
                 self.entries = [e if type(e) is Fraction else Fraction(e) for e in self.entries]
-        elif self.kind == PADIC:
-            if self.ctx is None:
-                raise ValueError("p-adic matrices need a context")
+        elif isinstance(self.ctx, PadicContext):
+            self.kind = PADIC
         else:
-            raise ValueError(f"unknown scalar kind {self.kind!r}")
+            raise TypeError(f"a matrix context is None or a PadicContext, got {self.ctx!r}")
 
     # -- access ---------------------------------------------------------
 
@@ -85,22 +85,20 @@ class Matrix:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: list, kind: str = RATIONAL, ctx: PadicContext | None = None) -> Matrix:
+    def from_rows(cls, rows: list, ctx: PadicContext | None = None) -> Matrix:
         r = len(rows)
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, [e for row in rows for e in row], kind, ctx)
+        return cls(r, c, [e for row in rows for e in row], ctx)
 
     @classmethod
-    def zeros(cls, r: int, c: int, kind: str = RATIONAL, ctx: PadicContext | None = None) -> Matrix:
-        z = Fraction(0) if kind == RATIONAL else PadicScalar.exact_zero(ctx.p)
-        return cls(r, c, [z] * (r * c), kind, ctx)
+    def zeros(cls, r: int, c: int, ctx: PadicContext | None = None) -> Matrix:
+        return cls(r, c, [_zero(ctx)] * (r * c), ctx)
 
     @classmethod
-    def identity(cls, n: int, kind: str = RATIONAL, ctx: PadicContext | None = None) -> Matrix:
-        m = cls.zeros(n, n, kind, ctx)
-        one = Fraction(1) if kind == RATIONAL else PadicScalar.one(ctx.p, ctx.precision)
+    def identity(cls, n: int, ctx: PadicContext | None = None) -> Matrix:
+        m, one = cls.zeros(n, n, ctx), _one(ctx)
         for i in range(n):
             m.entries[i * n + i] = one
         return m
@@ -113,15 +111,19 @@ def _require_same_kind(a: Matrix, b: Matrix) -> None:
         raise ContextMismatch(f"mixed primes {a.ctx.p} and {b.ctx.p}")
 
 
-def _zero_like(m: Matrix):
-    return Fraction(0) if m.kind == RATIONAL else PadicScalar.exact_zero(m.ctx.p)
+def _zero(ctx: PadicContext | None):
+    return Fraction(0) if ctx is None else PadicScalar.exact_zero(ctx.p)
 
 
-def nonzero_test(kind: str):
+def _one(ctx: PadicContext | None):
+    return Fraction(1) if ctx is None else PadicScalar.one(ctx.p, ctx.precision)
+
+
+def nonzero_test(ctx: PadicContext | None):
     """Predicate false exactly on the entries whose products vanish exactly:
     Fraction 0, or the p-adic exact zero.  Unresolved p-adic zeros carry
     precision and count as nonzero."""
-    return bool if kind == RATIONAL else (lambda x: x.v is not None)
+    return bool if ctx is None else (lambda x: x.v is not None)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -131,18 +133,18 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     _require_same_kind(a, b)
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in subtraction")
-    nonzero = nonzero_test(a.kind)
+    nonzero = nonzero_test(a.ctx)
     out = [(x - y if nonzero(x) else -y) if nonzero(y) else x for x, y in zip(a.entries, b.entries)]
-    return Matrix(a.rows, a.cols, out, a.kind, a.ctx)
+    return Matrix(a.rows, a.cols, out, a.ctx)
 
 
 def mat_scale(c, a: Matrix) -> Matrix:
-    return Matrix(a.rows, a.cols, [c * x for x in a.entries], a.kind, a.ctx)
+    return Matrix(a.rows, a.cols, [c * x for x in a.entries], a.ctx)
 
 
 def shift_diagonal(m: Matrix, c) -> Matrix:
     """m + c*I as a new matrix, with ``c`` of m's scalar kind."""
-    out = Matrix(m.rows, m.cols, list(m.entries), m.kind, m.ctx)
+    out = Matrix(m.rows, m.cols, list(m.entries), m.ctx)
     for i in range(m.rows):
         out.entries[i * m.cols + i] = out.entries[i * m.cols + i] + c
     return out
@@ -170,11 +172,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _require_same_kind(a, b)
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    nonzero = nonzero_test(a.kind)
+    nonzero = nonzero_test(a.ctx)
     add_product = _fraction_add_product if a.kind == RATIONAL else PadicScalar.add_product
     b_rows = [(k, [(j, x) for j, x in enumerate(b.row(k)) if nonzero(x)]) for k in range(b.rows)]
     b_rows = [(k, row) for k, row in b_rows if row]
-    out = [_zero_like(a)] * (a.rows * b.cols)
+    out = [_zero(a.ctx)] * (a.rows * b.cols)
     for i in range(a.rows):
         a_off, o_off = i * a.cols, i * b.cols
         for k, b_row in b_rows:
@@ -182,12 +184,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             if nonzero(aik):
                 for j, bkj in b_row:
                     out[o_off + j] = add_product(out[o_off + j], aik, bkj)
-    return Matrix(a.rows, b.cols, out, a.kind, a.ctx)
+    return Matrix(a.rows, b.cols, out, a.ctx)
 
 
 def transpose(a: Matrix) -> Matrix:
     out = [a.entries[i * a.cols + j] for j in range(a.cols) for i in range(a.rows)]
-    return Matrix(a.cols, a.rows, out, a.kind, a.ctx)
+    return Matrix(a.cols, a.rows, out, a.ctx)
 
 
 def sylvester(a: Matrix, b: Matrix) -> Matrix:
@@ -204,7 +206,7 @@ def sylvester(a: Matrix, b: Matrix) -> Matrix:
         raise NonSquare("sylvester expects square matrices")
     n, m = a.rows, b.rows
     size = n * m
-    out = [_zero_like(a)] * (size * size)
+    out = [_zero(a.ctx)] * (size * size)
     for i in range(n):
         for j in range(m):
             row = (i * m + j) * size
@@ -213,7 +215,7 @@ def sylvester(a: Matrix, b: Matrix) -> Matrix:
             for k in range(m):
                 out[row + i * m + k] = -b.at(k, j)
             out[row + i * m + j] = a.at(i, i) - b.at(j, j)
-    return Matrix(size, size, out, a.kind, a.ctx)
+    return Matrix(size, size, out, a.ctx)
 
 
 def hstack(blocks: list[Matrix]) -> Matrix:
@@ -226,7 +228,7 @@ def hstack(blocks: list[Matrix]) -> Matrix:
     for i in range(rows):
         for b in blocks:
             out.extend(b.row(i))
-    return Matrix(rows, sum(b.cols for b in blocks), out, blocks[0].kind, blocks[0].ctx)
+    return Matrix(rows, sum(b.cols for b in blocks), out, blocks[0].ctx)
 
 
 def vstack(blocks: list[Matrix]) -> Matrix:
@@ -238,13 +240,13 @@ def vstack(blocks: list[Matrix]) -> Matrix:
     out = []
     for b in blocks:
         out.extend(b.entries)
-    return Matrix(sum(b.rows for b in blocks), cols, out, blocks[0].kind, blocks[0].ctx)
+    return Matrix(sum(b.rows for b in blocks), cols, out, blocks[0].ctx)
 
 
 def block_diag(blocks: list[Matrix]) -> Matrix:
     n = sum(b.rows for b in blocks)
     c = sum(b.cols for b in blocks)
-    out = Matrix.zeros(n, c, blocks[0].kind, blocks[0].ctx)
+    out = Matrix.zeros(n, c, blocks[0].ctx)
     ro, co = 0, 0
     for b in blocks:
         for i in range(b.rows):
@@ -267,14 +269,14 @@ def to_padic(a: Matrix, ctx: PadicContext) -> Matrix:
         entries = [e.truncate(ctx.precision) for e in a.entries]
     else:
         entries = [from_rational(e, ctx) for e in a.entries]
-    return Matrix(a.rows, a.cols, entries, PADIC, ctx)
+    return Matrix(a.rows, a.cols, entries, ctx)
 
 
 def submatrix(a: Matrix, rows, cols) -> Matrix:
     """a[i][j] for i in ``rows`` and j in ``cols`` (ranges or lists), in the
     given order: ranges cut a block, a permutation reorders a basis."""
     out = [a.entries[i * a.cols + j] for i in rows for j in cols]
-    return Matrix(len(rows), len(cols), out, a.kind, a.ctx)
+    return Matrix(len(rows), len(cols), out, a.ctx)
 
 
 def is_zero(a: Matrix) -> bool:
@@ -288,7 +290,7 @@ def is_zero(a: Matrix) -> bool:
 # -- elimination -------------------------------------------------------------
 
 
-def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, digits: list | None = None):
+def _rref(data: list[list], ncols: int, ctx: PadicContext | None, digits: list | None = None):
     """In-place reduced row echelon over the first ``ncols`` columns.
 
     Returns the list of (column, row) pivots.  Row operations extend over
@@ -299,9 +301,9 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
     ``digits``, when given, the digits behind each pivot decision.
     """
     nrows = len(data)
-    threshold = ctx.threshold if kind == PADIC else None
-    nonzero = nonzero_test(kind)
-    add_product = _fraction_add_product if kind == RATIONAL else PadicScalar.add_product
+    threshold = None if ctx is None else ctx.threshold
+    nonzero = nonzero_test(ctx)
+    add_product = _fraction_add_product if ctx is None else PadicScalar.add_product
     pivots: list[tuple[int, int]] = []
     rank = 0
     for c in range(ncols):
@@ -312,7 +314,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
         saw_ambiguous = False
         for i in range(rank, nrows):
             x = data[i][c]
-            if kind == RATIONAL:
+            if ctx is None:
                 if x != 0:
                     best = i
                     break
@@ -339,7 +341,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
             continue
         data[rank], data[best] = data[best], data[rank]
         piv = data[rank][c]
-        if kind == PADIC and digits is not None:
+        if ctx is not None and digits is not None:
             digits.append(piv.prec)
         # normalise the pivot row: p-adic entries are multiplied by one
         # reciprocal (x * (1/piv) equals x / piv digit for digit); rational
@@ -347,7 +349,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
         # zeros neither change under this nor change the rows the pivot row
         # is subtracted from, so they are skipped.
         prow = data[rank]
-        if kind == PADIC:
+        if ctx is not None:
             inv = piv.reciprocal()
             prow = data[rank] = [e * inv if nonzero(e) else e for e in prow]
         elif piv != 1:
@@ -357,7 +359,7 @@ def _rref(data: list[list], ncols: int, kind: str, ctx: PadicContext | None, dig
             if i == rank:
                 continue
             factor = data[i][c]
-            dead = factor == 0 if kind == RATIONAL else factor.negligible(threshold)
+            dead = factor == 0 if ctx is None else factor.negligible(threshold)
             if dead:
                 continue
             row = data[i]
@@ -382,7 +384,7 @@ class KernelResult:
     precision_report: int | None = None
 
 
-def echelon_rows(vectors: list[list], kind: str, ctx: PadicContext | None) -> list[list]:
+def echelon_rows(vectors: list[list], ctx: PadicContext | None) -> list[list]:
     """Canonical spanning set: reduced echelon rows, leading coordinate 1.
 
     Dependent inputs are fine; only the pivot rows survive.
@@ -390,7 +392,7 @@ def echelon_rows(vectors: list[list], kind: str, ctx: PadicContext | None) -> li
     if not vectors:
         return []
     data = [list(v) for v in vectors]
-    pivots = _rref(data, len(data[0]), kind, ctx)
+    pivots = _rref(data, len(data[0]), ctx)
     # RREF leaves the pivot rows first, ordered by leading coordinate
     return data[: len(pivots)]
 
@@ -404,10 +406,9 @@ def kernel(m: Matrix) -> KernelResult:
     """
     data = [m.row(i) for i in range(m.rows)]
     digits: list = []
-    pivots = _rref(data, m.cols, m.kind, m.ctx, digits)
+    pivots = _rref(data, m.cols, m.ctx, digits)
     pivot_cols = {c: r for c, r in pivots}
-    one = Fraction(1) if m.kind == RATIONAL else PadicScalar.one(m.ctx.p, m.ctx.precision)
-    zero = _zero_like(m)
+    one, zero = _one(m.ctx), _zero(m.ctx)
     basis = []
     for fc in range(m.cols):
         if fc in pivot_cols:
@@ -417,13 +418,13 @@ def kernel(m: Matrix) -> KernelResult:
         for c, r in pivots:
             vec[c] = -data[r][fc]
         basis.append(vec)
-    basis = echelon_rows(basis, m.kind, m.ctx)
+    basis = echelon_rows(basis, m.ctx)
     return KernelResult(len(basis), basis, min(digits) if digits else None)
 
 
 def rank(m: Matrix) -> int:
     data = [m.row(i) for i in range(m.rows)]
-    return len(_rref(data, m.cols, m.kind, m.ctx))
+    return len(_rref(data, m.cols, m.ctx))
 
 
 def solve_many(m: Matrix, rhss: list[list]) -> list:
@@ -444,9 +445,9 @@ def solve_many(m: Matrix, rhss: list[list]) -> list:
         # coerced like matrix entries: rational rows hold Fractions only
         rhss = [[e if type(e) is Fraction else Fraction(e) for e in rhs] for rhs in rhss]
     data = [m.row(i) + [rhs[i] for rhs in rhss] for i in range(m.rows)]
-    pivots = _rref(data, m.cols, m.kind, m.ctx)
+    pivots = _rref(data, m.cols, m.ctx)
     threshold = m.ctx.threshold if m.kind == PADIC else None
-    zero = _zero_like(m)
+    zero = _zero(m.ctx)
     out = []
     for k in range(m.cols, m.cols + len(rhss)):
         result = [zero] * m.cols
@@ -480,13 +481,13 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise NonSquare(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
-    ident = Matrix.identity(n, m.kind, m.ctx)
+    ident = Matrix.identity(n, m.ctx)
     data = [m.row(i) + ident.row(i) for i in range(n)]
-    pivots = _rref(data, n, m.kind, m.ctx)
+    pivots = _rref(data, n, m.ctx)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     # full rank means pivot columns are 0..n-1 in order, rows aligned
-    return Matrix(n, n, [e for row in data for e in row[n:]], m.kind, m.ctx)
+    return Matrix(n, n, [e for row in data for e in row[n:]], m.ctx)
 
 
 # -- derived operations --------------------------------------------------------
@@ -532,7 +533,7 @@ def det(m: Matrix) -> Fraction:
 def trace(m: Matrix):
     if not m.is_square:
         raise NonSquare("trace of a non-square matrix")
-    acc = _zero_like(m)
+    acc = _zero(m.ctx)
     for i in range(m.rows):
         acc = acc + m.at(i, i)
     return acc
@@ -563,7 +564,7 @@ def annihilator_rows(f: Matrix) -> Matrix:
     """Full-rank matrix whose rows span the annihilator of span(columns of f)."""
     ker = kernel(transpose(f))
     entries = [e for vec in ker.basis for e in vec]
-    return Matrix(len(ker.basis), f.rows, entries, f.kind, f.ctx)
+    return Matrix(len(ker.basis), f.rows, entries, f.ctx)
 
 
 def share_root(f: list, g: list) -> bool:
@@ -622,7 +623,7 @@ def matrix_from_jsonable(obj: dict, ctx: PadicContext | None = None) -> Matrix:
         if ctx is None:
             raise ValueError("p-adic matrix entries need a p-adic context")
         entries = [scalar_from_jsonable(e, ctx) for e in raw]
-        return Matrix(rows, cols, entries, PADIC, ctx)
+        return Matrix(rows, cols, entries, ctx)
     if any(type(e) not in (str, int) for e in raw):
         raise ValueError("rational matrix entries must be strings or integers")
-    return Matrix(rows, cols, [rational_from_str(e) for e in raw], RATIONAL)
+    return Matrix(rows, cols, [rational_from_str(e) for e in raw])

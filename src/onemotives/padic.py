@@ -482,11 +482,27 @@ def newton_slopes(poly: list, ctx: PadicContext) -> list:
 # -- square roots in Q_p -----------------------------------------------------
 
 
+def _sqrt_mod_p(u: int, p: int) -> int:
+    """The smaller square root of a quadratic-residue unit u modulo an odd
+    prime p, by Tonelli-Shanks with p - 1 = q * 2^s, q odd."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)  # a non-residue
+    c, t, r = pow(z, q, p), pow(u, q, p), pow(u, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:  # the least i with t^(2^i) = 1
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 def _unit_sqrt(u: int, p: int, digits: int) -> int:
     """Square root of a unit modulo p**digits; the caller guarantees one exists."""
     if p != 2:
-        r0 = next(r for r in range(1, p) if (r * r - u) % p == 0)
-        r0 = min(r0, p - r0)
+        r0 = _sqrt_mod_p(u % p, p)
         ctx = PadicContext(p, 1, max(digits, 4))
         return hensel_lift_root([-u, 0, 1], r0, ctx).unit % p**digits
     # p = 2: u = 1 mod 8; fix one bit of the root per step

@@ -1,6 +1,9 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,8 +191,11 @@ def test_parse_inline_spec():
             ["motivic-hom", "--a", "lattice:1@x", "--b", "torus:1"],
             "degree of complex summand 'lattice:1@x' needs an integer value",
         ),
+        (["end", "--elliptic", "1", "--fil-mode", "eigenline:2"], "--fil-mode 'eigenline:2': root_index must be 0 or 1"),
+        (["end", "--elliptic", "1", "--fil-mode", "eigenline:-1"], "--fil-mode 'eigenline:-1': root_index must be 0 or 1"),
+        (["end", "--elliptic", "1", "--fil-mode", "foo"], "--fil-mode 'foo': unknown fil mode 'foo'"),
     ],
-    ids=["component", "hom-with-degree", "trace", "eigenline-index", "degree"],
+    ids=["component", "hom-with-degree", "trace", "eigenline-index", "degree", "eigenline-2", "eigenline-negative", "fil-mode"],
 )
 def test_spec_parse_errors_name_their_input(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--p", "5")
@@ -219,6 +225,19 @@ def test_ordinary_eigenline_at_p2_realizes(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "end dimension: 2"
+
+
+def test_eigenline_at_a_large_prime_answers_in_seconds():
+    # p | t with a square discriminant takes a square root mod p; a scan over
+    # the residues would not finish at p near 10^9
+    src = Path(__file__).resolve().parents[1] / "src"
+    command = [
+        sys.executable, "-m", "onemotives.cli",
+        "end", "--p", "1000000009", "--f", "2", "--elliptic", "0", "--format", "table",
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 0 and run.stdout.splitlines()[0] == "end dimension: 2"
 
 
 def test_survey_takes_no_fil_mode(capsys):

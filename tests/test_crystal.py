@@ -496,7 +496,7 @@ def test_direct_sum_places_blocks_by_weight():
     work = C5.doubled()
     z, one = PadicScalar.exact_zero(5), PadicScalar.one(5, work.precision)
     line = elliptic.fil1.column(0)
-    assert m.fil1 == Matrix(4, 2, [z, z, z, line[0], z, line[1], one, z], PADIC, work)
+    assert m.fil1 == Matrix(4, 2, [z, z, z, line[0], z, line[1], one, z], work)
     assert m.label == "torus(1) + elliptic(t=1) + lattice(1)"
 
 

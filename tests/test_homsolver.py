@@ -272,7 +272,7 @@ def _padic_2x2(rows):
             return e
         return PadicScalar.one(5, 40) if e == 1 else PadicScalar.exact_zero(5)
 
-    return Matrix(2, 2, [entry(e) for row in rows for e in row], PADIC, C5)
+    return Matrix(2, 2, [entry(e) for row in rows for e in row], C5)
 
 
 def test_end_closure_rejects_a_span_without_the_identity(monkeypatch):
@@ -420,8 +420,8 @@ def test_end_closure_on_blocks_agrees_with_the_whole_module_closure(monkeypatch,
         e = end_algebra(m)
         if len(m.atoms()) > 1:
             assert max(map(max, shapes)) == max(a.dim for a, _, _ in m.atoms()) < m.dim
-        kind, ctx_e = (e.basis[0].kind, e.basis[0].ctx) if e.basis else (RATIONAL, None)
-        products = [Matrix(m.dim, m.dim, dense_product(hi, hj), kind, ctx_e) for hi in e.basis for hj in e.basis]
+        ctx_e = e.basis[0].ctx if e.basis else None
+        products = [Matrix(m.dim, m.dim, dense_product(hi, hj), ctx_e) for hi in e.basis for hj in e.basis]
         assert all(isinstance(x, list) for x in homsolver.in_span_many(e.basis, [Matrix.identity(m.dim)] + products))
     assert kinds == {RATIONAL, PADIC} and repeated
 
@@ -645,7 +645,7 @@ def _assert_reduced_echelon(space):
     if not vectors:
         return
     kind, ctx = space.basis[0].kind, space.basis[0].ctx
-    assert linalg.echelon_rows(vectors, kind, ctx) == vectors
+    assert linalg.echelon_rows(vectors, ctx) == vectors
     leads = bool if kind == RATIONAL else (lambda x: x.is_resolved)
     pivots = [next(k for k, x in enumerate(v) if leads(x)) for v in vectors]
     assert pivots == sorted(set(pivots))
@@ -774,7 +774,6 @@ def test_hom_raises_on_ambiguous_hodge_data():
     from fractions import Fraction as F
 
     from onemotives.errors import PrecisionExhausted
-    from onemotives.linalg import PADIC
     from onemotives.padic import PadicScalar
 
     # a Fil1 entry that cancelled far short of the zero threshold cannot
@@ -782,7 +781,7 @@ def test_hom_raises_on_ambiguous_hodge_data():
     fuzzy = Matrix(
         2, 1,
         [PadicScalar.unresolved_zero(5, 10), PadicScalar.one(5, 80)],
-        PADIC, C5.doubled(),
+        C5.doubled(),
     )
     phi = Matrix.from_rows([[F(1), F(0)], [F(0), F(5)]])
     bad = FilteredPhiModule(C5, 2, phi, ((0, 1), (-2, 1)), fuzzy, label="fuzzy")

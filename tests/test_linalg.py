@@ -49,6 +49,43 @@ def assert_padic_value(scalar, expected, ctx, digits=20):
     assert diff.negligible(digits), f"{scalar!r} != {expected} to {digits} digits"
 
 
+# -- the scalar field is the context ------------------------------------------------
+
+
+def test_kind_is_read_from_the_context():
+    x = from_rational(3, C5)
+    m = Matrix(1, 1, [x], C5)
+    assert (m.kind, m.ctx, m.entries) == (PADIC, C5, [x])
+    q = Matrix(1, 1, [1])
+    assert (q.kind, q.ctx, q.entries) == (RATIONAL, None, [Fraction(1)])
+    assert type(q.entries[0]) is Fraction
+
+
+def test_zeros_identity_and_from_rows_take_a_context_or_none():
+    zero, one = PadicScalar.exact_zero(5), PadicScalar.one(5, C5.precision)
+    cases = [
+        (Matrix.zeros(2, 1), Matrix(2, 1, [0, 0])),
+        (Matrix.zeros(2, 1, C5), Matrix(2, 1, [zero, zero], C5)),
+        (Matrix.identity(2), Matrix(2, 2, [1, 0, 0, 1])),
+        (Matrix.identity(2, C5), Matrix(2, 2, [one, zero, zero, one], C5)),
+        (Matrix.from_rows([[2, 0]]), Matrix(1, 2, [Fraction(2), Fraction(0)])),
+        (Matrix.from_rows([[one, zero]], C5), Matrix(1, 2, [one, zero], C5)),
+    ]
+    for got, expected in cases:
+        assert got == expected and got.kind == (RATIONAL if got.ctx is None else PADIC)
+        assert all(type(e) is (Fraction if got.ctx is None else PadicScalar) for e in got.entries)
+
+
+def test_a_kind_argument_is_rejected_at_construction():
+    x = from_rational(3, C5)
+    # the old call shape, a kind before the context
+    with pytest.raises(TypeError):
+        Matrix(1, 1, [x], PADIC, C5)
+    # a stale positional kind lands where the context goes
+    with pytest.raises(TypeError, match="PadicContext"):
+        Matrix(1, 1, [x], "padic")
+
+
 # -- kernel ---------------------------------------------------------------------
 
 
@@ -124,14 +161,14 @@ def test_rational_rank_against_modular_oracle():
 
 def test_padic_ambiguous_pivot_raises():
     fuzz = PadicScalar.unresolved_zero(5, 10)  # vanishing order below threshold 32
-    m = Matrix(1, 1, [fuzz], PADIC, C5)
+    m = Matrix(1, 1, [fuzz], C5)
     with pytest.raises(PrecisionExhausted):
         kernel(m)
 
 
 def test_padic_trusted_zero_is_recorded():
     dead = PadicScalar.unresolved_zero(5, 39)
-    m = Matrix(1, 1, [dead], PADIC, C5)
+    m = Matrix(1, 1, [dead], C5)
     res = kernel(m)
     assert res.dimension == 1
     assert res.precision_report == 39
@@ -192,8 +229,8 @@ def test_mat_mul_equals_dense_reference_product(seed):
         got = mat_mul(a, b).entries
         assert got == dense_product(a, b)
         assert all(type(e) is Fraction for e in got)
-        a = Matrix(r, n, [_random_padic(rng) for _ in range(r * n)], PADIC, C5)
-        b = Matrix(n, c, [_random_padic(rng) for _ in range(n * c)], PADIC, C5)
+        a = Matrix(r, n, [_random_padic(rng) for _ in range(r * n)], C5)
+        b = Matrix(n, c, [_random_padic(rng) for _ in range(n * c)], C5)
         # PadicScalar equality compares p, v, unit and prec
         assert mat_mul(a, b).entries == dense_product(a, b)
 
@@ -208,8 +245,8 @@ def test_mat_sub_equals_entrywise_difference(seed):
         got = mat_sub(a, b).entries
         assert got == [x - y for x, y in zip(a.entries, b.entries)]
         assert all(type(e) is Fraction for e in got)
-        a = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], PADIC, C5)
-        b = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], PADIC, C5)
+        a = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], C5)
+        b = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], C5)
         # PadicScalar equality compares p, v, unit and prec
         assert mat_sub(a, b).entries == [x - y for x, y in zip(a.entries, b.entries)]
 
@@ -220,7 +257,7 @@ def test_submatrix_cuts_blocks_and_permutes(seed):
     for draw, kind, ctx in ((_random_fraction, RATIONAL, None), (_random_padic, PADIC, C5)):
         for _ in range(10):
             n, c = rng.randint(1, 6), rng.randint(1, 6)
-            a = Matrix(n, c, [draw(rng) for _ in range(n * c)], kind, ctx)
+            a = Matrix(n, c, [draw(rng) for _ in range(n * c)], ctx)
             i0, i1 = sorted(rng.choices(range(n + 1), k=2))
             j0, j1 = sorted(rng.choices(range(c + 1), k=2))
             perm = rng.sample(range(n), n)
@@ -229,7 +266,7 @@ def test_submatrix_cuts_blocks_and_permutes(seed):
                 got = submatrix(a, rows, cols)
                 assert (got.rows, got.cols, got.kind, got.ctx) == (len(rows), len(cols), kind, ctx)
                 assert got.entries == [a.at(i, j) for i in rows for j in cols]
-        square = Matrix(4, 4, [draw(rng) for _ in range(16)], kind, ctx)
+        square = Matrix(4, 4, [draw(rng) for _ in range(16)], ctx)
         perm = rng.sample(range(4), 4)
         got = submatrix(square, perm, perm)
         assert got.entries == [square.at(perm[i], perm[j]) for i in range(4) for j in range(4)]
@@ -241,9 +278,9 @@ def test_is_zero_on_each_kind_of_entry():
     threshold = C5.threshold
 
     def padic_row(e):
-        return Matrix(1, 2, [PadicScalar.exact_zero(5), e], PADIC, C5)
+        return Matrix(1, 2, [PadicScalar.exact_zero(5), e], C5)
 
-    assert is_zero(Matrix.zeros(2, 2, PADIC, C5))
+    assert is_zero(Matrix.zeros(2, 2, C5))
     assert is_zero(padic_row(PadicScalar.exact_zero(5)))
     # an unresolved zero at or above the threshold counts as zero
     assert is_zero(padic_row(PadicScalar.unresolved_zero(5, threshold)))
@@ -303,10 +340,10 @@ def test_solve_many_equals_per_column_solve_padic():
             else PadicScalar.exact_zero(5)
             for _ in range(rows * cols)
         ]
-        m = Matrix(rows, cols, entries, PADIC, C5)
+        m = Matrix(rows, cols, entries, C5)
         rhss = []
         for _ in range(3):
-            x = Matrix(cols, 1, [from_rational(rng.randint(-9, 9), C5) for _ in range(cols)], PADIC, C5)
+            x = Matrix(cols, 1, [from_rational(rng.randint(-9, 9), C5) for _ in range(cols)], C5)
             consistent = mat_mul(m, x).entries
             rhss.append(consistent)
             at = rng.randrange(rows)
@@ -321,7 +358,7 @@ def test_solve_many_equals_per_column_solve_padic():
 
 def test_solve_many_raises_an_ambiguous_pivot_for_every_column():
     fuzz = PadicScalar.unresolved_zero(5, 10)
-    m = Matrix(2, 1, [fuzz, fuzz], PADIC, C5)
+    m = Matrix(2, 1, [fuzz, fuzz], C5)
     rhss = [[PadicScalar.exact_zero(5)] * 2, [PadicScalar.one(5, 40)] * 2]
     with pytest.raises(PrecisionExhausted, match="pivot decision in column 0"):
         solve_many(m, rhss)
@@ -429,7 +466,7 @@ def kron(a, b):
     """Reference Kronecker product: row (i, k), column (j, l) is a[i,j] * b[k,l]."""
     out = [a.at(i, j) * b.at(k, l) for i in range(a.rows) for k in range(b.rows)
            for j in range(a.cols) for l in range(b.cols)]
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out, a.kind, a.ctx)
+    return Matrix(a.rows * b.rows, a.cols * b.cols, out, a.ctx)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -442,11 +479,11 @@ def test_sylvester_equals_kronecker_reference(seed):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         seen["n != m"] += n != m
         for kind, draw, ctx in ((RATIONAL, _random_fraction, None), (PADIC, _random_padic, C5)):
-            a = Matrix(n, n, [draw(rng) for _ in range(n * n)], kind, ctx)
-            b = Matrix(m, m, [draw(rng) for _ in range(m * m)], kind, ctx)
+            a = Matrix(n, n, [draw(rng) for _ in range(n * n)], ctx)
+            b = Matrix(m, m, [draw(rng) for _ in range(m * m)], ctx)
             reference = mat_sub(
-                kron(a, Matrix.identity(m, kind, ctx)),
-                kron(Matrix.identity(n, kind, ctx), transpose(b)),
+                kron(a, Matrix.identity(m, ctx)),
+                kron(Matrix.identity(n, ctx), transpose(b)),
             )
             got = sylvester(a, b)
             assert (got.rows, got.cols) == (n * m, n * m)
@@ -470,7 +507,7 @@ def test_hom_system_fil1_rows_equal_kronecker_reference(seed, monkeypatch):
         seen["n != m"] += n != m
         for kind, draw, ctx in ((RATIONAL, _random_fraction, None), (PADIC, _random_padic, C5)):
             def rand(rows, cols):
-                return Matrix(rows, cols, [draw(rng) for _ in range(rows * cols)], kind, ctx)
+                return Matrix(rows, cols, [draw(rng) for _ in range(rows * cols)], ctx)
 
             phi_a, c_a, phi_b, c_b, q = rand(n, n), rand(n, s), rand(m, m), rand(m, 1), rand(r, m)
             monkeypatch.setattr(linalg, "annihilator_rows", lambda f: q if f is c_b else None)
@@ -493,7 +530,7 @@ def test_sylvester_rejects_non_square():
 def _commutant(a, b):
     """Basis of {H : A H = H B}, reshaped row-major into a.rows x b.rows matrices."""
     res = kernel(sylvester(a, b))
-    return [Matrix(a.rows, b.rows, vec, a.kind, a.ctx) for vec in res.basis]
+    return [Matrix(a.rows, b.rows, vec, a.ctx) for vec in res.basis]
 
 
 def _span_contains(mats, target):
@@ -502,7 +539,6 @@ def _span_contains(mats, target):
         len(target.entries),
         len(vecs),
         [vecs[j][i] for i in range(len(target.entries)) for j in range(len(vecs))],
-        target.kind,
         target.ctx,
     )
     return solve(stacked, list(target.entries)) is not None
@@ -624,7 +660,7 @@ def test_eigen_line_at_hensel_root():
     res = eigen_line(m, u)
     assert res.dimension == 1
     vec = res.basis[0]
-    shifted = mat_sub(m, mat_scale(u, Matrix.identity(2, PADIC, C5)))
+    shifted = mat_sub(m, mat_scale(u, Matrix.identity(2, C5)))
     image = [
         shifted.at(i, 0) * vec[0] + shifted.at(i, 1) * vec[1] for i in range(2)
     ]

@@ -285,6 +285,22 @@ def test_integer_square_root():
     assert integer_square_root(3, 2, 40) is None  # 3 mod 8 is not a square
 
 
+def test_unit_sqrt_starts_from_the_smaller_root_mod_p():
+    # the root mod p is the one a scan over 1, ..., p - 1 would choose: the
+    # smaller of r and p - r, which the Hensel lift keeps
+    odd_primes = [p for p in range(3, 300) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    checked = 0
+    for p in odd_primes:
+        scan: dict = {}
+        for r in range(1, p):  # u -> the first r with r^2 = u mod p
+            scan.setdefault(r * r % p, r)
+        for u, r in scan.items():
+            root = padic._unit_sqrt(u, p, 3)
+            assert root % p == min(r, p - r) and (root * root - u) % p**3 == 0
+            checked += 1
+    assert len(odd_primes) == 61 and checked == sum((p - 1) // 2 for p in odd_primes)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_is_padic_square_matches_brute_force_residues(p):
     # d with v = v_p(d) is a square in Q_p iff it is a square modulo

@@ -15,19 +15,22 @@ import pytest
 from onemotives.errors import OneMotivesError, PrecisionExhausted
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-TOOL = TOOLS / "fingerprint.py"
 
 
-@pytest.fixture(scope="module")
-def fingerprint():
-    # the tool turns bytecode writing off for its own runs; keep this
+def _load_tool(name: str):
+    # the tools turn bytecode writing off for their own runs; keep this
     # process as it was
     writes = sys.dont_write_bytecode
-    spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.dont_write_bytecode = writes
     return module
+
+
+@pytest.fixture(scope="module")
+def fingerprint():
+    return _load_tool("fingerprint")
 
 
 def test_without_reports_strips_precision_report_at_every_depth(fingerprint):
@@ -117,3 +120,19 @@ def test_sweep_covers_its_domain_and_prints_the_same_digest_in_two_runs():
     # one build record per (q, t, mode), an End and a Hom record per module built
     assert by_stage == {"build": size, "end": built, "hom": built}
     assert int(digest[0]) == size + 2 * built and len(digest[1]) == 64
+
+
+def test_sweep_exits_1_when_frobenius_membership_breaks_its_invariant(monkeypatch, capsys):
+    sweep = _load_tool("sweep")
+    assert sweep.main(["--qmax", "5"]) == 0
+    clean = capsys.readouterr()
+    assert "invariants:" in clean.err and "mismatch " not in clean.err
+    real = sweep.homsolver.frobenius_membership
+    monkeypatch.setattr(sweep.homsolver, "frobenius_membership", lambda m, e: not real(m, e))
+    assert sweep.main(["--qmax", "5"]) == 1
+    broken = capsys.readouterr()
+    mismatches = [line for line in broken.err.splitlines() if line.startswith("mismatch ")]
+    assert mismatches and all("frobenius_membership" in line for line in mismatches)
+    assert "(q, t, mode) = (2, " in mismatches[0]
+    # stdout keeps the counts; only the digest moves with the records
+    assert broken.out.splitlines()[:-1] == clean.out.splitlines()[:-1]

@@ -17,7 +17,21 @@ only for a module that was built.  Prints one ``<stage> <outcome> <count>``
 line per stage and outcome, then ``<records> <sha256>`` over the records of
 the checkout this file sits in: two checkouts that print the same last line
 computed the same records, byte for byte.  Like ``tools/fingerprint.py``
-this is a comparison tool, not a test: it pins no hash.
+this is a comparison tool: it pins no hash.
+
+Every ``end`` record that answers is also held to two invariants that do
+not come from the solver:
+
+* phi lies in End exactly when it keeps Fil1, so ``frobenius_membership``
+  equals ``crystal.check_filtration_stability`` of the module (a raising
+  stability check counts as a mismatch);
+* on ``auto``, ``scalar`` and ``jordan`` rows End has dimension 2 (lattice
+  and torus) plus ``block_end_dim`` of ``bench/workloads.py`` for the
+  elliptic block, the benchmark's own answer check.
+
+Each mismatch is printed to stderr with its (q, t, mode) and both values,
+after a line counting the checks, and the exit code is then 1.
+``bench/workloads.py`` is imported without writing anything under ``bench/``.
 """
 
 from __future__ import annotations
@@ -31,11 +45,13 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 sys.dont_write_bytecode = True
-sys.path[:0] = [str(TOOLS), str(TOOLS.parent / "src")]
+sys.path[:0] = [str(TOOLS), str(TOOLS.parent / "src"), str(TOOLS.parent / "bench")]
 
 from fingerprint import Records, _digest_line  # noqa: E402
 from onemotives import crystal, homsolver  # noqa: E402
+from onemotives.errors import OneMotivesError  # noqa: E402
 from onemotives.padic import PadicContext  # noqa: E402
+import workloads  # noqa: E402
 
 MODES = ("auto", "generic", "eigenline:0", "eigenline:1")
 SQUARE_MODES = ("scalar", "jordan")
@@ -61,8 +77,29 @@ def _end(m) -> list:
     return [homsolver.homspace_to_jsonable(e), homsolver.frobenius_membership(m, e)]
 
 
-def sweep(qmax: int) -> Records:
-    rec = Records()
+def invariant_breaks(ctx: PadicContext, t: int, mode: str, m, end: list) -> tuple[list[str], int]:
+    """The invariants an answering ``end`` record breaks, one line each,
+    and how many were checked."""
+    space, member = end
+    where = f"(q, t, mode) = ({ctx.q}, {t}, {mode!r})"
+    try:
+        stable = crystal.check_filtration_stability(m)
+    except (OneMotivesError, ValueError) as exc:
+        stable = f"{type(exc).__name__}: {exc}"
+    out = []
+    if member != stable:
+        out.append(f"{where}: frobenius_membership {member}, check_filtration_stability {stable}")
+    if mode not in ("auto",) + SQUARE_MODES:
+        return out, 1
+    expected = 2 + workloads.block_end_dim(t, ctx.p, ctx.f, mode)
+    if space["dimension"] != expected:
+        out.append(f"{where}: end dimension {space['dimension']}, expected {expected}")
+    return out, 2
+
+
+def sweep(qmax: int) -> tuple[list[str], list[str], int]:
+    """The records' lines, the invariant mismatches and the number of checks."""
+    rec, breaks, checks = Records(), [], 0
     for q, t, mode in domain(qmax):
         ctx = PadicContext.from_q(q)
         item = [q, t, mode]
@@ -73,9 +110,13 @@ def sweep(qmax: int) -> Records:
 
         m = rec.add("build", item, build, crystal.module_to_jsonable)
         if m is not None:
-            rec.add("end", item, lambda: _end(m))
+            end = rec.add("end", item, lambda: _end(m))
+            if end is not None:
+                found, n = invariant_breaks(ctx, t, mode, m, end)
+                breaks += found
+                checks += n
             rec.add("hom", item, lambda: homsolver.homspace_to_jsonable(homsolver.hom_space(crystal.dual(m), m)))
-    return rec
+    return rec.lines, breaks, checks
 
 
 def outcomes(lines: list[str]) -> Counter:
@@ -91,11 +132,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--qmax", type=int, required=True, help="largest q swept")
     args = parser.parse_args(argv)
-    lines = sweep(args.qmax).lines
+    lines, breaks, checks = sweep(args.qmax)
     for (stage, outcome), n in sorted(outcomes(lines).items()):
         print(stage, outcome, n)
     print(_digest_line(lines))
-    return 0
+    print(f"invariants: {checks} checked, {len(breaks)} mismatches", file=sys.stderr)
+    for line in breaks:
+        print("mismatch", line, file=sys.stderr)
+    return 1 if breaks else 0
 
 
 if __name__ == "__main__":
