@@ -15,9 +15,10 @@ closure is checked too, and placed at its positions of h, whose unknowns
 are enumerated row-major.  Placement keeps the order of a pair's unknowns
 and pairs' blocks are disjoint, so ordering by pivot gives the echelon
 form of the whole space: identical inputs give byte-identical output.
-When any input carries p-adic entries every pair is solved at the context
-precision and re-solved at twice that precision; a dimension flip raises
-``PrecisionExhausted`` instead of returning a guess.
+A pair whose four matrices are rational is solved once over Q, any other
+over Q_p at the context precision N and again at 2N, where a dimension
+flip raises ``PrecisionExhausted``.  The space is over Q when every input
+is rational, else over Q_p at 2N, where exact pairs' blocks are promoted.
 
 Only the commutation with phi is imposed: at the linearized level the
 Verschiebung is q * phi^{-1}, so commuting with phi already commutes
@@ -52,7 +53,7 @@ _FULL_ALGEBRA = {0: LATTICE_SCALARS, -2: TORUS_SCALARS}
 class HomSpace:
     """Basis of maps source -> target, each of shape (target.dim x source.dim);
     ``precision_report`` is the fewest digits behind any p-adic pivot
-    decision made, None when the space was decided exactly; ``blocks`` maps
+    decision made, None when every solved pair was exact; ``blocks`` maps
     each distinct atom pair (id(a), id(b)) to its verified blocks (no JSON)."""
 
     source: FilteredPhiModule
@@ -100,27 +101,31 @@ def _verify_element(h: Matrix, mats: tuple) -> None:
         raise error("image of Fil1 escapes the target Hodge subspace")
 
 
-def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, systems: list, reports: list) -> list:
-    """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom, solved
-    on each stage's ``(phi_a, Fil1_a, phi_b, Fil1_b)`` (N, then 2N; or one
-    exact stage) and verified at the last; disjoint spectra solve nothing."""
+def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> list:
+    """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom over its
+    own field: Q when (phi_a, Fil1_a, phi_b, Fil1_b) are rational, else Q_p
+    at N and then 2N, verified at the last; disjoint spectra solve nothing."""
     if a.phi.kind == b.phi.kind == RATIONAL:
         fs, gs = (m.block_polys or (linalg.char_poly(m.phi),) for m in (a, b))
         if not any(linalg.share_root(f, g) for f in fs for g in gs):
             return []
-    kernels = [linalg.kernel(_hom_system(m)) for m in systems]
+    stages = [(a.phi, a.fil1, b.phi, b.fil1)]
+    if any(x.kind != RATIONAL for x in stages[0]):
+        k = 2 if a is b else 4  # a pair of one atom promotes its (phi, Fil1) once per precision
+        stages = [tuple(linalg.to_padic(x, c) for x in stages[0][:k]) * (4 // k) for c in (a.ctx, a.ctx.doubled())]
+    kernels = [linalg.kernel(_hom_system(m)) for m in stages]
     if kernels[0].dimension != kernels[-1].dimension:
-        (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in systems)
+        (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in stages)
         raise PrecisionExhausted(
             f"hom dimension flipped between precisions ({lo.dimension} at {n_lo}, {hi.dimension} at {n_hi})"
         )
     reports += [k.precision_report for k in kernels if k.precision_report is not None]
-    ctx = systems[-1][0].ctx
+    ctx = stages[-1][0].ctx
     # echelon_rows is no fixed point on a p-adic kernel basis: a second pass
     # cuts each entry to its pivot's digits, the form the output carries
     blocks = [Matrix(b.dim, a.dim, v, ctx) for v in linalg.echelon_rows(kernels[-1].basis, ctx)]
     for h in blocks:
-        _verify_element(h, systems[-1])
+        _verify_element(h, stages[-1])
     return blocks
 
 
@@ -129,21 +134,17 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     distinct atom pair's verified blocks at its positions, ordered by pivot."""
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
-    exact = all(x.kind == RATIONAL for x in (src.phi, src.fil1, tgt.phi, tgt.fil1))
-    ctxs = [None] if exact else [src.ctx, src.ctx.doubled()]  # the stages' fields: Q, or Q_p at N then 2N
-    # each distinct atom's (phi, Fil1) per stage; src and tgt keep the atoms alive
-    stages = {id(a): a for a, _, _ in src.atoms() + tgt.atoms()}
-    for k, a in stages.items():
-        stages[k] = [tuple(x if exact else linalg.to_padic(x, c) for x in (a.phi, a.fil1)) for c in ctxs]
-    # unresolved zeros may precede a p-adic pivot
-    leads = bool if exact else (lambda x: x.is_resolved)
-    n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, ctxs[-1]).entries
+    # the space's field: Q, or Q_p at 2N, where unresolved zeros may precede a pivot
+    ctx = None if all(x.kind == RATIONAL for x in (src.phi, src.fil1, tgt.phi, tgt.fil1)) else src.ctx.doubled()
+    leads = (lambda x: x.is_resolved) if ctx else bool
+    n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, ctx).entries
     placed, reports, blocks = [], [], {}
     for a, rows_a, _ in src.atoms():
         for b, rows_b, _ in tgt.atoms():
             key = (id(a), id(b))
             if key not in blocks:
-                blocks[key] = _pair_kernel(a, b, [x + y for x, y in zip(stages[id(a)], stages[id(b)])], reports)
+                pair = _pair_kernel(a, b, reports)
+                blocks[key] = [h if h.ctx or not ctx else linalg.to_padic(h, ctx) for h in pair]
             # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
             at = [i * n + j for i in rows_b for j in rows_a]
             for blk in blocks[key]:
@@ -151,7 +152,7 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
                 for k, x in zip(at, blk.entries):
                     h[k] = x
                 placed.append((next(k for k, x in zip(at, blk.entries) if leads(x)), h))
-    basis = [Matrix(tgt.dim, n, h, ctxs[-1]) for _, h in sorted(placed, key=lambda x: x[0])]
+    basis = [Matrix(tgt.dim, n, h, ctx) for _, h in sorted(placed, key=lambda x: x[0])]
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None), blocks)
 
 
@@ -165,8 +166,7 @@ def in_span_many(basis: list[Matrix], targets: list[Matrix]) -> list:
     Rational targets are promoted to the context of a p-adic basis."""
     if not basis:
         return [[] if linalg.is_zero(t) else None for t in targets]
-    size = len(basis[0].entries)
-    ctx = basis[0].ctx
+    size, ctx = len(basis[0].entries), basis[0].ctx
     stacked = Matrix(size, len(basis), [b.entries[i] for i in range(size) for b in basis], ctx)
     rhss = [linalg.to_padic(t, ctx).entries if ctx and t.ctx is None else t.entries for t in targets]
     return linalg.solve_many(stacked, rhss)
@@ -259,8 +259,7 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
                     f"an endomorphism couples weight {w2} into weight {w1}"
                 )
     ctx = e.basis[0].ctx if e.basis else None
-    tags = []
-    total = 0
+    tags, total = [], 0
     for w, off, d in m.weight_offsets():
         block = range(off, off + d)
         vectors = [linalg.submatrix(h, block, block).entries for h in e.basis]

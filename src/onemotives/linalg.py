@@ -111,12 +111,13 @@ def _require_same_kind(a: Matrix, b: Matrix) -> None:
         raise ContextMismatch(f"mixed primes {a.ctx.p} and {b.ctx.p}")
 
 
+# a bad context gets a Fraction here, and the TypeError of the Matrix built on it
 def _zero(ctx: PadicContext | None):
-    return Fraction(0) if ctx is None else PadicScalar.exact_zero(ctx.p)
+    return PadicScalar.exact_zero(ctx.p) if isinstance(ctx, PadicContext) else Fraction(0)
 
 
 def _one(ctx: PadicContext | None):
-    return Fraction(1) if ctx is None else PadicScalar.one(ctx.p, ctx.precision)
+    return PadicScalar.one(ctx.p, ctx.precision) if isinstance(ctx, PadicContext) else Fraction(1)
 
 
 def nonzero_test(ctx: PadicContext | None):

@@ -48,6 +48,7 @@ from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL
 from onemotives.padic import PadicContext, PadicScalar, from_rational
 
+C3 = PadicContext(3, 1, 40)
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
 AUTO = EllipticFilMode("auto")
@@ -324,7 +325,7 @@ def test_end_closure_fails_on_one_atom_pair_of_a_sum(monkeypatch, blocks, messag
     monkeypatch.setattr(
         homsolver,
         "_pair_kernel",
-        lambda a, b, systems, reports: blocks if a is b is lattice else real(a, b, systems, reports),
+        lambda a, b, reports: blocks if a is b is lattice else real(a, b, reports),
     )
     with pytest.raises(ClosureFailure, match=message):
         end_algebra(m)
@@ -339,7 +340,7 @@ def test_end_closure_tests_products_through_a_third_atom(monkeypatch):
     monkeypatch.setattr(
         homsolver,
         "_pair_kernel",
-        lambda a, b, systems, reports: [] if a is x and b is z else real(a, b, systems, reports),
+        lambda a, b, reports: [] if a is x and b is z else real(a, b, reports),
     )
     with pytest.raises(ClosureFailure, match="basis product escaped"):
         end_algebra(m)
@@ -508,40 +509,51 @@ def test_hom_tests_no_zero_fil1_image_for_rank(monkeypatch):
     assert len(calls) == 1
 
 
+def _lattice2_elliptic1x3_torus2():
+    """End(L2 + E(1)^3 + T2) at q = 5 and its three distinct atoms: the
+    lattice and torus are rational, the elliptic Hodge line is p-adic."""
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1, 1), torus_dim=2), C5)
+    assert len(m.parts) == 5
+    lattice, elliptic, torus = {id(a): a for a, _, _ in m.parts}.values()
+    assert lattice.fil1.kind == torus.fil1.kind == RATIONAL and elliptic.fil1.kind == PADIC
+    return m, lattice, elliptic, torus
+
+
 def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
-    m = z_to_e(1, C5)
+    m, lattice, elliptic, torus = _lattice2_elliptic1x3_torus2()
     calls = []
     to_padic = linalg.to_padic
-
-    def counting(a, ctx):
-        calls.append(ctx.precision)
-        return to_padic(a, ctx)
-
-    monkeypatch.setattr(linalg, "to_padic", counting)
+    monkeypatch.setattr(linalg, "to_padic", lambda a, ctx: calls.append((a, ctx.precision)) or to_padic(a, ctx))
     h = hom_space(m, m)
-    assert h.dimension == 3 and len(m.parts) == 2
-    # the four inputs, at N and then at 2N; the atom pairs' blocks are cut
-    # out of those, and nothing is promoted per pair or per basis element
-    assert sorted(calls) == [40] * 4 + [80] * 4
+    # only the p-adic elliptic pair promotes its atom's phi and Fil1, once at
+    # N and once at 2N; the lattice's and torus's matrices never are
+    assert [n for a, n in calls if a is elliptic.phi or a is elliptic.fil1] == [40] * 2 + [80] * 2
+    rest = [(a, n) for a, n in calls if a is not elliptic.phi and a is not elliptic.fil1]
+    assert not any(a is x for a, _ in rest for x in (lattice.phi, lattice.fil1, torus.phi, torus.fil1))
+    # the exact pairs' verified blocks are promoted once each, into the
+    # space's field at 2N, as they are stored
+    exact = h.blocks[id(lattice), id(lattice)] + h.blocks[id(torus), id(torus)]
+    assert len(exact) == 8 and [n for _, n in rest] == [80] * 8
+    assert [to_padic(a, C5.doubled()) for a, _ in rest] == exact and all(a.ctx is None for a, _ in rest)
 
 
 def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
-    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1, 1), torus_dim=2), C5)
-    assert len(m.parts) == 5 and len({id(a) for a, _, _ in m.parts}) == 3
+    m, *_ = _lattice2_elliptic1x3_torus2()
     systems = []
     real = homsolver._hom_system
 
     def spy(mats):
-        systems.append((mats[1].cols, mats[3].cols, mats[0].ctx.precision))
+        systems.append((mats[1].cols, mats[3].cols, mats[0].ctx and mats[0].ctx.precision))
         return real(mats)
 
     monkeypatch.setattr(homsolver, "_hom_system", spy)
     e = end_algebra(m)
     assert e.dimension == 4 + 9 * 2 + 4
-    # (Fil1 ranks, precision) per solved pair: lattice 0, elliptic 1, torus 2;
-    # the three elliptic copies share one solve per precision, and the pairs
-    # of distinct weights are decided by the gcd without a system
-    assert sorted(systems) == [(0, 0, 40), (0, 0, 80), (1, 1, 40), (1, 1, 80), (2, 2, 40), (2, 2, 80)]
+    # (Fil1 ranks, precision) per solved pair: the lattice (0) and torus (2)
+    # pairs once over Q, the elliptic pair (1) at N and 2N; the three
+    # elliptic copies share that solve, and the pairs of distinct weights are
+    # decided by the gcd without a system
+    assert systems == [(0, 0, None), (1, 1, 40), (1, 1, 80), (2, 2, None)]
     # each distinct pair is verified on its own 2 x 2 blocks: 4 lattice,
     # 2 elliptic and 4 torus maps, not every basis element of the sum
     checked = []
@@ -554,6 +566,67 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
     monkeypatch.setattr(linalg, "kernel", kernels.append)
     h = hom_space(lattice, elliptic)
     assert h.dimension == 0 and h.precision_report is None and kernels == []
+
+
+def test_precision_report_is_the_fewest_digits_of_the_p_adic_pairs(monkeypatch):
+    m, *_ = _lattice2_elliptic1x3_torus2()
+    systems, reports = [], []
+    build, kernel = homsolver._hom_system, linalg.kernel
+
+    def spy(system):
+        k = kernel(system)
+        if any(system is x for x in systems):
+            reports.append((system.kind, k.precision_report))
+        return k
+
+    monkeypatch.setattr(homsolver, "_hom_system", lambda mats: systems.append(build(mats)) or systems[-1])
+    monkeypatch.setattr(linalg, "kernel", spy)
+    e = hom_space(m, m)
+    assert [kind for kind, _ in reports] == [RATIONAL, PADIC, PADIC, RATIONAL]
+    padic = [r for kind, r in reports if kind == PADIC]
+    assert all(r is None for kind, r in reports if kind == RATIONAL) and None not in padic
+    assert e.precision_report == min(padic)
+    # a p-adic source whose only solved pair is exact decides its space
+    # exactly, though the space lives over Q_p
+    h = hom_space(z_to_e(1, C5), realize_lattice(1, C5))
+    assert h.dimension == 1 and h.basis[0].kind == PADIC and h.precision_report is None
+
+
+def _split_module_at_q3():
+    """The split module g of a two-block module over F_3: an elliptic block
+    of trace 1 over a Jordan torus block, rational phi, and a Fil1 with
+    3^-4 in its entries."""
+    rows = [[0, -3, 1, 2], [1, 1, 0, 2], [0, 0, 3, -1], [0, 0, 0, 3]]
+    fil1 = Matrix(4, 1, [Fraction(x) for x in (-2, -1, 0, 2)])
+    m = FilteredPhiModule(C3, 4, Matrix.from_rows(rows), (), fil1, "two blocks", graded=False, split_at=2)
+    return split_extension(m)[0]
+
+
+@pytest.mark.parametrize(
+    "t",
+    (
+        -2,
+        -1,
+        pytest.param(
+            1,
+            marks=pytest.mark.xfail(
+                raises=PrecisionExhausted,
+                strict=True,
+                reason="ROADMAP item 1: g's own block has trace 1, so Hom(g, E) is a p-adic pair "
+                "that meets the valuation-blind zero threshold on its own",
+            ),
+        ),
+        2,
+    ),
+)
+def test_end_of_an_exact_split_module_beside_an_ordinary_block_is_additive(t):
+    """Additivity oracle: End(g + E) is End(g) + End(E) + Hom(g, E) +
+    Hom(E, g), each computed on its own.  g is exact and E(t, auto) is
+    p-adic, and g's pairs are solved over Q."""
+    g, e = _split_module_at_q3(), realize_elliptic(t, AUTO, C3)
+    assert g.phi.kind == g.fil1.kind == RATIONAL and e.fil1.kind == PADIC
+    parts = [end_algebra(g), end_algebra(e), hom_space(g, e), hom_space(e, g)]
+    assert end_algebra(direct_sum([g, e])).dimension == sum(x.dimension for x in parts)
 
 
 def _unipotent(n, rng):

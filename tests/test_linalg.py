@@ -84,6 +84,11 @@ def test_a_kind_argument_is_rejected_at_construction():
     # a stale positional kind lands where the context goes
     with pytest.raises(TypeError, match="PadicContext"):
         Matrix(1, 1, [x], "padic")
+    # and where the constructors build their entries from the context
+    with pytest.raises(TypeError, match="PadicContext, got 'padic'"):
+        Matrix.zeros(2, 2, "padic")
+    with pytest.raises(TypeError, match="PadicContext, got 'rational'"):
+        Matrix.identity(2, "rational")
 
 
 # -- kernel ---------------------------------------------------------------------

@@ -3,15 +3,18 @@ checkouts (its record format, report stripping and digest), of
 tools/callcount.py, the call counts of one workload pass, and of
 tools/sweep.py, the records over every survey row up to a q."""
 
+import cProfile
 import importlib.util
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from onemotives import linalg
 from onemotives.errors import OneMotivesError, PrecisionExhausted
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -104,6 +107,44 @@ def test_callcount_prints_the_same_counts_in_two_runs():
     assert outputs[0] == outputs[1]
 
 
+def _setprofile_calls(function) -> int:
+    """Python and builtin calls that ``sys.setprofile`` sees while function runs."""
+    seen = [0]
+
+    def hook(frame, event, arg):
+        seen[0] += event in ("call", "c_call")
+
+    sys.setprofile(hook)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return seen[0]
+
+
+def test_callcount_counts_every_dataclass_init():
+    """Every dataclass-generated ``__init__`` is ('<string>', line, '__init__')
+    to ``pstats``, which keeps one of equal keys: a pass building KernelResult
+    and Matrix objects must still count both constructors."""
+    callcount = _load_tool("callcount")
+    k = 50
+
+    def base():
+        return [linalg.KernelResult(0, []) for _ in range(k)]
+
+    def more():
+        return base() + [linalg.Matrix(0, 0) for _ in range(k)]
+
+    counted = []
+    for function in (base, more):
+        profile = cProfile.Profile()
+        profile.runcall(function)
+        counted.append(callcount.tally(profile)["calls"])
+        assert counted[-1] == _setprofile_calls(function)
+    # each Matrix is at least its generated __init__ and __post_init__
+    assert counted[1] - counted[0] >= 2 * k
+
+
 def test_sweep_covers_its_domain_and_prints_the_same_digest_in_two_runs():
     # four modes per trace, and scalar and jordan at t = +-2 sqrt(q) for square q
     prime_powers = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -136,3 +177,108 @@ def test_sweep_exits_1_when_frobenius_membership_breaks_its_invariant(monkeypatc
     assert "(q, t, mode) = (2, " in mismatches[0]
     # stdout keeps the counts; only the digest moves with the records
     assert broken.out.splitlines()[:-1] == clean.out.splitlines()[:-1]
+
+
+# -- the refinement comparator -----------------------------------------------------
+
+EXACT_ZERO = {"v": "inf", "unit": "0", "prec": 0}
+
+
+def _padic(unit: int, prec: int, v: int = 0) -> dict:
+    return {"v": v, "unit": str(unit), "prec": prec}
+
+
+def _zero(bound: int) -> dict:
+    return {"v": bound, "unit": "0", "prec": 0}
+
+
+def _end_line(entries: list, report) -> str:
+    space = {"dimension": 1, "basis": [{"rows": 1, "cols": len(entries), "entries": entries}]}
+    space.update(classification=None, precision_report=report)
+    return json.dumps(["end", [5, 1, "auto"], ["ok", [space, True]]], sort_keys=True)
+
+
+def _p5(tag: str, item: list) -> int:
+    return 5
+
+
+def _error_line(name: str) -> str:
+    return json.dumps(["end", [5, 1, "auto"], ["error", name, "some message"]], sort_keys=True)
+
+
+def _rows(first, second, report=38) -> str:
+    """An End record whose basis row is (first, second, 7/5 + O(5^77))."""
+    return _end_line([first, second, _padic(7, 78, v=-1)], report)
+
+
+def test_refines_accepts_a_hand_made_refinement():
+    refines = _load_tool("refines")
+    old = _rows(_zero(81), _padic(1, 78))
+    # the unresolved zero made exact, more digits that agree with the old
+    # ones mod 5^78 and mod 5^77, and no report
+    finer = _end_line([EXACT_ZERO, _padic(1 + 3 * 5**78, 80), _padic(7 + 5**79, 81, v=-1)], None)
+    rejected, seen = refines.compare([old, _error_line("PrecisionExhausted")], [finer, old], _p5)
+    assert rejected == []
+    assert seen == {
+        "records": 2,
+        "changed": 2,
+        "unresolved zeros made exact": 1,
+        "entries with more digits": 2,
+        "reports null": 1,
+        "errors answered": 1,
+    }
+    # a higher report is a refinement too, and an unchanged record no change
+    rejected, seen = refines.compare([old, old], [_rows(_zero(81), _padic(1, 78), 40), old], _p5)
+    assert rejected == [] and seen == {"records": 2, "changed": 1, "reports higher": 1}
+
+
+@pytest.mark.parametrize(
+    "new, reason",
+    [
+        (_rows(_zero(81), _padic(2, 80)), "p-adic entry"),
+        (_rows(_zero(81), _padic(1, 70)), "p-adic entry"),
+        (_rows(_zero(80), _padic(1, 78)), "p-adic entry"),
+        (_rows(_zero(81), _padic(1, 78), 30), "precision_report 38 became 30"),
+        # 5^81 + O(5^82) agrees with O(5^81), but it moves the pivot
+        (_rows(_padic(1, 1, v=81), _padic(1, 78)), "pivot positions [1] became [0]"),
+        (_error_line("PrecisionExhausted"), "outcome"),
+    ],
+    ids=["digit-changed", "digits-lost", "zero-bound-lowered", "report-fell", "pivot-moved", "answer-became-error"],
+)
+def test_refines_rejects_a_hand_made_value_change(new, reason):
+    refines = _load_tool("refines")
+    old = _rows(_zero(81), _padic(1, 78))
+    rejected, seen = refines.compare([old], [new], _p5)
+    assert len(rejected) == 1 and reason in rejected[0] and seen["changed"] == 1
+    assert rejected[0].splitlines()[1:] == [f"  was: {old}", f"  now: {new}"]
+
+
+def test_refines_rejects_a_record_it_no_longer_computes_and_other_errors_answered():
+    refines = _load_tool("refines")
+    old = _end_line([_padic(1, 78)], 38)
+    rejected, _ = refines.compare([old], [], _p5)
+    assert rejected == [f"not computed any more: {old}"]
+    rejected, _ = refines.compare([_error_line("VerificationFailure")], [old], _p5)
+    assert len(rejected) == 1 and "outcome ['error', 'VerificationFailure'] became ['ok'" in rejected[0]
+
+
+def test_sweep_refines_reads_the_records_of_another_package(tmp_path, capsys):
+    sweep = _load_tool("sweep")
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert sweep.main(["--qmax", "5", "--refines", str(src)]) == 0
+    same = capsys.readouterr()
+    assert "refines: " in same.err and ", 0 rejected" in same.err and "changed" not in same.err
+    # a copy of the package that drops every precision report: this
+    # checkout's reports are then no refinement of its records
+    other = tmp_path / "src"
+    shutil.copytree(src, other, ignore=shutil.ignore_patterns("__pycache__"))
+    homsolver = other / "onemotives" / "homsolver.py"
+    text = homsolver.read_text()
+    assert text.count('"precision_report": h.precision_report') == 1
+    homsolver.write_text(text.replace('"precision_report": h.precision_report', '"precision_report": None'))
+    assert sweep.main(["--qmax", "5", "--refines", str(other)]) == 1
+    changed = capsys.readouterr()
+    assert changed.out == same.out
+    assert "not a refinement: precision_report None became " in changed.err
+    with pytest.raises(SystemExit, match="no onemotives package"):
+        sweep.main(["--qmax", "5", "--refines", str(tmp_path / "nowhere")])

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib.util
-import pstats
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,12 +56,26 @@ def run_pass(workloads, workload: str, items: list, golden: dict) -> None:
         workloads.check(workload, item, answer, golden)
 
 
-def _calls(stats: pstats.Stats, function) -> int:
-    """How often the profiled pass called ``function``; 0 for None."""
-    if function is None:
-        return 0
-    code = function.__code__
-    return stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+def tally(profile: cProfile.Profile) -> dict[str, int]:
+    """The counts of a finished profile, summed over the profiler's raw
+    entries: ``pstats`` keys functions by (file, line, name) and keeps one
+    entry per key, so every dataclass ``__init__`` but one, and nested
+    comprehensions, would drop out of the total."""
+    entries = profile.getstats()
+
+    def calls(function) -> int:
+        """How often the profiled pass called ``function``; 0 for None."""
+        code = getattr(function, "__code__", None)
+        return sum(e.callcount for e in entries if e.code is code) if code else 0
+
+    # Fraction arithmetic builds its results through __new__ before Python
+    # 3.12 and through _from_coprime_ints from 3.12 on
+    fractions = calls(Fraction.__new__) + calls(getattr(Fraction, "_from_coprime_ints", None))
+    return {
+        "calls": sum(e.callcount for e in entries),
+        "fraction_new": fractions,
+        "padic_scalar_new": calls(padic.PadicScalar.__init__),
+    }
 
 
 def count(workload: str, seed: int) -> dict[str, int]:
@@ -72,15 +85,7 @@ def count(workload: str, seed: int) -> dict[str, int]:
     run_pass(workloads, workload, items, golden)
     profile = cProfile.Profile()
     profile.runcall(run_pass, workloads, workload, items, golden)
-    stats = pstats.Stats(profile)
-    # Fraction arithmetic builds its results through __new__ before Python
-    # 3.12 and through _from_coprime_ints from 3.12 on
-    fractions = _calls(stats, Fraction.__new__) + _calls(stats, getattr(Fraction, "_from_coprime_ints", None))
-    return {
-        "calls": stats.total_calls,
-        "fraction_new": fractions,
-        "padic_scalar_new": _calls(stats, padic.PadicScalar.__init__),
-    }
+    return tally(profile)
 
 
 def main(argv: list[str] | None = None) -> int:

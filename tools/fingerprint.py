@@ -1,6 +1,6 @@
 """Fingerprint of the engine's outputs over one seed's benchmark inputs.
 
-    python3 tools/fingerprint.py --seed N
+    python3 tools/fingerprint.py --seed N [--refines OTHER_SRC]
 
 Prints three lines ``<records> <sha256>`` for the checkout this file
 sits in: the number of records and a sha256 over them.  The first line
@@ -26,6 +26,11 @@ not a ``direct_sum``: ``homspace_to_jsonable(end_algebra(.))`` and
 ``frobenius_membership`` of every two-block module, of its split module,
 and of the sum of the split module with lattice 1 and an elliptic block.
 
+With ``--refines OTHER_SRC`` every record is also computed with the
+package under OTHER_SRC, and each changed record must refine OTHER's, in
+the sense of ``tools/refines.py``; one that does not is printed to stderr
+and the exit code is 1.  Stdout is the same with or without it.
+
 Inputs come from ``bench/workloads.py``, which is imported without
 writing anything under ``bench/``.  This is a comparison tool, not a test:
 it pins no hash.
@@ -44,10 +49,11 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
 
 from onemotives import crystal, homsolver, linalg, motivic, padic  # noqa: E402
 from onemotives.errors import OneMotivesError  # noqa: E402
+import refines  # noqa: E402
 import workloads  # noqa: E402
 
 LIB = SimpleNamespace(crystal=crystal, homsolver=homsolver, linalg=linalg, motivic=motivic, padic=padic)
@@ -216,18 +222,36 @@ def _digest_line(lines: list[str]) -> str:
     return f"{len(lines)} {digest}"
 
 
+def record_sets(seed: int) -> tuple[list[str], list[str]]:
+    """The record lines of the first two digests, and of the third."""
+    rec, ends = Records(), Records()
+    for records in (survey_records, end_records, hom_records):
+        records(rec, seed)
+    split_records(rec, seed, ends)
+    return rec.lines, ends.lines
+
+
+def records(seed: int) -> list[str]:
+    lines, ends = record_sets(seed)
+    return lines + ends
+
+
+def prime_of(tag: str, item: list) -> int:
+    """p of a record's field: a survey row is (q, p, ...), an end item has p
+    fifth, and hom and split items start with p."""
+    return item[{"survey": 1, "end": 4}.get(tag.split(".")[0], 0)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--refines", metavar="OTHER_SRC", help="check that the records refine OTHER_SRC's")
     args = parser.parse_args(argv)
-    rec, ends = Records(), Records()
-    for records in (survey_records, end_records, hom_records):
-        records(rec, args.seed)
-    split_records(rec, args.seed, ends)
-    print(_digest_line(rec.lines))
-    print(_digest_line([json.dumps(_without_reports(json.loads(x)), sort_keys=True) for x in rec.lines]))
-    print(_digest_line(ends.lines))
-    return 0
+    (lines, ends), other = refines.alongside(args.refines, "fingerprint", args.seed, record_sets)
+    print(_digest_line(lines))
+    print(_digest_line([json.dumps(_without_reports(json.loads(x)), sort_keys=True) for x in lines]))
+    print(_digest_line(ends))
+    return refines.report(other, lines + ends, prime_of) if args.refines else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Records of the engine over every Hasse-admissible survey row up to a q.
 
-    python3 tools/sweep.py --qmax Q
+    python3 tools/sweep.py --qmax Q [--refines OTHER_SRC]
 
 The domain is every prime power q <= Q and every trace t with t^2 <= 4q,
 in the fil modes auto, generic, eigenline:0 and eigenline:1, plus scalar
@@ -31,6 +31,11 @@ not come from the solver:
 
 Each mismatch is printed to stderr with its (q, t, mode) and both values,
 after a line counting the checks, and the exit code is then 1.
+
+With ``--refines OTHER_SRC`` the records are also computed with the package
+under OTHER_SRC, and each changed record must refine OTHER's, in the sense
+of ``tools/refines.py``; one that does not is printed to stderr and the exit
+code is 1.  Stdout is the same with or without it.
 ``bench/workloads.py`` is imported without writing anything under ``bench/``.
 """
 
@@ -48,6 +53,7 @@ sys.dont_write_bytecode = True
 sys.path[:0] = [str(TOOLS), str(TOOLS.parent / "src"), str(TOOLS.parent / "bench")]
 
 from fingerprint import Records, _digest_line  # noqa: E402
+import refines  # noqa: E402
 from onemotives import crystal, homsolver  # noqa: E402
 from onemotives.errors import OneMotivesError  # noqa: E402
 from onemotives.padic import PadicContext  # noqa: E402
@@ -119,6 +125,14 @@ def sweep(qmax: int) -> tuple[list[str], list[str], int]:
     return rec.lines, breaks, checks
 
 
+def records(qmax: int) -> list[str]:
+    return sweep(qmax)[0]
+
+
+def prime_of(_tag: str, item: list) -> int:
+    return PadicContext.from_q(item[0]).p
+
+
 def outcomes(lines: list[str]) -> Counter:
     """Records by (stage, outcome): "ok" or the error class."""
     counts: Counter = Counter()
@@ -131,15 +145,17 @@ def outcomes(lines: list[str]) -> Counter:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--qmax", type=int, required=True, help="largest q swept")
+    parser.add_argument("--refines", metavar="OTHER_SRC", help="check that the records refine OTHER_SRC's")
     args = parser.parse_args(argv)
-    lines, breaks, checks = sweep(args.qmax)
+    (lines, breaks, checks), other = refines.alongside(args.refines, "sweep", args.qmax, sweep)
     for (stage, outcome), n in sorted(outcomes(lines).items()):
         print(stage, outcome, n)
     print(_digest_line(lines))
     print(f"invariants: {checks} checked, {len(breaks)} mismatches", file=sys.stderr)
     for line in breaks:
         print("mismatch", line, file=sys.stderr)
-    return 1 if breaks else 0
+    refined = refines.report(other, lines, prime_of) if args.refines else 0
+    return 1 if breaks or refined else 0
 
 
 if __name__ == "__main__":
