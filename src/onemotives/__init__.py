@@ -40,7 +40,6 @@ from .linalg import (
     Matrix,
     char_poly,
     companion,
-    eigen_line,
     kernel,
 )
 from .motivic import ComplexHom, MotivicComplex, hom_complex, realize_motive, shift
@@ -72,7 +71,6 @@ __all__ = [
     "companion",
     "direct_sum",
     "dual",
-    "eigen_line",
     "end_algebra",
     "extension_module",
     "from_rational",

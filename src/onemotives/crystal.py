@@ -297,22 +297,10 @@ def _padic_roots(trace: int, work: PadicContext) -> list[PadicScalar] | None:
     return roots
 
 
-def _eigenline(phi: Matrix, lam: Fraction | PadicScalar, work: PadicContext | None) -> Matrix:
-    """The eigenline of phi at lam as one column: exact when ``work`` is
-    None, else p-adic at ``work``."""
-    line = linalg.eigen_line(phi if work is None else linalg.to_padic(phi, work), lam)
-    if line.dimension != 1:
-        if work is None:
-            raise ValueError(f"eigenvalue {lam} has a {line.dimension}-dimensional eigenspace")
-        raise PrecisionExhausted(f"eigenline at {lam!r} came out {line.dimension}-dimensional")
-    # p-adic Hodge data is stored, and tagged, at the doubled precision so
-    # the solvers can re-derive structural answers at 2N
-    return Matrix(phi.rows, 1, list(line.basis[0]), work)
-
-
-def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: PadicContext) -> Matrix:
-    """The Hodge line as one column: span(e1) for generic/scalar/jordan, the
-    exact eigenline at t/2 when t^2 = 4q, else the eigenline at root K of
+def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Matrix:
+    """The Hodge line as one column: span(e1) for generic/scalar/jordan, else
+    the companion's eigenline at root lam, span(1, -1/mu) with mu = t - lam
+    the other root: exact at t/2 when t^2 = 4q, else at root K of
     ``_padic_roots`` for ``eigenline:K``.  ``auto`` takes root 1 when p does
     not divide t (the slope-1 root, the line of the connected part), root 0
     when p | t, and span(e1), not phi-stable, when there are no roots."""
@@ -321,7 +309,9 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: Pa
         return span_e1
     lam = scalar_frobenius_analysis(trace, ctx)
     if lam is not None:
-        return _eigenline(phi, lam, None)
+        return Matrix(2, 1, [Fraction(1), -1 / lam])
+    # p-adic Hodge data is stored, and tagged, at the doubled precision so
+    # the solvers can re-derive structural answers at 2N
     work = ctx.doubled()
     roots = _padic_roots(trace, work)
     if roots is None:
@@ -330,7 +320,8 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, phi: Matrix, ctx: Pa
         raise ModeMismatch("characteristic polynomial is irreducible over Q_p; no eigenline exists")
     if mode.kind == "auto":
         mode = EllipticFilMode("eigenline", 1 if is_ordinary(trace, ctx) else 0)
-    return _eigenline(phi, roots[mode.root_index], work)
+    mu = roots[1 - mode.root_index]
+    return Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -mu.reciprocal()], work)
 
 
 def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> FilteredPhiModule:
@@ -354,7 +345,7 @@ def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Fi
         phi = Matrix.from_rows([[lam, Fraction(1)], [Fraction(0), lam]])
     else:
         phi = linalg.companion(frobenius_char_poly(trace, ctx))
-    fil1 = _elliptic_hodge_line(trace, mode, phi, ctx)
+    fil1 = _elliptic_hodge_line(trace, mode, ctx)
     label = f"elliptic(t={trace})" if mode.kind == "auto" else f"elliptic(t={trace},{mode})"
     return _graded(ctx, phi, ((-1, 2),), fil1, label)
 

@@ -554,13 +554,6 @@ def companion(poly: list) -> Matrix:
     return m
 
 
-def eigen_line(m: Matrix, lam: Fraction | PadicScalar) -> KernelResult:
-    """kernel(m - lam*I), with ``lam`` of m's scalar kind."""
-    if not m.is_square:
-        raise NonSquare("eigen_line of a non-square matrix")
-    return kernel(shift_diagonal(m, -lam))
-
-
 def annihilator_rows(f: Matrix) -> Matrix:
     """Full-rank matrix whose rows span the annihilator of span(columns of f)."""
     ker = kernel(transpose(f))

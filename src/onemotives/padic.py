@@ -123,11 +123,8 @@ class PadicContext:
         """Vanishing order beyond which an entry counts as zero."""
         return self.precision - ZERO_MARGIN
 
-    def with_precision(self, n: int) -> PadicContext:
-        return PadicContext(self.p, self.f, n)
-
     def doubled(self) -> PadicContext:
-        return self.with_precision(2 * self.precision)
+        return PadicContext(self.p, self.f, 2 * self.precision)
 
     @classmethod
     def from_q(cls, q: int, precision: int = 40) -> PadicContext:
@@ -500,14 +497,15 @@ def _sqrt_mod_p(u: int, p: int) -> int:
 
 
 def _unit_sqrt(u: int, p: int, digits: int) -> int:
-    """Square root of a unit modulo p**digits; the caller guarantees one exists."""
+    """Square root of a unit modulo p**digits, from u mod p**(digits + 1); one must exist."""
     if p != 2:
         r0 = _sqrt_mod_p(u % p, p)
         ctx = PadicContext(p, 1, max(digits, 4))
         return hensel_lift_root([-u, 0, 1], r0, ctx).unit % p**digits
-    # p = 2: u = 1 mod 8; fix one bit of the root per step
+    # p = 2: u = 1 mod 8, known mod 2**(digits + 1); step k makes
+    # s^2 = u mod 2**(k + 1), which fixes s mod 2**k
     s = 1
-    for k in range(3, digits):
+    for k in range(3, digits + 1):
         if (s * s - u) % (1 << (k + 1)):
             s += 1 << (k - 1)
     return s % (1 << digits)
@@ -530,7 +528,7 @@ def integer_square_root(d: int, p: int, digits: int) -> PadicScalar | None:
     if not is_padic_square(d, p):
         return None
     v = padic_valuation(d, p)
-    root = _unit_sqrt(d // p**v % p**digits, p, digits)
+    root = _unit_sqrt(d // p**v % p ** (digits + 1), p, digits)
     return PadicScalar(p, v // 2, root, digits)
 
 

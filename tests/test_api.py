@@ -3,7 +3,7 @@
 import onemotives
 from onemotives import crystal, homsolver, linalg, motivic, padic
 
-REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational")
+REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line")
 
 
 def test_every_exported_name_resolves():
@@ -25,5 +25,7 @@ def test_removed_names_are_gone():
     for name in ("auto", "eigenline", "generic", "scalar", "jordan"):
         assert not hasattr(crystal.EllipticFilMode, name)
     assert not hasattr(crystal, "_eigenline_matrix") and not hasattr(crystal, "_rational_eigenline")
+    assert not hasattr(crystal, "_eigenline") and not hasattr(linalg, "eigen_line")
+    assert not hasattr(padic.PadicContext, "with_precision")
     assert not hasattr(homsolver, "_solve_once")
     assert not hasattr(linalg, "resultant")

@@ -227,6 +227,13 @@ def test_ordinary_eigenline_at_p2_realizes(capsys):
     assert out.splitlines()[0] == "end dimension: 2"
 
 
+def test_eigenline_at_p2_with_p_dividing_t_realizes(capsys):
+    # the p | t eigenline takes a 2-adic square root of the discriminant;
+    # one digit short of its claim, the line came out 0-dimensional
+    code, _, err = run_cli(capsys, "realize", "--p", "2", "--f", "6", "--elliptic", "10", "--format", "table")
+    assert code == 0 and err == ""
+
+
 def test_eigenline_at_a_large_prime_answers_in_seconds():
     # p | t with a square discriminant takes a square root mod p; a scan over
     # the residues would not finish at p near 10^9

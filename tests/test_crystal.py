@@ -42,7 +42,7 @@ from onemotives.errors import (
 )
 from onemotives import crystal, linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL, mat_mul, to_padic
-from onemotives.padic import PadicContext, PadicScalar, newton_slopes
+from onemotives.padic import PadicContext, PadicScalar, from_rational, newton_slopes
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
@@ -158,6 +158,39 @@ def test_ordinary_eigenlines_share_auto_root_finder(q):
         auto = realize_elliptic(t, AUTO, ctx)
         assert realize_elliptic(t, EllipticFilMode("eigenline", 1), ctx).fil1 == auto.fil1, (q, t)
         realize_elliptic(t, EllipticFilMode("eigenline", 0), ctx)
+
+
+def test_closed_form_hodge_line_is_the_kernel_of_phi_minus_lambda():
+    # the Hodge line span(1, -1/mu) from the other root mu is, entry for
+    # entry, the eigenline that eliminating phi - lam I at 2N gives.  At
+    # q = 64, t = +-10, a 2-adic square root one digit short of its claim
+    # gave a lam whose eigenline came out 0-dimensional
+    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+    prime_powers = sorted(p**f for p in primes for f in range(1, 7) if p**f <= 64)
+    checked = 0
+    for q in prime_powers:
+        ctx = PadicContext.from_q(q)
+        work = ctx.doubled()
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            exact = scalar_frobenius_analysis(t, ctx)
+            roots = None if exact is not None else crystal._padic_roots(t, work)
+            for mode in (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1)):
+                if exact is None and roots is None:
+                    continue  # irreducible over Q_p: auto is span(e1), eigenline:K raises
+                m = realize_elliptic(t, mode, ctx)
+                if exact is not None:
+                    assert m.fil1.kind == RATIONAL
+                    ker = linalg.kernel(linalg.shift_diagonal(m.phi, -exact))
+                else:
+                    k = (1 if is_ordinary(t, ctx) else 0) if mode == AUTO else mode.root_index
+                    lam = roots[k]
+                    residual = lam * lam - from_rational(t, work) * lam + from_rational(q, work)
+                    assert residual.negligible(work.threshold), (q, t, mode)
+                    ker = linalg.kernel(linalg.shift_diagonal(to_padic(m.phi, work), -lam))
+                assert ker.dimension == 1 and ker.basis[0] == m.fil1.entries, (q, t, mode)
+                checked += 1
+    assert checked == 1449
 
 
 # -- whole motives ------------------------------------------------------------

@@ -14,7 +14,6 @@ from onemotives.linalg import (
     char_poly,
     companion,
     det,
-    eigen_line,
     inverse,
     is_zero,
     kernel,
@@ -23,6 +22,7 @@ from onemotives.linalg import (
     mat_sub,
     rank,
     share_root,
+    shift_diagonal,
     solve,
     solve_many,
     submatrix,
@@ -647,12 +647,12 @@ def test_char_poly_and_det_match_sympy(shape):
             assert det(m) == Fraction(int(d.p), int(d.q)), m
 
 
-# -- eigen lines --------------------------------------------------------------------
+# -- eigen lines: kernels of m - lam I ----------------------------------------------
 
 
 def test_eigen_line_diagonal():
     m = to_padic(frac_matrix([[1, 0], [0, 5]]), C5)
-    res = eigen_line(m, from_rational(1, C5))
+    res = kernel(shift_diagonal(m, -from_rational(1, C5)))
     assert res.dimension == 1
     assert_padic_value(res.basis[0][0], 1, C5)
     assert res.basis[0][1].negligible(C5.threshold)
@@ -662,7 +662,7 @@ def test_eigen_line_at_hensel_root():
     comp = companion([Fraction(5), Fraction(-1), Fraction(1)])
     u = hensel_lift_root([5, -1, 1], 1, C5)
     m = to_padic(comp, C5)
-    res = eigen_line(m, u)
+    res = kernel(shift_diagonal(m, -u))
     assert res.dimension == 1
     vec = res.basis[0]
     shifted = mat_sub(m, mat_scale(u, Matrix.identity(2, C5)))
@@ -674,14 +674,14 @@ def test_eigen_line_at_hensel_root():
 
 def test_eigen_line_invertible():
     m = to_padic(Matrix.identity(2), C5)
-    assert eigen_line(m, from_rational(0, C5)).dimension == 0
+    assert kernel(shift_diagonal(m, -from_rational(0, C5))).dimension == 0
 
 
 def test_eigen_line_rational():
     m = frac_matrix([[2, 1], [0, 3]])
-    assert eigen_line(m, Fraction(2)).basis == [[Fraction(1), Fraction(0)]]
-    assert eigen_line(m, Fraction(3)).basis == [[Fraction(1), Fraction(1)]]
-    assert eigen_line(m, Fraction(5)).dimension == 0
+    assert kernel(shift_diagonal(m, Fraction(-2))).basis == [[Fraction(1), Fraction(0)]]
+    assert kernel(shift_diagonal(m, Fraction(-3))).basis == [[Fraction(1), Fraction(1)]]
+    assert kernel(shift_diagonal(m, Fraction(-5))).dimension == 0
 
 
 # -- constraint stacking --------------------------------------------------------------

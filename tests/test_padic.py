@@ -285,6 +285,16 @@ def test_integer_square_root():
     assert integer_square_root(3, 2, 40) is None  # 3 mod 8 is not a square
 
 
+def test_square_root_at_two_has_every_digit_it_claims():
+    # a root claiming `digits` digits is fixed mod 2^digits, so its square
+    # is fixed mod 2^(digits + 1); the bit loop must run through k = digits
+    for u in range(1, 1 << 12, 8):
+        for digits in range(4, 65):
+            s = integer_square_root(u, 2, digits)
+            assert s.v == 0 and s.prec == digits
+            assert (s.unit * s.unit - u) % (1 << (digits + 1)) == 0, (u, digits)
+
+
 def test_unit_sqrt_starts_from_the_smaller_root_mod_p():
     # the root mod p is the one a scan over 1, ..., p - 1 would choose: the
     # smaller of r and p - r, which the Hensel lift keeps
