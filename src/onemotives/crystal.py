@@ -97,7 +97,10 @@ class FilteredPhiModule:
     ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
     of a ``direct_sum`` not itself made by ``direct_sum`` (empty for an
     atom); ``block_polys`` the weight blocks' characteristic polynomials once
-    ``validate_graded`` computed them.  Neither is part of ``==`` or ``repr``.
+    ``validate_graded`` computed them; ``slope_parts`` the set S of slopes
+    whose parts of phi sum to Fil1, set by the constructor that knows the
+    roots, else None (``replace`` drops it).  None of the three is part of
+    ``==`` or ``repr``.
     """
 
     ctx: PadicContext
@@ -110,6 +113,7 @@ class FilteredPhiModule:
     split_at: int | None = None
     parts: tuple = field(default=(), compare=False, repr=False)
     block_polys: tuple = field(default=(), compare=False, repr=False)
+    slope_parts: frozenset | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = tuple((int(w), int(d)) for w, d in self.weights)
@@ -186,9 +190,10 @@ def _validate_fil1_basis(m: FilteredPhiModule) -> None:
         raise ValueError("fil1 generators are linearly dependent")
 
 
-def _graded(ctx, phi, weights, fil1, label) -> FilteredPhiModule:
+def _graded(ctx, phi, weights, fil1, label, slope_parts=None) -> FilteredPhiModule:
     m = FilteredPhiModule(ctx, phi.rows, phi, weights, fil1, label)
     validate_graded(m)
+    m.slope_parts = slope_parts
     return m
 
 
@@ -247,7 +252,7 @@ def realize_lattice(r: int, ctx: PadicContext) -> FilteredPhiModule:
         raise ValueError("rank must be >= 0")
     if r == 0:
         return zero_module(ctx)
-    return _graded(ctx, Matrix.identity(r), ((0, r),), Matrix.zeros(r, 0), f"lattice({r})")
+    return _graded(ctx, Matrix.identity(r), ((0, r),), Matrix.zeros(r, 0), f"lattice({r})", frozenset())
 
 
 def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
@@ -257,7 +262,7 @@ def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
     if t == 0:
         return zero_module(ctx)
     phi = linalg.mat_scale(Fraction(ctx.q), Matrix.identity(t))
-    return _graded(ctx, phi, ((-2, t),), Matrix.identity(t), f"torus({t})")
+    return _graded(ctx, phi, ((-2, t),), Matrix.identity(t), f"torus({t})", frozenset({Fraction(1)}))
 
 
 def frobenius_char_poly(trace: int, ctx: PadicContext) -> list[Fraction]:
@@ -297,31 +302,40 @@ def _padic_roots(trace: int, work: PadicContext) -> list[PadicScalar] | None:
     return roots
 
 
-def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Matrix:
-    """The Hodge line as one column: span(e1) for generic/scalar/jordan, else
-    the companion's eigenline at root lam, span(1, -1/mu) with mu = t - lam
-    the other root: exact at t/2 when t^2 = 4q, else at root K of
-    ``_padic_roots`` for ``eigenline:K``.  ``auto`` takes root 1 when p does
-    not divide t (the slope-1 root, the line of the connected part), root 0
-    when p | t, and span(e1), not phi-stable, when there are no roots."""
+def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> tuple:
+    """The Hodge line as one column, and its slope certificate or None:
+    span(e1) for generic/scalar/jordan, else the companion's eigenline at
+    root lam, span(1, -1/mu) with mu = t - lam the other root: exact at t/2
+    when t^2 = 4q, else at root K of ``_padic_roots`` for ``eigenline:K``.
+    ``auto`` takes root 1 when p does not divide t (the slope-1 root, the
+    line of the connected part), root 0 when p | t, and span(e1), not
+    phi-stable, when there are no roots.  When v(lam) != v(mu) the line is
+    the slope-v(lam)/f part, certified {v(lam)/f} once (phi - lam)(mu, -1)^T
+    = (q - lam mu, lam + mu - t)^T is negligible at 2N."""
     span_e1 = Matrix(2, 1, [Fraction(1), Fraction(0)])
     if mode.kind in ("generic", "scalar", "jordan"):
-        return span_e1
+        return span_e1, None
     lam = scalar_frobenius_analysis(trace, ctx)
     if lam is not None:
-        return Matrix(2, 1, [Fraction(1), -1 / lam])
+        return Matrix(2, 1, [Fraction(1), -1 / lam]), None
     # p-adic Hodge data is stored, and tagged, at the doubled precision so
     # the solvers can re-derive structural answers at 2N
     work = ctx.doubled()
     roots = _padic_roots(trace, work)
     if roots is None:
         if mode.kind == "auto":
-            return span_e1
+            return span_e1, None
         raise ModeMismatch("characteristic polynomial is irreducible over Q_p; no eigenline exists")
     if mode.kind == "auto":
         mode = EllipticFilMode("eigenline", 1 if is_ordinary(trace, ctx) else 0)
-    mu = roots[1 - mode.root_index]
-    return Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -mu.reciprocal()], work)
+    lam, mu = roots[mode.root_index], roots[1 - mode.root_index]
+    line = Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -mu.reciprocal()], work)
+    if lam.v == mu.v:
+        return line, None
+    resid = Matrix(2, 1, [from_rational(ctx.q, work) - lam * mu, lam + mu - from_rational(trace, work)], work)
+    if not linalg.is_zero(resid):
+        raise PrecisionExhausted("the Hodge line's roots miss T^2 - tT + q above the zero threshold")
+    return line, frozenset({Fraction(lam.v, ctx.f)})
 
 
 def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> FilteredPhiModule:
@@ -345,9 +359,9 @@ def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Fi
         phi = Matrix.from_rows([[lam, Fraction(1)], [Fraction(0), lam]])
     else:
         phi = linalg.companion(frobenius_char_poly(trace, ctx))
-    fil1 = _elliptic_hodge_line(trace, mode, ctx)
+    fil1, slope_parts = _elliptic_hodge_line(trace, mode, ctx)
     label = f"elliptic(t={trace})" if mode.kind == "auto" else f"elliptic(t={trace},{mode})"
-    return _graded(ctx, phi, ((-1, 2),), fil1, label)
+    return _graded(ctx, phi, ((-1, 2),), fil1, label, slope_parts)
 
 
 def realize_abelian_block(phi: Matrix, fil1: Matrix, ctx: PadicContext) -> FilteredPhiModule:

@@ -15,10 +15,14 @@ closure is checked too, and placed at its positions of h, whose unknowns
 are enumerated row-major.  Placement keeps the order of a pair's unknowns
 and pairs' blocks are disjoint, so ordering by pivot gives the echelon
 form of the whole space: identical inputs give byte-identical output.
-A pair whose four matrices are rational is solved once over Q, any other
-over Q_p at the context precision N and again at 2N, where a dimension
-flip raises ``PrecisionExhausted``.  The space is over Q when every input
-is rational, else over Q_p at 2N, where exact pairs' blocks are promoted.
+A pair whose four matrices are rational is solved once over Q, and so is
+a pair of rational phis whose Hodge subspaces are slope parts that every
+equivariant map keeps (``_slope_certified``): its Hom is the commutant,
+with no Fil1 rows or test, as the constructors checked the lines they
+certified.  Any other pair is solved over Q_p at the context precision N
+and again at 2N, where a dimension flip raises ``PrecisionExhausted``.
+The space is over Q when every block is, else over Q_p at 2N, where the
+exact blocks are promoted.
 
 Only the commutation with phi is imposed: at the linearized level the
 Verschiebung is q * phi^{-1}, so commuting with phi already commutes
@@ -38,7 +42,8 @@ from .errors import (
 )
 from . import linalg
 from .crystal import FilteredPhiModule
-from .linalg import Matrix, RATIONAL
+from .linalg import Matrix, PADIC, RATIONAL
+from .padic import newton_slopes
 
 LATTICE_SCALARS = "lattice_scalars"
 TORUS_SCALARS = "torus_scalars"
@@ -101,18 +106,33 @@ def _verify_element(h: Matrix, mats: tuple) -> None:
         raise error("image of Fil1 escapes the target Hodge subspace")
 
 
+def _slope_certified(a: FilteredPhiModule, b: FilteredPhiModule) -> bool:
+    """Whether every equivariant map a -> b keeps Fil1: both are slope parts,
+    of slopes S_a and S_b, and S_a meets b's slopes inside S_b.  Slope parts
+    are functorial (Dieudonne-Manin), so the map sends Fil1_a into b's parts
+    of slopes S_a."""
+    if a.slope_parts is None or b.slope_parts is None:
+        return False
+    slopes = {s for cp in b.block_polys for s in newton_slopes(cp, b.ctx)}
+    return a.slope_parts & slopes <= b.slope_parts
+
+
 def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> list:
     """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom over its
-    own field: Q when (phi_a, Fil1_a, phi_b, Fil1_b) are rational, else Q_p
-    at N and then 2N, verified at the last; disjoint spectra solve nothing."""
+    own field: Q when (phi_a, Fil1_a, phi_b, Fil1_b) are rational or the
+    pair is slope certified (the commutant), else Q_p at N and then 2N,
+    verified at the last; disjoint spectra solve nothing."""
+    mats = (a.phi, a.fil1, b.phi, b.fil1)
     if a.phi.kind == b.phi.kind == RATIONAL:
         fs, gs = (m.block_polys or (linalg.char_poly(m.phi),) for m in (a, b))
         if not any(linalg.share_root(f, g) for f in fs for g in gs):
             return []
-    stages = [(a.phi, a.fil1, b.phi, b.fil1)]
-    if any(x.kind != RATIONAL for x in stages[0]):
+        if PADIC in (a.fil1.kind, b.fil1.kind) and _slope_certified(a, b):
+            mats = (a.phi, Matrix.zeros(a.dim, 0), b.phi, Matrix.zeros(b.dim, 0))
+    stages = [mats]
+    if any(x.kind != RATIONAL for x in mats):
         k = 2 if a is b else 4  # a pair of one atom promotes its (phi, Fil1) once per precision
-        stages = [tuple(linalg.to_padic(x, c) for x in stages[0][:k]) * (4 // k) for c in (a.ctx, a.ctx.doubled())]
+        stages = [tuple(linalg.to_padic(x, c) for x in mats[:k]) * (4 // k) for c in (a.ctx, a.ctx.doubled())]
     kernels = [linalg.kernel(_hom_system(m)) for m in stages]
     if kernels[0].dimension != kernels[-1].dimension:
         (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in stages)
@@ -131,27 +151,31 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> l
 
 def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     """All Frobenius-equivariant, filtration-preserving maps src -> tgt: each
-    distinct atom pair's verified blocks at its positions, ordered by pivot."""
+    distinct atom pair's verified blocks at its positions, ordered by pivot.
+    The space is over Q when every block is, else over Q_p at 2N, where the
+    exact blocks are promoted."""
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
+    pairs = [(a, rows_a, b, rows_b) for a, rows_a, _ in src.atoms() for b, rows_b, _ in tgt.atoms()]
+    reports, blocks = [], {}
+    for a, _, b, _ in pairs:
+        if (id(a), id(b)) not in blocks:
+            blocks[id(a), id(b)] = _pair_kernel(a, b, reports)
     # the space's field: Q, or Q_p at 2N, where unresolved zeros may precede a pivot
-    ctx = None if all(x.kind == RATIONAL for x in (src.phi, src.fil1, tgt.phi, tgt.fil1)) else src.ctx.doubled()
+    ctx = src.ctx.doubled() if any(h.ctx for pair in blocks.values() for h in pair) else None
+    if ctx:
+        blocks = {key: [h if h.ctx else linalg.to_padic(h, ctx) for h in pair] for key, pair in blocks.items()}
     leads = (lambda x: x.is_resolved) if ctx else bool
     n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, ctx).entries
-    placed, reports, blocks = [], [], {}
-    for a, rows_a, _ in src.atoms():
-        for b, rows_b, _ in tgt.atoms():
-            key = (id(a), id(b))
-            if key not in blocks:
-                pair = _pair_kernel(a, b, reports)
-                blocks[key] = [h if h.ctx or not ctx else linalg.to_padic(h, ctx) for h in pair]
-            # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
-            at = [i * n + j for i in rows_b for j in rows_a]
-            for blk in blocks[key]:
-                h = list(blank)
-                for k, x in zip(at, blk.entries):
-                    h[k] = x
-                placed.append((next(k for k, x in zip(at, blk.entries) if leads(x)), h))
+    placed = []
+    for a, rows_a, b, rows_b in pairs:
+        # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
+        at = [i * n + j for i in rows_b for j in rows_a]
+        for blk in blocks[id(a), id(b)]:
+            h = list(blank)
+            for k, x in zip(at, blk.entries):
+                h[k] = x
+            placed.append((next(k for k, x in zip(at, blk.entries) if leads(x)), h))
     basis = [Matrix(tgt.dim, n, h, ctx) for _, h in sorted(placed, key=lambda x: x[0])]
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None), blocks)
 

@@ -234,6 +234,21 @@ def test_eigenline_at_p2_with_p_dividing_t_realizes(capsys):
     assert code == 0 and err == ""
 
 
+def test_survey_at_q16_answers_every_row(capsys):
+    # ordinary atoms are slope parts and their End is solved over Q; the
+    # p-adic zero threshold once failed rows here with a --prec hint
+    code, out, err = run_cli(capsys, "survey", "--p", "2", "--f", "4", "--format", "table")
+    assert code == 0 and err == "" and len(out.splitlines()) == 1 + 17 + 4  # scalar and jordan rows at t = +-8
+
+
+def test_end_at_q32_is_exact(capsys):
+    code, out, err = run_cli(capsys, "end", "--p", "2", "--f", "5", "--lattice", "1", "--elliptic", "1")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["dimension"] == 3 and obj["precision_report"] is None
+    assert "-1/32" in [x for h in obj["basis"] for x in h["entries"]]
+
+
 def test_eigenline_at_a_large_prime_answers_in_seconds():
     # p | t with a square discriminant takes a square root mod p; a scan over
     # the residues would not finish at p near 10^9

@@ -38,6 +38,7 @@ from onemotives.errors import (
     HasseViolation,
     ModeMismatch,
     NonSplitExtension,
+    PrecisionExhausted,
     VerificationFailure,
 )
 from onemotives import crystal, linalg
@@ -191,6 +192,66 @@ def test_closed_form_hodge_line_is_the_kernel_of_phi_minus_lambda():
                 assert ker.dimension == 1 and ker.basis[0] == m.fil1.entries, (q, t, mode)
                 checked += 1
     assert checked == 1449
+
+
+def test_slope_certificate_is_issued_exactly_on_non_isoclinic_eigenlines():
+    # the Newton polygon of T^2 - tT + q is (0, f), (1, v_p(t)), (2, 0): two
+    # distinct slopes v/f < 1 - v/f exactly when 2 v < f, and then the roots
+    # in ``_padic_roots`` order (by valuation) have those slopes
+    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+    prime_powers = sorted(p**f for p in primes for f in range(1, 7) if p**f <= 64)
+    tagged = untagged = 0
+    for q in prime_powers:
+        ctx = PadicContext.from_q(q)
+        p, f = ctx.p, ctx.f
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            v = math.inf if t == 0 else next(k for k in range(f + 1) if t % p ** (k + 1))
+            for mode in (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1)):
+                want = None
+                if 2 * v < f:
+                    k = (1 if v == 0 else 0) if mode == AUTO else mode.root_index
+                    want = frozenset({[Fraction(v, f), 1 - Fraction(v, f)][k]})
+                try:
+                    m = realize_elliptic(t, mode, ctx)
+                except ModeMismatch:
+                    assert want is None and mode != AUTO, (q, t, mode)
+                    continue
+                assert m.slope_parts == want, (q, t, mode)
+                tagged, untagged = tagged + (want is not None), untagged + (want is None)
+    assert (tagged, untagged) == (1404, 91)
+
+
+def test_slope_certificate_is_set_by_constructors_and_dropped_by_replace():
+    assert realize_lattice(2, C5).slope_parts == frozenset()
+    assert realize_torus(2, C5).slope_parts == frozenset({1})
+    atom = realize_elliptic(1, AUTO, C5)
+    assert atom.slope_parts == frozenset({1})
+    assert dataclasses.replace(atom, label="x").slope_parts is None
+    # the certificate is not part of ==
+    assert dataclasses.replace(atom) == atom and dataclasses.replace(atom).slope_parts is None
+    for m in (
+        direct_sum([realize_lattice(1, C5), atom]),
+        dual(atom),
+        module_from_jsonable(module_to_jsonable(atom)),
+        realize_elliptic(0, AUTO, C25),  # isoclinic, slopes 1/2 and 1/2
+        realize_elliptic(1, EllipticFilMode("generic"), C5),
+    ):
+        assert m.slope_parts is None, m.label
+
+
+def test_slope_certificate_checks_the_roots_it_is_built_from(monkeypatch):
+    # the line span(1, -1/mu) is only the eigenline at lam when lam and mu
+    # are the roots of T^2 - tT + q; a mu wrong in its fourth digit is caught
+    real = crystal._padic_roots
+
+    def perturbed(trace, work):
+        mu, lam = real(trace, work)
+        return [mu + from_rational(5**3, work), lam]
+
+    monkeypatch.setattr(crystal, "_padic_roots", perturbed)
+    with pytest.raises(PrecisionExhausted, match="roots miss"):
+        realize_elliptic(1, AUTO, C5)
 
 
 # -- whole motives ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Hom/End solver, algebra checks, classification, and the weight-block laws."""
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from onemotives import homsolver
 from onemotives.errors import (
     ClosureFailure,
     ContextMismatch,
+    ModeMismatch,
     PrecisionExhausted,
     UnclassifiedShape,
     VerificationFailure,
@@ -46,7 +49,7 @@ from onemotives.homsolver import (
 )
 from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL
-from onemotives.padic import PadicContext, PadicScalar, from_rational
+from onemotives.padic import PadicContext, PadicScalar, fraction_valuation, from_rational
 
 C3 = PadicContext(3, 1, 40)
 C5 = PadicContext(5, 1, 40)
@@ -481,8 +484,10 @@ def test_hom_rejects_an_exact_fil1_escape_without_precision_advice(monkeypatch):
 
 
 def test_hom_padic_non_equivariant_vector_is_a_precision_failure(monkeypatch):
-    m = realize_elliptic(1, AUTO, C5)
-    assert m.fil1.kind == PADIC
+    # at q = 25, t = 0 both roots have slope 1/2: the Hodge line is p-adic
+    # and no slope part, so the pair is solved over Q_p
+    m = realize_elliptic(0, AUTO, C25)
+    assert m.fil1.kind == PADIC and m.slope_parts is None
     _answer_hom_system_with(monkeypatch, frac_matrix([[0, 1], [0, 0]]))
     with pytest.raises(PrecisionExhausted, match="equivariance residual"):
         hom_space(m, m)
@@ -509,18 +514,20 @@ def test_hom_tests_no_zero_fil1_image_for_rank(monkeypatch):
     assert len(calls) == 1
 
 
-def _lattice2_elliptic1x3_torus2():
-    """End(L2 + E(1)^3 + T2) at q = 5 and its three distinct atoms: the
-    lattice and torus are rational, the elliptic Hodge line is p-adic."""
-    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1, 1), torus_dim=2), C5)
+def _lattice2_elliptic0x3_torus2():
+    """End(L2 + E(0)^3 + T2) at q = 25 and its three distinct atoms: the
+    lattice and torus are rational, the elliptic Hodge line is p-adic, and
+    isoclinic (slopes 1/2, 1/2), so no slope part and its pair stays p-adic."""
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(0, 0, 0), torus_dim=2), C25)
     assert len(m.parts) == 5
     lattice, elliptic, torus = {id(a): a for a, _, _ in m.parts}.values()
     assert lattice.fil1.kind == torus.fil1.kind == RATIONAL and elliptic.fil1.kind == PADIC
+    assert elliptic.slope_parts is None
     return m, lattice, elliptic, torus
 
 
 def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
-    m, lattice, elliptic, torus = _lattice2_elliptic1x3_torus2()
+    m, lattice, elliptic, torus = _lattice2_elliptic0x3_torus2()
     calls = []
     to_padic = linalg.to_padic
     monkeypatch.setattr(linalg, "to_padic", lambda a, ctx: calls.append((a, ctx.precision)) or to_padic(a, ctx))
@@ -534,11 +541,11 @@ def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
     # space's field at 2N, as they are stored
     exact = h.blocks[id(lattice), id(lattice)] + h.blocks[id(torus), id(torus)]
     assert len(exact) == 8 and [n for _, n in rest] == [80] * 8
-    assert [to_padic(a, C5.doubled()) for a, _ in rest] == exact and all(a.ctx is None for a, _ in rest)
+    assert [to_padic(a, C25.doubled()) for a, _ in rest] == exact and all(a.ctx is None for a, _ in rest)
 
 
 def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
-    m, *_ = _lattice2_elliptic1x3_torus2()
+    m, *_ = _lattice2_elliptic0x3_torus2()
     systems = []
     real = homsolver._hom_system
 
@@ -561,7 +568,7 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
     monkeypatch.setattr(homsolver, "_verify_element", lambda h, mats: checked.append((h.rows, h.cols)) or verify(h, mats))
     end_algebra(m)
     assert checked == [(2, 2)] * 10
-    lattice, elliptic = realize_lattice(1, C5), realize_elliptic(1, AUTO, C5)
+    lattice, elliptic = realize_lattice(1, C25), realize_elliptic(0, AUTO, C25)
     kernels = []
     monkeypatch.setattr(linalg, "kernel", kernels.append)
     h = hom_space(lattice, elliptic)
@@ -569,7 +576,7 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
 
 
 def test_precision_report_is_the_fewest_digits_of_the_p_adic_pairs(monkeypatch):
-    m, *_ = _lattice2_elliptic1x3_torus2()
+    m, *_ = _lattice2_elliptic0x3_torus2()
     systems, reports = [], []
     build, kernel = homsolver._hom_system, linalg.kernel
 
@@ -587,9 +594,9 @@ def test_precision_report_is_the_fewest_digits_of_the_p_adic_pairs(monkeypatch):
     assert all(r is None for kind, r in reports if kind == RATIONAL) and None not in padic
     assert e.precision_report == min(padic)
     # a p-adic source whose only solved pair is exact decides its space
-    # exactly, though the space lives over Q_p
-    h = hom_space(z_to_e(1, C5), realize_lattice(1, C5))
-    assert h.dimension == 1 and h.basis[0].kind == PADIC and h.precision_report is None
+    # exactly, and over Q: no block of the space is p-adic
+    h = hom_space(z_to_e(0, C25), realize_lattice(1, C25))
+    assert h.dimension == 1 and h.basis[0].kind == RATIONAL and h.precision_report is None
 
 
 def _split_module_at_q3():
@@ -708,6 +715,50 @@ def test_conjugated_sum_has_the_per_pair_hom(q):
             assert dense.dimension == per_pair.dimension
             for h in per_pair.basis:
                 assert in_span(dense.basis, _integral(carry(h))) is not None
+
+
+def _in_coset(x, y):
+    """Whether the rational x lies in the coset y + O(p^a) of the p-adic y,
+    a its absolute precision (an exact zero's coset is {0})."""
+    if y.v is None:
+        return x == 0
+    d = x - Fraction(y.unit) * Fraction(y.p) ** y.v
+    return d == 0 or fraction_valuation(d, y.p) >= y.v + y.prec
+
+
+def test_slope_certified_end_is_the_p_adic_end_made_exact():
+    """Oracle for the slope-part path: End(L1 + E) of a certified elliptic
+    atom, solved over Q, against End of the same sum of ``replace``d atoms,
+    which carry no certificate and are solved over Q_p at N and 2N."""
+    primes = [p for p in range(2, 33) if all(p % d for d in range(2, p))]
+    answered = raised = 0
+    for q in sorted(p**f for p in primes for f in range(1, 6) if p**f <= 32):
+        ctx = PadicContext.from_q(q)
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            for mode in (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1)):
+                try:
+                    e = realize_elliptic(t, mode, ctx)
+                except ModeMismatch:
+                    continue
+                if e.slope_parts is None:
+                    continue
+                lattice = realize_lattice(1, ctx)
+                exact = end_algebra(direct_sum([lattice, e]))
+                assert exact.precision_report is None and all(h.kind == RATIONAL for h in exact.basis)
+                try:
+                    padic = end_algebra(direct_sum([replace(lattice), replace(e)]))
+                except PrecisionExhausted:
+                    # the lattice's scalars and the commutant Q_p[phi] of the
+                    # non-scalar 2 x 2 block
+                    assert exact.dimension == 1 + 2, (q, t, mode)
+                    raised += 1
+                    continue
+                assert padic.dimension == exact.dimension, (q, t, mode)
+                for h, g in zip(exact.basis, padic.basis):
+                    assert all(_in_coset(x, y) for x, y in zip(h.entries, g.entries)), (q, t, mode)
+                answered += 1
+    assert (answered, raised) == (618, 66)
 
 
 def _assert_reduced_echelon(space):

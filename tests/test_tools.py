@@ -253,6 +253,32 @@ def test_refines_rejects_a_hand_made_value_change(new, reason):
     assert rejected[0].splitlines()[1:] == [f"  was: {old}", f"  now: {new}"]
 
 
+def test_refines_accepts_p_adic_entries_made_exact_inside_their_cosets():
+    refines = _load_tool("refines")
+    old = _rows(_zero(81), _padic(1, 78))
+    # 0 lies in O(5^81), 1 + 2 * 5^78 in 1 + O(5^78), 7/5 in 7/5 + O(5^77)
+    exact = _end_line(["0/1", f"{1 + 2 * 5**78}/1", "7/5"], None)
+    rejected, seen = refines.compare([old], [exact], _p5)
+    assert rejected == []
+    assert seen == {"records": 1, "changed": 1, "p-adic entries made exact": 3, "reports null": 1}
+
+
+@pytest.mark.parametrize(
+    "old, new, why",
+    [
+        # 2 is not 1 + O(5^78)
+        (_rows(_zero(81), _padic(1, 78)), _end_line(["0/1", "2/1", "7/5"], None), "'unit': '1', 'v': 0} became 2/1"),
+        # an exact zero must stay 0
+        (_end_line([_padic(1, 78), EXACT_ZERO], 38), _end_line(["1/1", "1/5"], None), "'unit': '0', 'v': 'inf'} became 1/5"),
+    ],
+    ids=["outside-the-coset", "exact-zero-became-nonzero"],
+)
+def test_refines_rejects_a_p_adic_entry_made_exact_outside_its_coset(old, new, why):
+    refines = _load_tool("refines")
+    rejected, seen = refines.compare([old], [new], _p5)
+    assert len(rejected) == 1 and why in rejected[0].splitlines()[0] and seen["changed"] == 1
+
+
 def test_refines_rejects_a_record_it_no_longer_computes_and_other_errors_answered():
     refines = _load_tool("refines")
     old = _end_line([_padic(1, 78)], 38)

@@ -10,8 +10,10 @@ Records are matched by tag and item.  A changed record is accepted when
 * both answer with the same structure and values, except that every
   p-adic entry agrees with OTHER's mod p^a, where a is the absolute
   precision of OTHER's entry, and knows at least as many absolute digits
-  (an unresolved zero may become an exact zero); every Hom basis keeps
-  its pivot positions; and ``precision_report`` is equal, higher or null.
+  (an unresolved zero may become an exact zero), or became a rational
+  that lies in OTHER's coset, v_p(new - old) >= a (so an exact zero
+  stays 0); every Hom basis keeps its pivot positions; and
+  ``precision_report`` is equal, higher or null.
 
 A record only the checkout computes (after an error of OTHER's that became
 an answer) is accepted too.  Everything else is printed to stderr with both
@@ -94,6 +96,12 @@ def _walk(old, new, p: int, seen: Counter) -> str | None:
     """Why ``new`` is no refinement of ``old``, or None; counts the
     refinements it accepts in ``seen``."""
     if old == new:
+        return None
+    if isinstance(old, dict) and old.keys() == {"v", "unit", "prec"} and isinstance(new, str):
+        x, a = _scalar(old, p)
+        if _valuation(Fraction(new) - x, p) < a:
+            return f"p-adic entry {old} became {new}"
+        seen["p-adic entries made exact"] += 1
         return None
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
