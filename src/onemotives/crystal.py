@@ -128,6 +128,11 @@ class FilteredPhiModule:
         """``parts``, or this module as its own single atom."""
         return self.parts or ((self, range(self.dim), range(self.fil1.cols)),)
 
+    def polys(self) -> list:
+        """Characteristic polynomials whose product is phi's: each atom's
+        ``block_polys``, or its whole phi's for an atom not validated."""
+        return [cp for a, _, _ in self.atoms() for cp in (a.block_polys or (linalg.char_poly(a.phi),))]
+
     def weight_offsets(self) -> list[tuple[int, int, int]]:
         """List of (weight, offset, block dimension)."""
         out = []
@@ -247,22 +252,24 @@ def zero_module(ctx: PadicContext) -> FilteredPhiModule:
 
 
 def realize_lattice(r: int, ctx: PadicContext) -> FilteredPhiModule:
-    """Weight-0 piece: Frobenius acts as the identity, Fil1 = 0."""
+    """Weight-0 piece: r copies of one rank-1 atom, Frobenius 1 and Fil1 = 0."""
     if r < 0:
         raise ValueError("rank must be >= 0")
     if r == 0:
         return zero_module(ctx)
-    return _graded(ctx, Matrix.identity(r), ((0, r),), Matrix.zeros(r, 0), f"lattice({r})", frozenset())
+    one = _graded(ctx, Matrix.identity(1), ((0, 1),), Matrix.zeros(1, 0), "lattice(1)", frozenset())
+    return one if r == 1 else replace(direct_sum([one] * r), label=f"lattice({r})")
 
 
 def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
-    """Weight -2 piece: Frobenius acts as multiplication by q, Fil1 is everything."""
+    """Weight -2 piece: t copies of one rank-1 atom, Frobenius q and Fil1 everything."""
     if t < 0:
         raise ValueError("dimension must be >= 0")
     if t == 0:
         return zero_module(ctx)
-    phi = linalg.mat_scale(Fraction(ctx.q), Matrix.identity(t))
-    return _graded(ctx, phi, ((-2, t),), Matrix.identity(t), f"torus({t})", frozenset({Fraction(1)}))
+    q = Matrix(1, 1, [Fraction(ctx.q)])
+    one = _graded(ctx, q, ((-2, 1),), Matrix.identity(1), "torus(1)", frozenset({Fraction(1)}))
+    return one if t == 1 else replace(direct_sum([one] * t), label=f"torus({t})")
 
 
 def frobenius_char_poly(trace: int, ctx: PadicContext) -> list[Fraction]:
@@ -551,17 +558,15 @@ def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
 
 
 def newton_slopes_of(m: FilteredPhiModule) -> list:
-    """Multiset of Newton slopes of phi, normalized by f."""
-    return newton_slopes(linalg.char_poly(m.phi), m.ctx)
+    """Multiset of Newton slopes of phi, normalized by f, read from ``m.polys()``."""
+    return sorted(s for cp in m.polys() for s in newton_slopes(cp, m.ctx))
 
 
 def hodge_newton_numbers(m: FilteredPhiModule) -> tuple[int, Fraction]:
-    """(t_H, t_N) = (rank Fil1, v_p(det phi) / f)."""
-    t_h = m.fil1.cols
-    if m.dim == 0:
-        return (t_h, Fraction(0))
-    v = fraction_valuation(linalg.det(m.phi), m.ctx.p)
-    return (t_h, Fraction(v, m.ctx.f))
+    """(t_H, t_N) = (rank Fil1, v_p(det phi) / f), where v_p(det phi) is the
+    sum of v_p(cp[0]) over ``m.polys()``."""
+    v = sum(fraction_valuation(cp[0], m.ctx.p) for cp in m.polys())
+    return (m.fil1.cols, Fraction(v, m.ctx.f))
 
 
 def _stacked_rank(phi: Matrix, fil1: Matrix, work: PadicContext) -> int:

@@ -41,9 +41,8 @@ from .errors import (
     VerificationFailure,
 )
 from . import linalg
-from .crystal import FilteredPhiModule
+from .crystal import FilteredPhiModule, newton_slopes_of
 from .linalg import Matrix, PADIC, RATIONAL
-from .padic import newton_slopes
 
 LATTICE_SCALARS = "lattice_scalars"
 TORUS_SCALARS = "torus_scalars"
@@ -113,8 +112,7 @@ def _slope_certified(a: FilteredPhiModule, b: FilteredPhiModule) -> bool:
     of slopes S_a."""
     if a.slope_parts is None or b.slope_parts is None:
         return False
-    slopes = {s for cp in b.block_polys for s in newton_slopes(cp, b.ctx)}
-    return a.slope_parts & slopes <= b.slope_parts
+    return a.slope_parts & set(newton_slopes_of(b)) <= b.slope_parts
 
 
 def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> list:
@@ -124,8 +122,7 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> l
     verified at the last; disjoint spectra solve nothing."""
     mats = (a.phi, a.fil1, b.phi, b.fil1)
     if a.phi.kind == b.phi.kind == RATIONAL:
-        fs, gs = (m.block_polys or (linalg.char_poly(m.phi),) for m in (a, b))
-        if not any(linalg.share_root(f, g) for f in fs for g in gs):
+        if not any(linalg.share_root(f, g) for f in a.polys() for g in b.polys()):
             return []
         if PADIC in (a.fil1.kind, b.fil1.kind) and _slope_certified(a, b):
             mats = (a.phi, Matrix.zeros(a.dim, 0), b.phi, Matrix.zeros(b.dim, 0))

@@ -497,10 +497,9 @@ def inverse(m: Matrix) -> Matrix:
 def char_poly(m: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial, ascending coefficients, exact.
 
-    Closed forms for a 2x2 block, [ad - bc, -(a + d), 1], and for a scalar
-    block cI, (T - c)^n from binomials; the Faddeev-LeVerrier recursion
-    for every other block.  Its divisions are by integers only, so the
-    result of an integer matrix is integral.
+    A closed form for a 2x2 block, [ad - bc, -(a + d), 1]; the
+    Faddeev-LeVerrier recursion for every other block.  Its divisions are
+    by integers only, so the result of an integer matrix is integral.
     """
     if m.kind != RATIONAL:
         raise ValueError("characteristic polynomial requires the rational kind")
@@ -512,9 +511,6 @@ def char_poly(m: Matrix) -> list[Fraction]:
     if n == 2:
         a, b, c, d = e
         return [a * d - b * c, -(a + d), Fraction(1)]
-    c = e[0]
-    if all(x == (c if i % (n + 1) == 0 else 0) for i, x in enumerate(e)):
-        return [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
     coeffs = []
     ak = m
     for k in range(1, n + 1):
@@ -523,12 +519,6 @@ def char_poly(m: Matrix) -> list[Fraction]:
         if k < n:
             ak = mat_mul(m, shift_diagonal(ak, ck))
     return list(reversed(coeffs)) + [Fraction(1)]
-
-
-def det(m: Matrix) -> Fraction:
-    cp = char_poly(m)
-    n = m.rows
-    return cp[0] if n % 2 == 0 else -cp[0]
 
 
 def trace(m: Matrix):

@@ -3,7 +3,7 @@
 import onemotives
 from onemotives import crystal, homsolver, linalg, motivic, padic
 
-REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line")
+REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line", "det")
 
 
 def test_every_exported_name_resolves():
@@ -28,4 +28,4 @@ def test_removed_names_are_gone():
     assert not hasattr(crystal, "_eigenline") and not hasattr(linalg, "eigen_line")
     assert not hasattr(padic.PadicContext, "with_precision")
     assert not hasattr(homsolver, "_solve_once")
-    assert not hasattr(linalg, "resultant")
+    assert not hasattr(linalg, "resultant") and not hasattr(linalg, "det")

@@ -43,7 +43,7 @@ from onemotives.errors import (
 )
 from onemotives import crystal, linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL, mat_mul, to_padic
-from onemotives.padic import PadicContext, PadicScalar, from_rational, newton_slopes
+from onemotives.padic import PadicContext, PadicScalar, fraction_valuation, from_rational, newton_slopes
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
@@ -223,8 +223,9 @@ def test_slope_certificate_is_issued_exactly_on_non_isoclinic_eigenlines():
 
 
 def test_slope_certificate_is_set_by_constructors_and_dropped_by_replace():
-    assert realize_lattice(2, C5).slope_parts == frozenset()
-    assert realize_torus(2, C5).slope_parts == frozenset({1})
+    # lattice 2 and torus 2 are two copies of one certified rank-1 atom
+    assert realize_lattice(2, C5).parts[0][0].slope_parts == frozenset()
+    assert realize_torus(2, C5).parts[0][0].slope_parts == frozenset({1})
     atom = realize_elliptic(1, AUTO, C5)
     assert atom.slope_parts == frozenset({1})
     assert dataclasses.replace(atom, label="x").slope_parts is None
@@ -341,9 +342,10 @@ def test_direct_sum_does_not_validate_again(monkeypatch):
     d = dual(m)
     assert [x.label for x in calls] == ["dual(lattice(1))", "dual(elliptic(t=1))", "dual(torus(1))"]
     assert d.label == "dual(lattice(1) + elliptic(t=1) + torus(1))" and all(x is not d for x in calls)
-    # split_extension and the realize_* constructors still validate
+    # split_extension and the realize_* constructors still validate, torus 2
+    # only its one rank-1 atom
     assert split_extension(extension_module(3, C5))[0] is calls[-1]
-    assert realize_torus(2, C5) is calls[-1] and len(calls) == 5
+    assert realize_torus(2, C5).parts[0][0] is calls[-1] and len(calls) == 5
 
 
 def _assert_parts_cut_out_their_atoms(m):
@@ -754,10 +756,49 @@ def test_validation_reads_char_polys_of_weight_blocks_only(monkeypatch):
         return char_poly(m)
 
     monkeypatch.setattr(linalg, "char_poly", spy)
-    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1), torus_dim=2), C5)
-    assert m.dim == 8 and m.weights == ((0, 2), (-1, 4), (-2, 2))
-    # the summands' 2x2 blocks only: the merged weight -1 block is not re-validated
-    assert max(sizes) == 2
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=3, elliptic_traces=(1, 1), torus_dim=3), C5)
+    assert m.dim == 10 and m.weights == ((0, 3), (-1, 4), (-2, 3))
+    # the atoms' blocks only: lattice and torus are copies of one rank-1
+    # atom, and the merged blocks and the whole phi are never read
+    assert newton_slopes_of(m) == [0] * 5 + [1] * 5
+    assert hodge_newton_numbers(m) == (5, 5)
+    assert sizes and max(sizes) <= 2
+
+
+def _abelian_4x4(rng, ctx):
+    """A weight -1 block: the companion of (T^2 - aT + q)(T^2 - bT + q) for
+    two seeded Weil traces, and a seeded rank-2 Fil1."""
+    q = ctx.q
+    traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
+    a, b = rng.choice(traces), rng.choice(traces)
+    poly = [q * q, -q * (a + b), 2 * q + a * b, -(a + b), 1]
+    while True:
+        fil1 = Matrix(4, 2, [Fraction(rng.randint(-3, 3)) for _ in range(8)])
+        if linalg.rank(fil1) == 2:
+            return linalg.companion(poly), fil1
+
+
+@pytest.mark.parametrize("ctx", (C5, C25, PadicContext(2, 2, 40)), ids=("q5", "q25", "q4"))
+def test_module_invariants_read_from_atoms_equal_those_of_the_whole_phi(ctx):
+    """newton_slopes_of and hodge_newton_numbers read each atom's polynomials;
+    the oracle is the characteristic polynomial of the whole phi."""
+    rng = random.Random(f"invariants-{ctx.q}")
+    traces = [t for t in range(-2 * ctx.q, 2 * ctx.q + 1) if t * t <= 4 * ctx.q]
+    modules = [zero_module(ctx), extension_module(Fraction(3), ctx)]
+    for _ in range(4):
+        spec = OneMotiveSpec(
+            lattice_rank=rng.randint(0, 4),
+            torus_dim=rng.randint(0, 4),
+            elliptic_traces=tuple(rng.choice(traces) for _ in range(rng.randint(0, 3))),
+            abelian_explicit=tuple(_abelian_4x4(rng, ctx) for _ in range(rng.randint(1, 2))),
+        )
+        m = realize_one_motive(spec, ctx)
+        modules += [m, dual(m), module_from_jsonable(module_to_jsonable(m))]
+    assert any(len({id(a) for a, _, _ in m.parts}) < len(m.parts) for m in modules)
+    for m in modules:
+        cp = linalg.char_poly(m.phi)
+        assert newton_slopes_of(m) == newton_slopes(cp, ctx), m.label
+        assert hodge_newton_numbers(m) == (m.fil1.cols, Fraction(fraction_valuation(cp[0], ctx.p), ctx.f)), m.label
 
 
 def test_validate_rejects_dependent_fil():

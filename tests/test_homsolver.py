@@ -1,5 +1,6 @@
 """Hom/End solver, algebra checks, classification, and the weight-block laws."""
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -16,6 +17,8 @@ from onemotives.crystal import (
     dual,
     direct_sum,
     extension_module,
+    module_from_jsonable,
+    module_to_jsonable,
     realize_elliptic,
     realize_lattice,
     realize_one_motive,
@@ -67,6 +70,20 @@ def kummer(ctx):
 
 def z_to_e(trace, ctx, mode=AUTO):
     return direct_sum([realize_lattice(1, ctx), realize_elliptic(trace, mode, ctx)])
+
+
+def dense(m):
+    """m's dense twin: the module JSON read back, one atom with m's bytes."""
+    return module_from_jsonable(module_to_jsonable(m))
+
+
+def dense_lattice_torus(spec, ctx):
+    """The module of ``spec`` with its lattice and its torus each one dense
+    atom, the single atom their JSON reads back as; the elliptic traces
+    still share one atom per trace."""
+    elliptic = realize_one_motive(replace(spec, lattice_rank=0, torus_dim=0), ctx)
+    lattice, torus = realize_lattice(spec.lattice_rank, ctx), realize_torus(spec.torus_dim, ctx)
+    return direct_sum([dense(lattice), elliptic, dense(torus)])
 
 
 # -- frozen Hom values -----------------------------------------------------------
@@ -261,12 +278,12 @@ def test_in_span_empty_basis():
 
 
 def _end_with_basis(monkeypatch, basis):
-    """end_algebra of lattice:2 with hom_space forced to return ``basis``,
-    the single atom's only block list."""
+    """end_algebra of a dense lattice:2 atom with hom_space forced to return
+    ``basis``, the single atom's only block list."""
     monkeypatch.setattr(
         homsolver, "hom_space", lambda s, t: HomSpace(s, t, len(basis), basis, blocks={(id(s), id(s)): basis})
     )
-    return end_algebra(realize_lattice(2, C5))
+    return end_algebra(dense(realize_lattice(2, C5)))
 
 
 def _padic_2x2(rows):
@@ -319,9 +336,10 @@ def test_end_closure_first_failing_target_decides(monkeypatch):
     ids=["no-identity", "product-escapes"],
 )
 def test_end_closure_fails_on_one_atom_pair_of_a_sum(monkeypatch, blocks, message):
-    # lattice 2 + torus 1 with the lattice pair answered wrongly: E11 alone
-    # lacks the lattice identity, and E12 * E21 = E11 is outside I, E12, E21
-    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, torus_dim=1), C5)
+    # a dense lattice 2 atom + torus 1 with the lattice pair answered wrongly:
+    # E11 alone lacks the lattice identity, and E12 * E21 = E11 is outside
+    # I, E12, E21
+    m = dense_lattice_torus(OneMotiveSpec(lattice_rank=2, torus_dim=1), C5)
     lattice = m.parts[0][0]
     assert lattice.dim == 2 and len(m.parts) == 2
     real = homsolver._pair_kernel
@@ -373,9 +391,10 @@ def _closure_targets(monkeypatch):
 def test_end_closure_tests_each_distinct_atom_pair_once(monkeypatch, spec, calls):
     """One span test per distinct atom pair with targets, on that pair's
     2 x 2 blocks: the identity and every block product, 1 + 4 * 4 for the
-    matrix units of lattice 2 and torus 2, 1 + 2 * 2 for the elliptic
-    atom shared by three summands; pairs of distinct weights have none."""
-    m = realize_one_motive(spec, C5)
+    matrix units of dense lattice 2 and torus 2 atoms, 1 + 2 * 2 for the
+    elliptic atom shared by three summands; pairs of distinct weights have
+    none."""
+    m = dense_lattice_torus(spec, C5)
     seen = []
     real = homsolver.in_span_many
 
@@ -515,10 +534,11 @@ def test_hom_tests_no_zero_fil1_image_for_rank(monkeypatch):
 
 
 def _lattice2_elliptic0x3_torus2():
-    """End(L2 + E(0)^3 + T2) at q = 25 and its three distinct atoms: the
-    lattice and torus are rational, the elliptic Hodge line is p-adic, and
-    isoclinic (slopes 1/2, 1/2), so no slope part and its pair stays p-adic."""
-    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(0, 0, 0), torus_dim=2), C25)
+    """End(L2 + E(0)^3 + T2) at q = 25, lattice and torus each one dense
+    atom, and its three distinct atoms: the lattice and torus are rational,
+    the elliptic Hodge line is p-adic, and isoclinic (slopes 1/2, 1/2), so
+    no slope part and its pair stays p-adic."""
+    m = dense_lattice_torus(OneMotiveSpec(lattice_rank=2, elliptic_traces=(0, 0, 0), torus_dim=2), C25)
     assert len(m.parts) == 5
     lattice, elliptic, torus = {id(a): a for a, _, _ in m.parts}.values()
     assert lattice.fil1.kind == torus.fil1.kind == RATIONAL and elliptic.fil1.kind == PADIC
@@ -619,7 +639,7 @@ def _split_module_at_q3():
             marks=pytest.mark.xfail(
                 raises=PrecisionExhausted,
                 strict=True,
-                reason="ROADMAP item 1: g's own block has trace 1, so Hom(g, E) is a p-adic pair "
+                reason="ROADMAP item 2: g's own block has trace 1, so Hom(g, E) is a p-adic pair "
                 "that meets the valuation-blind zero threshold on its own",
             ),
         ),
@@ -691,7 +711,7 @@ def _conjugated_sums(q):
             marks=pytest.mark.xfail(
                 raises=PrecisionExhausted,
                 strict=True,
-                reason="ROADMAP item 1: the dense system's equivariance residual misses the "
+                reason="ROADMAP item 2: the dense system's equivariance residual misses the "
                 "valuation-blind zero threshold at p = 2",
             ),
         ),
@@ -773,6 +793,66 @@ def _assert_reduced_echelon(space):
     leads = bool if kind == RATIONAL else (lambda x: x.is_resolved)
     pivots = [next(k for k, x in enumerate(v) if leads(x)) for v in vectors]
     assert pivots == sorted(set(pivots))
+
+
+def _classification(m, e):
+    """classify_end(m, e), or the message of the UnclassifiedShape it raised."""
+    try:
+        return classify_end(m, e)
+    except UnclassifiedShape as err:
+        return str(err)
+
+
+def _records(m):
+    """What the engine prints for m: its module JSON, its End JSON,
+    classification and phi-membership, and Hom from and to its dual."""
+    e, d = end_algebra(m), dual(m)
+    return [
+        json.dumps(module_to_jsonable(m)),
+        json.dumps(homspace_to_jsonable(e)),
+        _classification(m, e),
+        frobenius_membership(m, e),
+        json.dumps(homspace_to_jsonable(hom_space(d, m))),
+        json.dumps(homspace_to_jsonable(hom_space(m, d))),
+    ]
+
+
+_COPY_SHAPES = [
+    (2, 1, (1, 1)),  # ordinary
+    (2, 8, (-1,)),
+    (4, 3, (2, 2)),  # p | t
+    (5, 8, (1, 1)),
+    (5, 2, (0,)),
+    (5, 4, ()),
+    (25, 2, (0, 0)),  # isoclinic: a p-adic line with no slope part
+    (125, 3, (5,)),  # p | t with slopes 1/3 and 2/3
+]
+
+
+@pytest.mark.parametrize(
+    "q, r, traces", _COPY_SHAPES, ids=[f"q{q}-r{r}-t{'.'.join(map(str, ts))}" for q, r, ts in _COPY_SHAPES]
+)
+def test_copies_of_a_rank_1_atom_answer_as_the_dense_atom(q, r, traces):
+    """Oracle for lattice r and torus r as r copies of one rank-1 atom: the
+    same module with each of them one dense r x r atom, read back from its
+    JSON, is solved as one r^2-unknown pair, and every record agrees byte
+    for byte."""
+    ctx = PadicContext.from_q(q)
+    spec = OneMotiveSpec(lattice_rank=r, elliptic_traces=traces, torus_dim=r)
+    m, twin = realize_one_motive(spec, ctx), dense_lattice_torus(spec, ctx)
+    assert len(m.parts) == 2 * r + len(traces) and len(twin.parts) == 2 + len(traces)
+    assert _records(m) == _records(twin)
+
+
+def test_end_of_copies_of_a_rank_1_atom_solves_no_system_wider_than_a_pair_of_2x2_atoms(monkeypatch):
+    """End(L6 + E(1) + T6) at p = 5: every lattice and torus pair has one
+    unknown and the elliptic pair four, where one dense lattice 6 atom had
+    36."""
+    widths = []
+    real = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda system: widths.append(system.cols) or real(system))
+    e = end_algebra(realize_one_motive(OneMotiveSpec(lattice_rank=6, elliptic_traces=(1,), torus_dim=6), C5))
+    assert e.dimension == 36 + 2 + 36 and max(widths) == 4
 
 
 @pytest.mark.parametrize("q", (4, 5, 9, 25))

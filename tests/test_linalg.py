@@ -13,7 +13,6 @@ from onemotives.linalg import (
     annihilator_rows,
     char_poly,
     companion,
-    det,
     inverse,
     is_zero,
     kernel,
@@ -605,9 +604,11 @@ def test_char_poly_non_square():
         char_poly(Matrix.zeros(2, 3))
 
 
-def test_det():
-    assert det(frac_matrix([[2, 1], [1, 1]])) == 1
-    assert det(frac_matrix([[0, -5], [1, 1]])) == 5
+def test_char_poly_constant_term_is_the_signed_determinant():
+    # det m = (-1)^n char_poly(m)[0]
+    assert char_poly(frac_matrix([[2, 1], [1, 1]]))[0] == 1
+    assert char_poly(frac_matrix([[0, -5], [1, 1]]))[0] == 5
+    assert -char_poly(frac_matrix([[2, 0, 0], [0, 3, 0], [0, 0, 1]]))[0] == 6
 
 
 def _oracle_matrix(rng, n, shape):
@@ -644,7 +645,7 @@ def test_char_poly_and_det_match_sympy(shape):
             expected = [Fraction(int(c.p), int(c.q)) for c in reversed(sm.charpoly().all_coeffs())]
             assert char_poly(m) == expected, m
             d = sympy.Rational(sm.det())
-            assert det(m) == Fraction(int(d.p), int(d.q)), m
+            assert (-1) ** n * char_poly(m)[0] == Fraction(int(d.p), int(d.q)), m
 
 
 # -- eigen lines: kernels of m - lam I ----------------------------------------------

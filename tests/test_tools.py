@@ -1,9 +1,11 @@
 """Tests of tools/fingerprint.py, the byte-identity check between two
 checkouts (its record format, report stripping and digest), of
-tools/callcount.py, the call counts of one workload pass, and of
-tools/sweep.py, the records over every survey row up to a q."""
+tools/callcount.py, the call counts of one workload pass, of
+tools/sweep.py, the records over every survey row up to a q, and of
+tools/scale.py, End at sizes the benchmark does not run."""
 
 import cProfile
+import hashlib
 import importlib.util
 import json
 import math
@@ -177,6 +179,33 @@ def test_sweep_exits_1_when_frobenius_membership_breaks_its_invariant(monkeypatc
     assert "(q, t, mode) = (2, " in mismatches[0]
     # stdout keeps the counts; only the digest moves with the records
     assert broken.out.splitlines()[:-1] == clean.out.splitlines()[:-1]
+
+
+def test_scale_measures_its_smallest_shape_in_process():
+    scale = _load_tool("scale")
+    hom_space = scale.homsolver.hom_space
+    line = scale.measure("L6+T6")
+    assert list(line) == [
+        "shape", "dim", "hom_space_s", "closure_s", "classify_end", "classify_end_s",
+        "frobenius_membership", "frobenius_membership_s", "end_dimension", "end_sha256", "peak_rss_mb",
+    ]
+    assert line["dim"] == 12 and line["end_dimension"] == 72 and line["peak_rss_mb"] > 0
+    assert line["classify_end"] == "lattice_scalars+torus_scalars" and line["frobenius_membership"] is True
+    assert all(line[key] >= 0 for key in line if key.endswith("_s"))
+    # measure puts back the hom_space it timed, and its streamed digest is
+    # that of the whole End JSON
+    assert scale.homsolver.hom_space is hom_space
+    spec = scale.crystal.OneMotiveSpec(lattice_rank=6, torus_dim=6)
+    end = scale.homsolver.end_algebra(scale.crystal.realize_one_motive(spec, scale.padic.PadicContext(5, 1, 40)))
+    whole = json.dumps(scale.homsolver.homspace_to_jsonable(end)).encode()
+    assert line["end_sha256"] == hashlib.sha256(whole).hexdigest()
+
+
+def test_scale_prints_a_shape_over_its_budget_as_skipped(capsys):
+    scale = _load_tool("scale")
+    assert scale.main(["--budget", "0.01"]) == 0
+    lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+    assert lines == [{"shape": name, "skipped": "over budget", "budget_s": 0.01} for name in scale.SHAPES]
 
 
 # -- the refinement comparator -----------------------------------------------------
