@@ -201,9 +201,10 @@ def test_scale_measures_its_smallest_shape_in_process():
     assert line["end_sha256"] == hashlib.sha256(whole).hexdigest()
 
 
-def test_scale_prints_a_shape_over_its_budget_as_skipped(capsys):
+def test_scale_prints_a_shape_over_its_budget_as_skipped(capsys, monkeypatch):
     scale = _load_tool("scale")
-    assert scale.main(["--budget", "0.01"]) == 0
+    monkeypatch.setattr(scale, "BUDGET_S", 0.01)
+    assert scale.main([]) == 0
     lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
     assert lines == [{"shape": name, "skipped": "over budget", "budget_s": 0.01} for name in scale.SHAPES]
 

@@ -1,6 +1,6 @@
 """End algebras at the sizes the benchmark does not run.
 
-    python3 tools/scale.py [--budget SECONDS]
+    python3 tools/scale.py
 
 Runs each shape of ``SHAPES`` at p = 5, f = 1 in a child process of its
 own, one at a time, and prints one JSON line per shape to stdout:
@@ -18,8 +18,8 @@ own, one at a time, and prints one JSON line per shape to stdout:
 * ``peak_rss_mb``, the child's peak resident set size.
 
 A shape whose End raises prints ``error`` as ``[class, message]``; one that
-runs over the budget (default 60 s a shape) is killed and printed as
-skipped with that budget.  Nothing is written to disk.
+runs over ``BUDGET_S`` seconds is killed and printed as skipped with that
+budget.  Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ SHAPES = {
     "L12+E1^4+T12": (12, 4, 12),
 }
 PRECISION = 40
+BUDGET_S = 60  # seconds a shape may take
 
 
 def end_sha256(e: homsolver.HomSpace) -> str:
@@ -113,7 +114,6 @@ def measure(name: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--budget", type=float, default=60.0, help="seconds a shape may take (default 60)")
     parser.add_argument("--shape", choices=SHAPES, help=argparse.SUPPRESS)  # the child's one shape
     args = parser.parse_args(argv)
     if args.shape:
@@ -122,9 +122,9 @@ def main(argv=None) -> int:
     for name in SHAPES:
         command = [sys.executable, __file__, "--shape", name]
         try:
-            child = subprocess.run(command, capture_output=True, text=True, timeout=args.budget)
+            child = subprocess.run(command, capture_output=True, text=True, timeout=BUDGET_S)
         except subprocess.TimeoutExpired:
-            print(json.dumps({"shape": name, "skipped": "over budget", "budget_s": args.budget}), flush=True)
+            print(json.dumps({"shape": name, "skipped": "over budget", "budget_s": BUDGET_S}), flush=True)
             continue
         if child.returncode:
             last = (child.stderr.strip().splitlines() or [""])[-1]
