@@ -293,12 +293,15 @@ def _padic_roots(trace: int, work: PadicContext) -> list[PadicScalar] | None:
     """Both roots of T^2 - tT + q, t^2 != 4q, in Q_p at ``work``'s precision,
     in the canonical order (valuation, then unit residue mod p); None when
     the polynomial is irreducible over Q_p.  When p does not divide t the
-    unit root u is lifted by Hensel from t mod p and the roots are [u, q/u];
-    only when p | t is the discriminant's square root taken."""
+    unit root u is lifted by Hensel from t mod p to N + f digits, and the
+    roots are [u, t - u] (Vieta: their sum is t), with u cut to N digits;
+    t - u has valuation f, so its N unit digits need u's N + f and no
+    division.  Only when p | t is the discriminant's square root taken."""
     p, q = work.p, work.q
     if is_ordinary(trace, work):
-        u = hensel_lift_root(frobenius_char_poly(trace, work), trace % p, work)
-        return [u, from_rational(q, work) / u]
+        wide = PadicContext(p, work.f, work.precision + work.f)
+        u = hensel_lift_root(frobenius_char_poly(trace, work), trace % p, wide)
+        return [u.truncate(work.precision), PadicScalar.from_residue(p, trace - u.unit, wide.precision)]
     s = integer_square_root(trace * trace - 4 * q, p, work.precision)
     if s is None:
         return None
@@ -318,7 +321,9 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -
     line of the connected part), root 0 when p | t, and span(e1), not
     phi-stable, when there are no roots.  When v(lam) != v(mu) the line is
     the slope-v(lam)/f part, certified {v(lam)/f} once (phi - lam)(mu, -1)^T
-    = (q - lam mu, lam + mu - t)^T is negligible at 2N."""
+    = (q - lam mu, lam + mu - t)^T is negligible at 2N.  On an ordinary
+    trace 1/mu is read as lam/q (Vieta: lam mu = q), a valuation shift of
+    lam, digit for digit the reciprocal; a p | t trace takes the reciprocal."""
     span_e1 = Matrix(2, 1, [Fraction(1), Fraction(0)])
     if mode.kind in ("generic", "scalar", "jordan"):
         return span_e1, None
@@ -336,7 +341,11 @@ def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -
     if mode.kind == "auto":
         mode = EllipticFilMode("eigenline", 1 if is_ordinary(trace, ctx) else 0)
     lam, mu = roots[mode.root_index], roots[1 - mode.root_index]
-    line = Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -mu.reciprocal()], work)
+    if is_ordinary(trace, ctx):
+        inv_mu = PadicScalar(work.p, lam.v - ctx.f, lam.unit, lam.prec)
+    else:
+        inv_mu = mu.reciprocal()
+    line = Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -inv_mu], work)
     if lam.v == mu.v:
         return line, None
     resid = Matrix(2, 1, [from_rational(ctx.q, work) - lam * mu, lam + mu - from_rational(trace, work)], work)

@@ -17,6 +17,11 @@ modular inverse, digit for digit as if it divided every entry.
 products, is ``x + f * y`` or ``x - f * y`` in one step, digit for digit.
 Every modulus ``p**k`` comes from ``_POWERS``, a memo keyed by (p, k).
 
+Hensel lifting carries ``s = 1/f'(r)`` and refines it by ``s(2 - f'(r)s)``
+as the modulus doubles, so a lift takes one modular inverse, modulo p
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9); the units
+``reciprocal()`` inverts are mostly small, where Euclid is cheaper.
+
 Scalars are immutable after construction and all operations are pure, so
 values may be shared freely between threads.  The memo only ever stores
 ``p**k`` under (p, k), so concurrent fills write equal values.
@@ -51,6 +56,8 @@ def is_prime(n: int) -> bool:
     for sp in _MR_WITNESSES:
         if n % sp == 0:
             return n == sp
+    if n < _MR_WITNESSES[-1] ** 2:  # a composite has a prime factor below its root
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -429,15 +436,18 @@ def hensel_lift_root(poly: list, r0: int, ctx: PadicContext) -> PadicScalar:
     r = r0 % p
     if poly_eval_mod(coeffs, r, p) != 0:
         raise ValueError(f"{r0} is not a root modulo {p}")
-    if poly_eval_mod(deriv, r, p) == 0:
+    dr = poly_eval_mod(deriv, r, p)
+    if dr == 0:
         raise NonSimpleRoot(f"derivative vanishes at {r0} modulo {p}")
-    k = 1
+    # s = 1/poly'(r) mod p**k: a step to at most 2k digits needs s to k
+    # digits only, and s(2 - poly'(r) s) is then right to 2k
+    s, k = modular_inverse(dr, p), 1
     while k < target:
         k = min(2 * k, target)
-        mod = p**k
-        fr = poly_eval_mod(coeffs, r, mod)
-        dr = poly_eval_mod(deriv, r, mod)
-        r = (r - fr * modular_inverse(dr, mod)) % mod
+        mod = _POWERS[p, k]
+        r = (r - poly_eval_mod(coeffs, r, mod) * s) % mod
+        if k < target:
+            s = s * (2 - poly_eval_mod(deriv, r, mod) * s) % mod
     return PadicScalar.from_residue(p, r, target)
 
 

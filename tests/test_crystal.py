@@ -41,13 +41,26 @@ from onemotives.errors import (
     PrecisionExhausted,
     VerificationFailure,
 )
-from onemotives import crystal, linalg
+from onemotives import crystal, linalg, padic
 from onemotives.linalg import Matrix, PADIC, RATIONAL, mat_mul, to_padic
-from onemotives.padic import PadicContext, PadicScalar, fraction_valuation, from_rational, newton_slopes
+from onemotives.padic import (
+    PadicContext,
+    PadicScalar,
+    fraction_valuation,
+    from_rational,
+    hensel_lift_root,
+    newton_slopes,
+)
 
 C5 = PadicContext(5, 1, 40)
 C25 = PadicContext(5, 2, 40)
 AUTO = EllipticFilMode("auto")
+ROOT_MODES = (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1))
+
+
+def _prime_powers(bound: int) -> list[int]:
+    primes = [p for p in range(2, bound + 1) if all(p % d for d in range(2, p))]
+    return sorted(p**f for p in primes for f in range(1, bound.bit_length()) if p**f <= bound)
 
 
 def frac_matrix(rows):
@@ -166,17 +179,15 @@ def test_closed_form_hodge_line_is_the_kernel_of_phi_minus_lambda():
     # entry, the eigenline that eliminating phi - lam I at 2N gives.  At
     # q = 64, t = +-10, a 2-adic square root one digit short of its claim
     # gave a lam whose eigenline came out 0-dimensional
-    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
-    prime_powers = sorted(p**f for p in primes for f in range(1, 7) if p**f <= 64)
     checked = 0
-    for q in prime_powers:
+    for q in _prime_powers(64):
         ctx = PadicContext.from_q(q)
         work = ctx.doubled()
         bound = math.isqrt(4 * q)
         for t in range(-bound, bound + 1):
             exact = scalar_frobenius_analysis(t, ctx)
             roots = None if exact is not None else crystal._padic_roots(t, work)
-            for mode in (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1)):
+            for mode in ROOT_MODES:
                 if exact is None and roots is None:
                     continue  # irreducible over Q_p: auto is span(e1), eigenline:K raises
                 m = realize_elliptic(t, mode, ctx)
@@ -194,20 +205,82 @@ def test_closed_form_hodge_line_is_the_kernel_of_phi_minus_lambda():
     assert checked == 1449
 
 
+def test_ordinary_roots_by_vieta_equal_the_unit_root_and_q_over_it():
+    # the other root is t - u read from u to N + f digits, digit for digit q / u
+    checked = 0
+    for q in _prime_powers(256):
+        work = PadicContext.from_q(q).doubled()
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            if not is_ordinary(t, work):
+                continue
+            u = hensel_lift_root(frobenius_char_poly(t, work), t % work.p, work)
+            want = [u, from_rational(q, work) / u]
+            got = crystal._padic_roots(t, work)
+            assert [(r.v, r.unit, r.prec) for r in got] == [(r.v, r.unit, r.prec) for r in want], (q, t)
+            checked += 1
+    assert checked == 2408
+
+
+def test_hodge_line_is_span_of_one_and_minus_the_other_roots_reciprocal():
+    # on an ordinary trace -1/mu is read as -lam/q; it must equal the reciprocal
+    checked = 0
+    for q in _prime_powers(256):
+        ctx = PadicContext.from_q(q)
+        work = ctx.doubled()
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            if scalar_frobenius_analysis(t, ctx) is not None:
+                continue
+            roots = crystal._padic_roots(t, work)
+            if roots is None:
+                continue
+            for mode in ROOT_MODES:
+                k = (1 if is_ordinary(t, ctx) else 0) if mode == AUTO else mode.root_index
+                line, _ = crystal._elliptic_hodge_line(t, mode, ctx)
+                assert line.entries[1] == -roots[1 - k].reciprocal(), (q, t, mode)
+                checked += 1
+    assert checked == 7578
+
+
+def test_ordinary_hodge_line_takes_one_modular_inverse_modulo_p(monkeypatch):
+    # Hensel carries 1/f'(r), and Vieta gives the other root and 1/mu, so no
+    # inverse is taken modulo a wider power than p
+    moduli = []
+    real = padic.modular_inverse
+
+    def recorded(a, m):
+        moduli.append(m)
+        return real(a, m)
+
+    monkeypatch.setattr(padic, "modular_inverse", recorded)
+    cases = 0
+    for q in (5, 25, 101, 243, 251):
+        ctx = PadicContext.from_q(q)
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            if not is_ordinary(t, ctx):
+                continue
+            for mode in ROOT_MODES:
+                moduli.clear()
+                crystal._elliptic_hodge_line(t, mode, ctx)
+                assert moduli == [ctx.p], (q, t, mode)
+                cases += 1
+    assert cases == 504
+
+
 def test_slope_certificate_is_issued_exactly_on_non_isoclinic_eigenlines():
     # the Newton polygon of T^2 - tT + q is (0, f), (1, v_p(t)), (2, 0): two
     # distinct slopes v/f < 1 - v/f exactly when 2 v < f, and then the roots
     # in ``_padic_roots`` order (by valuation) have those slopes
-    primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
-    prime_powers = sorted(p**f for p in primes for f in range(1, 7) if p**f <= 64)
     tagged = untagged = 0
-    for q in prime_powers:
+    for q in _prime_powers(64):
         ctx = PadicContext.from_q(q)
         p, f = ctx.p, ctx.f
         bound = math.isqrt(4 * q)
         for t in range(-bound, bound + 1):
             v = math.inf if t == 0 else next(k for k in range(f + 1) if t % p ** (k + 1))
-            for mode in (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1)):
+            for mode in ROOT_MODES:
                 want = None
                 if 2 * v < f:
                     k = (1 if v == 0 else 0) if mode == AUTO else mode.root_index

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,9 +49,13 @@ def test_context_validation():
 
 
 def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(2, 50):
-        assert is_prime(n) == (n in primes)
+    # below 37^2 trial division by the witnesses decides; above it Miller-Rabin
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(range(n * n, limit, n))
+    assert [n for n in range(limit) if is_prime(n) != sieve[n]] == []
     assert is_prime(10**9 + 7)
     assert not is_prime(561)  # Carmichael number
     assert not is_prime(10**9 + 9 + 2)
@@ -191,6 +196,43 @@ def test_hensel_non_simple_root():
 def test_hensel_rejects_non_roots():
     with pytest.raises(ValueError):
         hensel_lift_root([5, -1, 1], 2, C5)
+
+
+def _plain_newton_lift(coeffs: list, r0: int, p: int, digits: int) -> int:
+    """The root modulo p**digits by Newton steps that each take a fresh
+    inverse of the derivative modulo the doubled power."""
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    r, k = r0 % p, 1
+    while k < digits:
+        k = min(2 * k, digits)
+        mod = p**k
+        r = (r - poly_eval_mod(coeffs, r, mod) * pow(poly_eval_mod(deriv, r, mod), -1, mod)) % mod
+    return r
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_hensel_lift_root_equals_a_plain_newton_lift(p):
+    rng = random.Random(2300 + p)
+    checked = 0
+    for degree in range(1, 5):
+        found = 0
+        while found < 6:
+            coeffs = [rng.randint(-(10**6), 10**6) for _ in range(degree)] + [1]
+            r0 = rng.randrange(p)
+            coeffs[0] -= poly_eval_mod(coeffs, r0, p)  # a root modulo p, not over Z
+            deriv = [i * c for i, c in enumerate(coeffs)][1:]
+            if poly_eval_mod(deriv, r0, p) == 0:
+                continue
+            found += 1
+            for digits in (1, 2, 3, 40, 81):
+                # hensel_lift_root reads only p and precision of its context,
+                # and a PadicContext carries at least 4 digits
+                ctx = SimpleNamespace(p=p, precision=digits)
+                want = _plain_newton_lift(coeffs, r0, p, digits)
+                assert poly_eval_mod(coeffs, want, p**digits) == 0
+                assert hensel_lift_root(coeffs, r0, ctx) == PadicScalar.from_residue(p, want, digits)
+                checked += 1
+    assert checked == 4 * 6 * 5
 
 
 @pytest.mark.parametrize("prec", [40, 80])

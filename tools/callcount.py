@@ -6,9 +6,10 @@ Runs one pass over the seed's sample of ``bench/workloads.py`` as a warm-up,
 then one more under cProfile, each operation followed by the benchmark's
 own answer check; an operation that raises a package error is skipped, as
 the benchmark counts it failed.  Prints, for the profiled pass of the
-checkout this file sits in, the total number of function calls and the
-number of ``Fraction`` and ``PadicScalar`` constructions, one
-``<name> <count>`` line each.  The counts repeat exactly from run to run on
+checkout this file sits in, the total number of function calls, the
+number of ``Fraction`` and ``PadicScalar`` constructions and the number of
+``padic.modular_inverse`` calls (the extended Euclid of p-adic division),
+one ``<name> <count>`` line each.  The counts repeat exactly from run to run on
 one Python version, so two checkouts compare without timing noise; they
 omit work inside native code and are counts, not times.
 
@@ -75,6 +76,7 @@ def tally(profile: cProfile.Profile) -> dict[str, int]:
         "calls": sum(e.callcount for e in entries),
         "fraction_new": fractions,
         "padic_scalar_new": calls(padic.PadicScalar.__init__),
+        "modular_inverse": calls(padic.modular_inverse),
     }
 
 
