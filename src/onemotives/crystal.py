@@ -93,7 +93,9 @@ class FilteredPhiModule:
     0, -1, -2 describing a direct-sum grading; ``fil1`` holds column
     generators of the Hodge subspace.  ``graded=False`` marks the
     two-block extension demo, whose weights are unresolved until
-    ``split_extension`` runs; ``split_at`` remembers its block split.
+    ``split_extension`` runs; ``split_at`` remembers its block split.  Its
+    Fil1 generators are checked independent on construction, as
+    ``validate_graded`` checks a graded module's.
     ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
     of a ``direct_sum`` not itself made by ``direct_sum`` (empty for an
     atom); ``block_polys`` the weight blocks' characteristic polynomials once
@@ -123,6 +125,9 @@ class FilteredPhiModule:
             raise ValueError("phi shape does not match dim")
         if self.fil1.rows != self.dim:
             raise ValueError("fil1 row count does not match dim")
+        if not self.graded:
+            # a graded module's Fil1 is checked by ``validate_graded``
+            _validate_fil1_basis(self)
 
     def atoms(self) -> tuple:
         """``parts``, or this module as its own single atom."""
@@ -664,8 +669,6 @@ def module_from_jsonable(obj: dict) -> FilteredPhiModule:
     )
     if m.graded:
         validate_graded(m)
-    else:
-        _validate_fil1_basis(m)
     return m
 
 

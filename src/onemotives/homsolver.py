@@ -146,6 +146,12 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> l
     return blocks
 
 
+def _lead(h: Matrix) -> int:
+    """Index of h's leading entry: its first Fraction that is not 0, or its
+    first resolved p-adic entry (unresolved zeros may come before it)."""
+    return next(k for k, x in enumerate(h.entries) if (x.is_resolved if h.ctx else x))
+
+
 def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     """All Frobenius-equivariant, filtration-preserving maps src -> tgt: each
     distinct atom pair's verified blocks at its positions, ordered by pivot.
@@ -162,7 +168,6 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     ctx = src.ctx.doubled() if any(h.ctx for pair in blocks.values() for h in pair) else None
     if ctx:
         blocks = {key: [h if h.ctx else linalg.to_padic(h, ctx) for h in pair] for key, pair in blocks.items()}
-    leads = (lambda x: x.is_resolved) if ctx else bool
     n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, ctx).entries
     placed = []
     for a, rows_a, b, rows_b in pairs:
@@ -172,7 +177,7 @@ def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
             h = list(blank)
             for k, x in zip(at, blk.entries):
                 h[k] = x
-            placed.append((next(k for k, x in zip(at, blk.entries) if leads(x)), h))
+            placed.append((at[_lead(blk)], h))
     basis = [Matrix(tgt.dim, n, h, ctx) for _, h in sorted(placed, key=lambda x: x[0])]
     return HomSpace(src, tgt, len(basis), basis, min(reports, default=None), blocks)
 
@@ -231,8 +236,21 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
 
 
 def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
-    """Whether phi itself lies in the computed endomorphism span."""
-    return in_span(e.basis, m.phi) is not None
+    """Whether phi itself lies in the computed endomorphism span: the span
+    is the disjoint sum of each atom pair's blocks at each place the pair
+    occurs, so phi lies in it exactly when each restriction of phi to such
+    a place (at e's atom positions) lies in its pair's span, tested in one
+    ``in_span_many`` per distinct pair.  One outside answers False; else
+    the first ambiguous test raises."""
+    restrictions = {}
+    for a, rows_a, _ in e.source.atoms():
+        for c, rows_c, _ in e.target.atoms():
+            restrictions.setdefault((id(a), id(c)), []).append(linalg.submatrix(m.phi, rows_c, rows_a))
+    answers = [x for key, targets in restrictions.items() for x in in_span_many(e.blocks[key], targets)]
+    errors = [x for x in answers if isinstance(x, PrecisionExhausted)]
+    if errors and None not in answers:
+        raise errors[0]
+    return None not in answers
 
 
 # -- classification -------------------------------------------------------------
@@ -261,7 +279,7 @@ def weight_block_structure(h: Matrix, m: FilteredPhiModule) -> dict:
 
 
 def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
-    """Match the computed basis against the known case shapes.
+    """Match the computed space against the known case shapes.
 
     Checks run in this order: no basis element couples two weights, each
     weight block in weight order, then the block dimensions sum to the End
@@ -270,23 +288,67 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     polynomial algebra of its Frobenius block, or the full upper-triangular
     algebra in a basis adapted to the Hodge line.  The zero module has no
     blocks.  Anything else raises ``UnclassifiedShape``; nothing is coerced.
+
+    All of it is read from each atom pair's blocks, restricted to the
+    weight blocks of its two atoms, at the places the pair occurs (e's atom
+    positions).  Places are disjoint, so a weight block's algebra is the
+    direct sum of those restrictions and its dimension the sum of their
+    ranks: the block count for two atoms of that one weight.  Only a 2x2
+    weight -1 block forms its span.
     """
     if not m.graded:
         raise UnclassifiedShape("classification needs a graded module")
-    for h in e.basis:
-        for (w1, w2), is_zero in weight_block_structure(h, m).items():
-            if w1 != w2 and not is_zero:
-                raise UnclassifiedShape(
-                    f"an endomorphism couples weight {w2} into weight {w1}"
-                )
+    atoms = (*e.source.atoms(), *e.target.atoms())
+    weights = {id(a): {w: range(o, o + d) for w, o, d in a.weight_offsets()} for a, _, _ in atoms}
+    places = [
+        (e.blocks[id(a), id(c)], rows_c, weights[id(c)], rows_a, weights[id(a)])
+        for a, rows_a, _ in e.source.atoms()
+        for c, rows_c, _ in e.target.atoms()
+    ]
+
+    def placed_lead(h: Matrix, rows_c, rows_a) -> int:
+        k = _lead(h)
+        return rows_c[k // h.cols] * e.source.dim + rows_a[k % h.cols]
+
+    # the first coupling in basis order: the smallest lead, then weight order
+    coupled = [
+        (placed_lead(h, rows_c, rows_a), -w1, -w2)
+        for blocks, rows_c, wc, rows_a, wa in places
+        for w1, i in wc.items()
+        for w2, j in wa.items()
+        if w1 != w2
+        for h in blocks
+        if not linalg.is_zero(linalg.submatrix(h, i, j))
+    ]
+    if coupled:
+        _, w1, w2 = min(coupled)
+        raise UnclassifiedShape(f"an endomorphism couples weight {-w2} into weight {-w1}")
     ctx = e.basis[0].ctx if e.basis else None
     tags, total = [], 0
     for w, off, d in m.weight_offsets():
-        block = range(off, off + d)
-        vectors = [linalg.submatrix(h, block, block).entries for h in e.basis]
-        span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows(vectors, ctx)]
-        total += len(span)
-        tags.append((w, _classify_block(m, w, block, span)))
+        inside = [(blocks, rows_c, wc[w], rows_a, wa[w]) for blocks, rows_c, wc, rows_a, wa in places if w in wc and w in wa]
+        span = None
+        if w == -1 and d == 2:
+            # restrictions in basis order, in the block's coordinates; an
+            # element placed elsewhere restricts to exact zeros, which
+            # change no echelon row
+            placed, blank = [], Matrix.zeros(d, d, ctx).entries
+            for blocks, rows_c, i, rows_a, j in inside:
+                at = [((rows_c[x] - off) * d + rows_a[y] - off, x * len(rows_a) + y) for x in i for y in j]
+                for h in blocks:
+                    v = list(blank)
+                    for k, x in at:
+                        v[k] = h.entries[x]
+                    placed.append((placed_lead(h, rows_c, rows_a), v))
+            span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows([v for _, v in sorted(placed)], ctx)]
+        # a pair of one-weight atoms has independent blocks: count them
+        bd = len(span) if span is not None else sum(
+            len(blocks) if len(i) == len(rows_c) and len(j) == len(rows_a)
+            else len(linalg.echelon_rows([linalg.submatrix(h, i, j).entries for h in blocks], ctx))
+            for blocks, rows_c, i, rows_a, j in inside
+        )
+        total += bd
+        tags.append((w, _classify_block(m, w, range(off, off + d), bd, span)))
     if total != e.dimension:
         raise UnclassifiedShape(
             f"block dimensions sum to {total} but the endomorphism space has "
@@ -295,14 +357,15 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     return EndClassification(tuple(tags), e.dimension)
 
 
-def _classify_block(m: FilteredPhiModule, w: int, block: range, span: list[Matrix]) -> str:
-    d, bd = len(block), len(span)
+def _classify_block(m: FilteredPhiModule, w: int, block: range, bd: int, span: list[Matrix] | None) -> str:
+    """Tag of the weight-w block with algebra dimension bd; ``span`` is the
+    algebra's echelon basis for a 2x2 weight -1 block, else None."""
+    d = len(block)
     if w in _FULL_ALGEBRA:
         if bd == d * d:
             return _FULL_ALGEBRA[w]
         raise UnclassifiedShape(f"weight {w} block algebra has dimension {bd}, expected {d * d}")
-    # weight -1
-    if d == 2:
+    if span is not None:
         if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
             return SCALAR_ONLY
         if bd == 2 and in_span(span, linalg.submatrix(m.phi, block, block)) is not None:

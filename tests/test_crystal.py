@@ -886,6 +886,22 @@ def test_validate_rejects_dependent_fil():
         validate_graded(bad)
 
 
+@pytest.mark.parametrize(
+    "fil1, message",
+    [
+        ([[1, 2], [1, 2]], "fil1 generators are linearly dependent"),
+        ([[0], [0]], "fil1 generators are linearly dependent"),
+        ([[1, 0, 1], [0, 1, 1]], "fil1 has more columns than the dimension"),
+    ],
+    ids=["dependent-columns", "zero-column", "three-columns-in-dimension-2"],
+)
+def test_a_non_graded_module_refuses_a_bad_fil1_basis_on_construction(fil1, message):
+    # built directly, as the module JSON reader refuses it: end_algebra would
+    # otherwise report the image of Fil1 as escaping
+    with pytest.raises(ValueError, match=message):
+        FilteredPhiModule(C5, 2, frac_matrix([[1, 3], [0, 5]]), (), frac_matrix(fil1), graded=False, split_at=1)
+
+
 def test_one_motive_spec_checks():
     with pytest.raises(HasseViolation):
         realize_one_motive(OneMotiveSpec(elliptic_traces=(7,)), C5)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hom_oracle import naive_hom_dimension, random_rational_module
+from test_workload_samples import workloads  # noqa: F401  (a fixture)
 from test_linalg import dense_product
 from onemotives.crystal import (
     EllipticFilMode,
@@ -19,6 +20,7 @@ from onemotives.crystal import (
     extension_module,
     module_from_jsonable,
     module_to_jsonable,
+    realize_abelian_block,
     realize_elliptic,
     realize_lattice,
     realize_one_motive,
@@ -31,6 +33,7 @@ from onemotives.errors import (
     ClosureFailure,
     ContextMismatch,
     ModeMismatch,
+    OneMotivesError,
     PrecisionExhausted,
     UnclassifiedShape,
     VerificationFailure,
@@ -881,6 +884,211 @@ def test_hom_basis_is_ordered_reduced_echelon(q):
         for _a, b, _u, c in _conjugated_sums(q):
             for space in (hom_space(c, c), hom_space(c, b), hom_space(b, c)):
                 _assert_reduced_echelon(space)
+
+
+# -- phi-membership and classification read from the atom-pair blocks ----------------
+
+
+def _whole_basis_membership(m, e):
+    """phi-membership as one span test against every placed basis matrix."""
+    return in_span(e.basis, m.phi) is not None
+
+
+def _whole_basis_classification(m, e):
+    """classify_end as a scan of every placed basis matrix: the weight
+    blocks of each element, then one echelon pass per weight block."""
+    if not m.graded:
+        raise UnclassifiedShape("classification needs a graded module")
+    for h in e.basis:
+        for (w1, w2), is_zero in weight_block_structure(h, m).items():
+            if w1 != w2 and not is_zero:
+                raise UnclassifiedShape(f"an endomorphism couples weight {w2} into weight {w1}")
+    ctx = e.basis[0].ctx if e.basis else None
+    tags, total = [], 0
+    for w, off, d in m.weight_offsets():
+        block = range(off, off + d)
+        vectors = [linalg.submatrix(h, block, block).entries for h in e.basis]
+        span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows(vectors, ctx)]
+        total += len(span)
+        tags.append((w, _whole_basis_tag(m, w, block, span)))
+    if total != e.dimension:
+        raise UnclassifiedShape(
+            f"block dimensions sum to {total} but the endomorphism space has "
+            f"dimension {e.dimension}; cross-weight relations are present"
+        )
+    return homsolver.EndClassification(tuple(tags), e.dimension)
+
+
+def _whole_basis_tag(m, w, block, span):
+    d, bd = len(block), len(span)
+    if w != -1:
+        if bd == d * d:
+            return LATTICE_SCALARS if w == 0 else TORUS_SCALARS
+        raise UnclassifiedShape(f"weight {w} block algebra has dimension {bd}, expected {d * d}")
+    if d == 2:
+        if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
+            return SCALAR_ONLY
+        if bd == 2 and in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
+            return POLYNOMIAL_ALGEBRA_OF_PHI
+        if bd == 3:
+            return UPPER_TRIANGULAR_FULL
+    raise UnclassifiedShape(f"weight {w} block of size {d} with algebra dimension {bd} matches no known case")
+
+
+def _outcome(compute):
+    """compute(), or the class and message of the package error it raised."""
+    try:
+        return compute()
+    except OneMotivesError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _block_reading_outcomes(m):
+    """frobenius_membership and classify_end of m in End(m), each asserted
+    equal to the whole-basis scan's answer, or to its error class and
+    message; None when End itself raises."""
+    e = _outcome(lambda: end_algebra(m))
+    if isinstance(e, tuple):
+        return None
+    out = []
+    for on_blocks, on_basis in ((frobenius_membership, _whole_basis_membership), (classify_end, _whole_basis_classification)):
+        answer = _outcome(lambda: on_blocks(m, e))
+        assert answer == _outcome(lambda: on_basis(m, e)), (m.label, on_blocks.__name__)
+        out.append(answer.summary() if isinstance(answer, homsolver.EndClassification) else answer)
+    return tuple(out)
+
+
+_SURVEY_QS = [q for q in range(2, 65) if len({p for p in range(2, q + 1) if q % p == 0 and all(p % r for r in range(2, p))}) == 1]
+
+
+def test_block_reading_answers_as_the_whole_basis_on_every_survey_row_up_to_q64():
+    seen, rows = set(), 0
+    for q in _SURVEY_QS:
+        ctx = PadicContext.from_q(q)
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            for mode in ("auto", "eigenline:0", "eigenline:1") + (("scalar", "jordan") if t * t == 4 * q else ()):
+                try:
+                    elliptic = realize_elliptic(t, EllipticFilMode.parse(mode), ctx)
+                except ModeMismatch:
+                    continue  # an irreducible polynomial has no Q_p eigenline
+                seen.add(_block_reading_outcomes(direct_sum([realize_lattice(1, ctx), elliptic])))
+                rows += 1
+    assert rows > 1500 and None not in seen
+    assert {member for member, _ in seen} == {True, False}
+    assert {tag.split("+")[1] for _, tag in seen} == {
+        SCALAR_ONLY, POLYNOMIAL_ALGEBRA_OF_PHI, UPPER_TRIANGULAR_FULL
+    }
+
+
+def test_block_reading_answers_as_the_whole_basis_on_the_end_bench_items(workloads):
+    make, _op = workloads.WORKLOADS["end"]
+    items = make(1)
+    for r, d, k, _cls, p, f, t, mode in items:
+        spec = OneMotiveSpec(lattice_rank=r, torus_dim=d, elliptic_traces=(t,) * k)
+        m = realize_one_motive(spec, PadicContext(p, f, 40), fil_mode=EllipticFilMode.parse(mode))
+        assert _block_reading_outcomes(m) is not None
+    assert items
+
+
+def _companion_block(q, lam):
+    """Weight -1 block with phi the companion of (T - 1)(T - q) and Fil1 its
+    lam-eigenline: its slope-0 line receives a lattice, and with lam = q it
+    also maps onto one."""
+    phi = linalg.companion([Fraction(q), Fraction(-1 - q), Fraction(1)])
+    return phi, frac_matrix([[Fraction(-q, lam)], [1]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: kummer(C5),
+        lambda: split_extension(extension_module(3, C5))[0],
+        lambda: split_extension(extension_module(0, C5))[0],
+        lambda: _split_module_at_q3(),
+        lambda: direct_sum([_split_module_at_q3(), realize_lattice(1, C3), realize_elliptic(-2, AUTO, C3)]),
+        lambda: direct_sum([split_extension(extension_module(3, C5))[0], realize_elliptic(1, AUTO, C5)]),
+        lambda: dense(direct_sum([split_extension(extension_module(3, C5))[0], realize_elliptic(1, AUTO, C5)])),
+        lambda: dense_lattice_torus(OneMotiveSpec(lattice_rank=3, elliptic_traces=(1,), torus_dim=2), C5),
+        lambda: dense_lattice_torus(OneMotiveSpec(lattice_rank=2, elliptic_traces=(0,), torus_dim=2), C25),
+        lambda: dense(realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1,), torus_dim=2), C5)),
+        lambda: dense(realize_one_motive(OneMotiveSpec(lattice_rank=1, elliptic_traces=(0,), torus_dim=1), C25)),
+        lambda: zero_module(C5),
+        lambda: realize_one_motive(OneMotiveSpec(lattice_rank=1, abelian_explicit=(_companion_block(5, 1),)), C5),
+        lambda: realize_one_motive(OneMotiveSpec(lattice_rank=1, abelian_explicit=(_companion_block(5, 5),)), C5),
+        lambda: realize_one_motive(
+            OneMotiveSpec(lattice_rank=2, abelian_explicit=(_companion_block(5, 5),), torus_dim=1), C5
+        ),
+        lambda: direct_sum([realize_torus(1, C5), realize_abelian_block(*_companion_block(5, 5), C5)]),
+        lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(1, 1)), C5),
+        lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(1, 1, 1)), C5),
+        lambda: realize_one_motive(OneMotiveSpec(lattice_rank=1, elliptic_traces=(1, 2)), C5),
+        lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(0,)), C25),
+        lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(0, 0)), C25),
+        lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(0, 0, 0)), C25),
+        lambda: realize_one_motive(OneMotiveSpec(lattice_rank=1, elliptic_traces=(0, 0), torus_dim=1), C25),
+    ],
+    ids=[
+        "kummer", "split-3", "split-0", "split-q3", "split-q3+L1+E(-2)", "split-3+E(1)", "dense-split-3+E(1)",
+        "dense-twin-L3+E(1)+T2", "dense-twin-L2+E(0)+T2@25", "dense-L2+E(1)+T2", "dense-L1+E(0)+T1@25", "zero",
+        "L1+A(1)", "L1+A(q)", "L2+A(q)+T1", "T1+A(q)", "E(1)^2", "E(1)^3", "L1+E(1)+E(2)", "E(0)@25", "E(0)^2@25", "E(0)^3@25",
+        "L1+E(0)^2+T1@25",
+    ],
+)
+def test_block_reading_answers_as_the_whole_basis(build):
+    """Atoms of several weights (split and dense modules), cross-weight
+    Homs (a weight -1 block with a slope-0 line beside a lattice), repeated
+    atoms and p-adic End spaces: membership and classification read from
+    the atom-pair blocks answer, or fail, as the whole-basis scans do."""
+    assert _block_reading_outcomes(build()) is not None
+
+
+@pytest.mark.parametrize("lam, w2, w1", [(1, 0, -1), (5, -1, 0)])
+def test_cross_weight_homs_raise_the_first_coupling_in_basis_order(lam, w2, w1):
+    # with Fil1 the q-eigenline, Hom(A, L) sits in row 0, ahead of Hom(L, A)
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=1, abelian_explicit=(_companion_block(5, lam),)), C5)
+    with pytest.raises(UnclassifiedShape, match=f"^an endomorphism couples weight {w2} into weight {w1}$"):
+        classify_end(m, end_algebra(m))
+
+
+def test_classify_end_refuses_a_large_weight_minus_1_block_without_eliminating(monkeypatch):
+    """E(1)^8: the 16 x 16 weight -1 block matches no known case, and its
+    algebra dimension is a count of blocks, with no echelon pass."""
+    m = realize_one_motive(OneMotiveSpec(elliptic_traces=(1,) * 8), C5)
+    e = end_algebra(m)
+    calls, real = [], linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or real(*args))
+    message = "^weight -1 block of size 16 with algebra dimension 128 matches no known case$"
+    with pytest.raises(UnclassifiedShape, match=message):
+        classify_end(m, e)
+    assert calls == []
+
+
+def _membership_on_forged_blocks(xx, yy):
+    """frobenius_membership of the sum of two lattice:2 atoms X and Y when
+    End's (X, X) blocks are ``xx``, its (Y, Y) blocks ``yy`` and the two
+    cross pairs have none."""
+    x, y = dense(realize_lattice(2, C5)), dense(realize_lattice(2, C5))
+    m = direct_sum([x, y])
+    blocks = {(id(a), id(c)): [] for a in (x, y) for c in (x, y)}
+    blocks[id(x), id(x)], blocks[id(y), id(y)] = xx, yy
+    return frobenius_membership(m, HomSpace(m, m, len(xx) + len(yy), [], blocks=blocks))
+
+
+def test_membership_checks_that_each_pair_span_is_complete():
+    identity = _padic_2x2([[1, 0], [0, 1]])
+    assert _membership_on_forged_blocks([identity], [identity]) is True
+    # phi's (Y, Y) restriction is the identity, outside an empty span
+    assert _membership_on_forged_blocks([identity], []) is False
+    assert _membership_on_forged_blocks([_padic_2x2([[1, 0], [0, 0]])], [identity]) is False
+
+
+def test_membership_answers_false_before_raising_an_ambiguous_test():
+    # I against span(diag(1, 1 + O(5^10))) leaves the residual O(5^10)
+    fuzzy = _padic_2x2([[1, 0], [0, PadicScalar.one(5, 10)]])
+    with pytest.raises(PrecisionExhausted, match="consistency check is ambiguous"):
+        _membership_on_forged_blocks([fuzzy], [_padic_2x2([[1, 0], [0, 1]])])
+    assert _membership_on_forged_blocks([fuzzy], []) is False
 
 
 def test_homspace_serialization():

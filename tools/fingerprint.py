@@ -187,14 +187,17 @@ def split_records(rec: Records, seed: int, ends: Records) -> None:
         if rng.random() < 0.25:
             fil = linalg.to_padic(fil, ctx.doubled())
         item = [p, f, rows, linalg.matrix_to_jsonable(fil)]
-        m = crystal.FilteredPhiModule(
-            ctx, n, linalg.Matrix.from_rows(rows), (), fil, label=f"two blocks {i}", graded=False, split_at=k
-        )
+
+        def two_blocks():
+            # the constructor refuses dependent Fil1 columns: a record, not a crash
+            return crystal.FilteredPhiModule(
+                ctx, n, linalg.Matrix.from_rows(rows), (), fil, label=f"two blocks {i}", graded=False, split_at=k
+            )
 
         split = rec.add(
             "split",
             item,
-            lambda: crystal.split_extension(m),
+            lambda: crystal.split_extension(two_blocks()),
             lambda gu: [crystal.module_to_jsonable(gu[0]), linalg.matrix_to_jsonable(gu[1])],
         )
         if split is not None:
@@ -206,7 +209,7 @@ def split_records(rec: Records, seed: int, ends: Records) -> None:
 
             ends.add("split.end", item, lambda: _end_and_phi(g))
             ends.add("split.sum_end", item, lambda: _end_and_phi(in_a_sum()))
-        ends.add("split.unsplit_end", item, lambda: _end_and_phi(m))
+        ends.add("split.unsplit_end", item, lambda: _end_and_phi(two_blocks()))
 
 
 def _without_reports(x):

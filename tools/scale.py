@@ -2,8 +2,9 @@
 
     python3 tools/scale.py
 
-Runs each shape of ``SHAPES`` at p = 5, f = 1 in a child process of its
-own, one at a time, and prints one JSON line per shape to stdout:
+Runs each shape of ``SHAPES`` at its q (q = 5 unless the name ends in
+``@q``) in a child process of its own, one at a time, and prints one JSON
+line per shape to stdout:
 
 * ``hom_space_s``, ``closure_s``, ``classify_end_s`` and
   ``frobenius_membership_s``: seconds in ``hom_space``, in the rest of
@@ -40,15 +41,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from onemotives import crystal, homsolver, linalg, padic  # noqa: E402
 from onemotives.errors import OneMotivesError  # noqa: E402
 
-# name -> (lattice rank, copies of the elliptic block of trace 1, torus dimension)
+# name -> (q, lattice rank, elliptic traces, torus dimension); E(1) at q = 5
+# is ordinary, so its slope-certified End is exact, while E(0) at q = 25 is
+# isoclinic with a Hodge line that stays p-adic
 SHAPES = {
-    "L6+T6": (6, 0, 6),
-    "L12+T12": (12, 0, 12),
-    "L24+T24": (24, 0, 24),
-    "E1^8": (0, 8, 0),
-    "E1^16": (0, 16, 0),
-    "E1^32": (0, 32, 0),
-    "L12+E1^4+T12": (12, 4, 12),
+    "L6+T6": (5, 6, (), 6),
+    "L12+T12": (5, 12, (), 12),
+    "L24+T24": (5, 24, (), 24),
+    "E1^8": (5, 0, (1,) * 8, 0),
+    "E1^16": (5, 0, (1,) * 16, 0),
+    "E1^32": (5, 0, (1,) * 32, 0),
+    "L12+E1^4+T12": (5, 12, (1,) * 4, 12),
+    "E0^16@25": (25, 0, (0,) * 16, 0),
 }
 PRECISION = 40
 BUDGET_S = 60  # seconds a shape may take
@@ -74,9 +78,9 @@ def _answer(compute):
 
 def measure(name: str) -> dict:
     """The JSON line of one shape, computed in this process."""
-    r, k, d = SHAPES[name]
-    spec = crystal.OneMotiveSpec(lattice_rank=r, elliptic_traces=(1,) * k, torus_dim=d)
-    m = crystal.realize_one_motive(spec, padic.PadicContext(5, 1, PRECISION))
+    q, r, traces, d = SHAPES[name]
+    spec = crystal.OneMotiveSpec(lattice_rank=r, elliptic_traces=traces, torus_dim=d)
+    m = crystal.realize_one_motive(spec, padic.PadicContext.from_q(q, PRECISION))
     line = {"shape": name, "dim": m.dim}
     # end_algebra reads hom_space from its module: time it there
     real, spent = homsolver.hom_space, []
