@@ -91,11 +91,11 @@ class FilteredPhiModule:
 
     ``weights`` lists (weight, block dimension) pairs in the fixed order
     0, -1, -2 describing a direct-sum grading; ``fil1`` holds column
-    generators of the Hodge subspace.  ``graded=False`` marks the
-    two-block extension demo, whose weights are unresolved until
-    ``split_extension`` runs; ``split_at`` remembers its block split.  Its
-    Fil1 generators are checked independent on construction, as
-    ``validate_graded`` checks a graded module's.
+    generators of the Hodge subspace; phi is rational, Fil1 over Q or Q_p.
+    ``graded=False`` marks the two-block extension demo, whose weights are
+    unresolved until ``split_extension`` runs; ``split_at`` remembers its
+    block split.  Its Fil1 generators are checked independent on
+    construction, as ``validate_graded`` checks a graded module's.
     ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
     of a ``direct_sum`` not itself made by ``direct_sum`` (empty for an
     atom); ``block_polys`` the weight blocks' characteristic polynomials once
@@ -123,6 +123,8 @@ class FilteredPhiModule:
             self.fil1 = Matrix.zeros(self.dim, 0)
         if self.phi.rows != self.dim or self.phi.cols != self.dim:
             raise ValueError("phi shape does not match dim")
+        if self.phi.kind != RATIONAL:
+            raise ValueError("phi must be a rational matrix")
         if self.fil1.rows != self.dim:
             raise ValueError("fil1 row count does not match dim")
         if not self.graded:
@@ -159,8 +161,6 @@ def validate_graded(m: FilteredPhiModule) -> None:
     """
     if not m.graded:
         raise ValueError("validate_graded on a non-graded module")
-    if m.phi.kind != RATIONAL:
-        raise ValueError("graded validation expects a rational Frobenius matrix")
     dims = [d for _, d in m.weights]
     if any(d < 1 for d in dims) or sum(dims) != m.dim:
         raise ValueError(f"weight blocks {m.weights} do not fill dimension {m.dim}")
@@ -528,8 +528,6 @@ def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
     k = m.split_at
     if k is None or not 0 < k < m.dim:
         raise ValueError("no block split given")
-    if m.phi.kind != RATIONAL:
-        raise ValueError("split_extension works on rational Frobenius matrices")
     n = m.dim
     r = n - k
     top, bottom = range(k), range(k, n)
@@ -594,7 +592,7 @@ def check_filtration_stability(m: FilteredPhiModule) -> bool:
     r = m.fil1.cols
     if r == 0 or r == m.dim:
         return True
-    if m.phi.kind == RATIONAL and m.fil1.kind == RATIONAL:
+    if m.fil1.kind == RATIONAL:
         stacked = linalg.hstack([m.fil1, linalg.mat_mul(m.phi, m.fil1)])
         return linalg.rank(stacked) == r
     r1 = _stacked_rank(m.phi, m.fil1, m.ctx)

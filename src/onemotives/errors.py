@@ -26,10 +26,6 @@ class NonSquare(OneMotivesError):
     """The operation requires a square matrix."""
 
 
-class ColumnMismatch(OneMotivesError):
-    """Stacked constraint blocks must share the unknown-vector width."""
-
-
 class ContextMismatch(OneMotivesError):
     """Operands live over different p-adic contexts."""
 

@@ -4,25 +4,27 @@ A map h between modules is admissible when it commutes with the linear
 Frobenius operators and carries the Hodge subspace of the source into
 that of the target.  Hom is additive over the atoms a ``direct_sum``
 remembers, and an atom pair whose Frobenius characteristic polynomials
-share no root (an exact gcd over Q) contributes nothing.  Each other pair
-is the kernel of one stacked system: the commutation rows are
-``linalg.sylvester(phi_B, phi_A)``, the matrix of phi_B h - h phi_A, and
-the filtration rows come from Q h C = 0, where C generates Fil1 of the
-source atom and the rows of Q span the annihilator of Fil1 of the target.
+share no root (an exact gcd over Q) contributes nothing.  Every other
+pair takes one path.  Its phis are rational, so the commutant C, the
+kernel of ``linalg.sylvester(phi_B, phi_A)``, is solved over Q, and that
+matrix is checked to send each basis element h to exactly 0, which is
+phi_B h - h phi_A = 0.  C is the pair's Hom when Fil1 of the source atom
+is 0, Fil1 of the target is everything, or both Hodge subspaces are slope
+parts that every equivariant map keeps (``_slope_certified``).  Else the
+Hodge cut keeps the sums of C's basis
+H_1, ..., H_d with Q (sum x_i H_i) F = 0, F generating Fil1 of the source
+and the rows of Q the annihilator of Fil1 of the target: a d-column system
+over Q when both Fil1 are rational, else over Q_p at the context precision
+N and again at 2N, where a dimension flip raises ``PrecisionExhausted``.
+Only this cut, and the Fil1 check on its blocks, is ever p-adic.
 
-Each pair's kernel is verified on the pair's own blocks, on which End
-closure is checked too, and placed at its positions of h, whose unknowns
-are enumerated row-major.  Placement keeps the order of a pair's unknowns
-and pairs' blocks are disjoint, so ordering by pivot gives the echelon
-form of the whole space: identical inputs give byte-identical output.
-A pair whose four matrices are rational is solved once over Q, and so is
-a pair of rational phis whose Hodge subspaces are slope parts that every
-equivariant map keeps (``_slope_certified``): its Hom is the commutant,
-with no Fil1 rows or test, as the constructors checked the lines they
-certified.  Any other pair is solved over Q_p at the context precision N
-and again at 2N, where a dimension flip raises ``PrecisionExhausted``.
-The space is over Q when every block is, else over Q_p at 2N, where the
-exact blocks are promoted.
+Each pair's blocks are in echelon form, verified on the pair's own
+blocks, on which End closure is checked too, and placed at their
+positions of h, whose unknowns are enumerated row-major.  Placement keeps
+the order of a pair's unknowns and pairs' blocks are disjoint, so
+ordering by pivot gives the echelon form of the whole space: identical
+inputs give byte-identical output.  The space is over Q when every block
+is, else over Q_p at 2N, where the exact blocks are promoted.
 
 Only the commutation with phi is imposed: at the linearized level the
 Verschiebung is q * phi^{-1}, so commuting with phi already commutes
@@ -43,6 +45,7 @@ from .errors import (
 from . import linalg
 from .crystal import FilteredPhiModule, newton_slopes_of
 from .linalg import Matrix, PADIC, RATIONAL
+from .padic import PadicScalar
 
 LATTICE_SCALARS = "lattice_scalars"
 TORUS_SCALARS = "torus_scalars"
@@ -68,40 +71,18 @@ class HomSpace:
     blocks: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _hom_system(mats: tuple) -> Matrix:
-    """Stacked constraint matrix on vec(h), row-major, h: src -> tgt, from
-    ``(src.phi, src.fil1, tgt.phi, tgt.fil1)`` over one field."""
-    phi_a, c_a, phi_b, c_b = mats
-    blocks = [linalg.sylvester(phi_b, phi_a)]
-    if c_a.cols > 0:
-        q_b = linalg.annihilator_rows(c_b)
-        if q_b.rows > 0:
-            # row (r, s) of Q h C = 0 holds Q[r,i] * C[j,s] at unknown (i, j)
-            cols = [c_a.column(s) for s in range(c_a.cols)]
-            out = [x * y for r in range(q_b.rows) for col in cols for x in q_b.row(r) for y in col]
-            blocks.append(Matrix(q_b.rows * c_a.cols, q_b.cols * c_a.rows, out, q_b.ctx))
-    return linalg.vstack(blocks)
-
-
-def _verify_element(h: Matrix, mats: tuple) -> None:
-    """Check one element of an atom pair's Hom on that pair's own blocks:
-    equivariance, then Fil1 into Fil1 (no rank test for an image of exact
-    zeros).  Exact inputs fail with ``VerificationFailure``, p-adic ones
-    with ``PrecisionExhausted``: only there can more digits help."""
-    phi_a, c_a, phi_b, c_b = mats
-    exact = h.kind == RATIONAL
-    resid = linalg.mat_sub(linalg.mat_mul(phi_b, h), linalg.mat_mul(h, phi_a))
-    if not linalg.is_zero(resid):
-        if exact:
-            raise VerificationFailure("solver returned a non-equivariant map")
-        raise PrecisionExhausted("equivariance residual above the zero threshold")
+def _verify_element(h: Matrix, c_a: Matrix, c_b: Matrix) -> None:
+    """Check that one block of an atom pair's Hom carries Fil1 (columns
+    c_a) into Fil1 (columns c_b), all over one field; no rank test for an
+    image of exact zeros.  An exact block fails with ``VerificationFailure``,
+    a p-adic one with ``PrecisionExhausted``: only there can more digits help."""
     image = linalg.mat_mul(h, c_a)
     # an image of exact zeros is {0}, inside every subspace: no rank test
     if not any(map(linalg.nonzero_test(image.ctx), image.entries)):
         return
     # stacking an m x 0 block c_b onto the image leaves the image
     if linalg.rank(linalg.hstack([c_b, image])) != c_b.cols:
-        error = VerificationFailure if exact else PrecisionExhausted
+        error = VerificationFailure if h.kind == RATIONAL else PrecisionExhausted
         raise error("image of Fil1 escapes the target Hodge subspace")
 
 
@@ -115,34 +96,64 @@ def _slope_certified(a: FilteredPhiModule, b: FilteredPhiModule) -> bool:
     return a.slope_parts & set(newton_slopes_of(b)) <= b.slope_parts
 
 
+def _primitive_rows(m: Matrix) -> Matrix:
+    """p-adic m with each row times the power of p that makes its lowest
+    valuation 0, a shift that keeps every digit; a row with no resolved
+    entry stays as it is."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        v = min((x.v for x in row if x.is_resolved), default=0)
+        out += [PadicScalar(x.p, x.v - v, x.unit, x.prec) if x.v is not None else x for x in row]
+    return Matrix(m.rows, m.cols, out, m.ctx)
+
+
 def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> list:
-    """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom over its
-    own field: Q when (phi_a, Fil1_a, phi_b, Fil1_b) are rational or the
-    pair is slope certified (the commutant), else Q_p at N and then 2N,
-    verified at the last; disjoint spectra solve nothing."""
-    mats = (a.phi, a.fil1, b.phi, b.fil1)
-    if a.phi.kind == b.phi.kind == RATIONAL:
-        if not any(linalg.share_root(f, g) for f in a.polys() for g in b.polys()):
-            return []
-        if PADIC in (a.fil1.kind, b.fil1.kind) and _slope_certified(a, b):
-            mats = (a.phi, Matrix.zeros(a.dim, 0), b.phi, Matrix.zeros(b.dim, 0))
-    stages = [mats]
-    if any(x.kind != RATIONAL for x in mats):
-        k = 2 if a is b else 4  # a pair of one atom promotes its (phi, Fil1) once per precision
-        stages = [tuple(linalg.to_padic(x, c) for x in mats[:k]) * (4 // k) for c in (a.ctx, a.ctx.doubled())]
-    kernels = [linalg.kernel(_hom_system(m)) for m in stages]
+    """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom: none
+    for disjoint spectra; the commutant C, solved and checked over Q, when
+    no Fil1 condition binds; else C's Hodge cut, over Q when both Fil1 are
+    rational, else over Q_p at N and then 2N."""
+    if not any(linalg.share_root(f, g) for f in a.polys() for g in b.polys()):
+        return []
+    sylvester = linalg.sylvester(b.phi, a.phi)
+    basis = linalg.kernel(sylvester).basis
+    hs = Matrix(len(basis), a.dim * b.dim, [x for v in basis for x in v])
+    # Sylvester's matrix maps vec(H) to vec(phi_b H - H phi_a)
+    if not linalg.is_zero(linalg.mat_mul(sylvester, linalg.transpose(hs))):
+        raise VerificationFailure("solver returned a non-equivariant map")
+    if _slope_certified(a, b) or a.fil1.cols == 0 or b.fil1.cols == b.dim:
+        return [Matrix(b.dim, a.dim, v) for v in basis]
+    q_b = linalg.annihilator_rows(b.fil1)
+    ctx = a.ctx.doubled() if PADIC in (a.fil1.kind, b.fil1.kind) else None
+    kernels = []
+    for c in (a.ctx, ctx) if ctx else (None,):
+        q, f, h = (linalg.to_padic(x, c) if c else x for x in (q_b, a.fil1, hs))
+        if c:
+            # generators at valuation 0, so the digits are spent at one
+            # scale: C's echelon basis carries 1/q
+            q, f, h = _primitive_rows(q), linalg.transpose(_primitive_rows(linalg.transpose(f))), _primitive_rows(h)
+        # row (r, s) holds Q_b[r, j] Fil1_a[k, s] at coordinate (j, k) of
+        # vec(h), so column i of the cut is vec(Q_b H_i Fil1_a)
+        cols = [f.column(s) for s in range(f.cols)]
+        fil_rows = Matrix(q.rows * f.cols, q.cols * f.rows, [x * y for r in range(q.rows) for col in cols for x in q.row(r) for y in col], c)
+        kernels.append(linalg.kernel(linalg.mat_mul(fil_rows, linalg.transpose(h))))
     if kernels[0].dimension != kernels[-1].dimension:
-        (lo, hi), (n_lo, n_hi) = kernels, (m[0].ctx.precision for m in stages)
+        (lo, hi), (n_lo, n_hi) = kernels, (a.ctx.precision, ctx.precision)
         raise PrecisionExhausted(
             f"hom dimension flipped between precisions ({lo.dimension} at {n_lo}, {hi.dimension} at {n_hi})"
         )
     reports += [k.precision_report for k in kernels if k.precision_report is not None]
-    ctx = stages[-1][0].ctx
-    # echelon_rows is no fixed point on a p-adic kernel basis: a second pass
-    # cuts each entry to its pivot's digits, the form the output carries
-    blocks = [Matrix(b.dim, a.dim, v, ctx) for v in linalg.echelon_rows(kernels[-1].basis, ctx)]
-    for h in blocks:
-        _verify_element(h, stages[-1])
+    # the blocks are the sums over the last stage's h, in its field
+    xs = kernels[-1].basis
+    sums = linalg.mat_mul(Matrix(len(xs), h.rows, [x for v in xs for x in v], ctx), h)
+    rows = [sums.row(i) for i in range(sums.rows)]
+    # over Q, sums of C's echelon basis along echelon coordinates are echelon
+    # rows; over Q_p echelon_rows undoes the scaling and cuts each entry to
+    # its pivot's digits, the form the output carries
+    blocks = [Matrix(b.dim, a.dim, v, ctx) for v in (linalg.echelon_rows(rows, ctx) if ctx else rows)]
+    c_b = linalg.to_padic(b.fil1, ctx) if ctx else b.fil1
+    for blk in blocks:
+        _verify_element(blk, f, c_b)
     return blocks
 
 

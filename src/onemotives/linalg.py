@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    ColumnMismatch,
-    ContextMismatch,
-    NonSquare,
-    PrecisionExhausted,
-)
+from .errors import ContextMismatch, NonSquare, PrecisionExhausted
 from .padic import (
     PadicContext,
     PadicScalar,
@@ -230,18 +225,6 @@ def hstack(blocks: list[Matrix]) -> Matrix:
         for b in blocks:
             out.extend(b.row(i))
     return Matrix(rows, sum(b.cols for b in blocks), out, blocks[0].ctx)
-
-
-def vstack(blocks: list[Matrix]) -> Matrix:
-    cols = blocks[0].cols
-    for b in blocks[1:]:
-        _require_same_kind(blocks[0], b)
-        if b.cols != cols:
-            raise ColumnMismatch(f"block widths {cols} and {b.cols} differ")
-    out = []
-    for b in blocks:
-        out.extend(b.entries)
-    return Matrix(sum(b.rows for b in blocks), cols, out, blocks[0].ctx)
 
 
 def block_diag(blocks: list[Matrix]) -> Matrix:

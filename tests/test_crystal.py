@@ -902,6 +902,25 @@ def test_a_non_graded_module_refuses_a_bad_fil1_basis_on_construction(fil1, mess
         FilteredPhiModule(C5, 2, frac_matrix([[1, 3], [0, 5]]), (), frac_matrix(fil1), graded=False, split_at=1)
 
 
+def test_a_module_refuses_a_p_adic_phi_on_construction():
+    # the same phi over Q is accepted; promoted to Q_p it is refused before
+    # any validation, graded or not
+    phi = frac_matrix([[1, 3], [0, 5]])
+    FilteredPhiModule(C5, 2, phi, (), frac_matrix([[0], [1]]), graded=False, split_at=1)
+    for graded in (True, False):
+        with pytest.raises(ValueError, match="phi must be a rational matrix"):
+            FilteredPhiModule(C5, 2, to_padic(phi, C5), (), frac_matrix([[0], [1]]), graded=graded, split_at=1)
+
+
+def test_module_from_jsonable_refuses_a_p_adic_phi():
+    obj = module_to_jsonable(extension_module(3, C5))
+    assert obj["graded"] is False
+    obj["phi"] = linalg.matrix_to_jsonable(to_padic(extension_module(3, C5).phi, C5))
+    assert all(isinstance(e, dict) for e in obj["phi"]["entries"])
+    with pytest.raises(ValueError, match="phi must be a rational matrix"):
+        module_from_jsonable(obj)
+
+
 def test_one_motive_spec_checks():
     with pytest.raises(HasseViolation):
         realize_one_motive(OneMotiveSpec(elliptic_traces=(7,)), C5)

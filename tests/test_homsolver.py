@@ -424,13 +424,21 @@ def test_end_closure_on_blocks_agrees_with_the_whole_module_closure(monkeypatch,
     sum has two atoms, and what it accepts passes the textbook check:
     the identity and every product of two placed basis elements, by the
     triple loop, lie in the span; rational and p-adic Hodge lines and
-    repeated atoms all occur."""
+    repeated atoms all occur.  Only the closure's products are recorded:
+    the products made inside ``hom_space`` are dropped when it returns."""
     ctx = PadicContext.from_q(q)
     rng = random.Random(q)
     traces = [t for t in range(-2 * q, 2 * q + 1) if t * t <= 4 * q]
     shapes = []
-    real = linalg.mat_mul
+    real, real_hom = linalg.mat_mul, homsolver.hom_space
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: shapes.append((a.rows, a.cols, b.cols)) or real(a, b))
+
+    def hom_space_then_forget(src, tgt):
+        h = real_hom(src, tgt)
+        shapes.clear()
+        return h
+
+    monkeypatch.setattr(homsolver, "hom_space", hom_space_then_forget)
     kinds, repeated = set(), False
     for _ in range(6):
         t = rng.choice(traces)
@@ -469,10 +477,10 @@ def test_end_closure_forms_a_product_linked_by_an_unresolved_zero(monkeypatch):
 def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
     split = split_extension(extension_module(3, C5))[0]
     assert not split.parts and split.phi == frac_matrix([[1, 0], [0, 5]])
-    # E12 does not commute with phi = diag(1, 5); only the 4-unknown system
-    # of the (split, split) pair is answered wrongly, the annihilator of Fil1
-    # is left intact.  The bogus vector fails the final check whether the
-    # split module is the whole source or one atom of a sum.
+    # E12 does not commute with phi = diag(1, 5); only the 4-unknown
+    # commutant system of the (split, split) pair is answered wrongly.  The
+    # bogus vector fails the exact check on the commutant, before any Hodge
+    # cut, whether the split module is the whole source or one atom of a sum.
     bogus = linalg.KernelResult(1, [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]])
     real = linalg.kernel
     monkeypatch.setattr(linalg, "kernel", lambda system: bogus if system.cols == 4 else real(system))
@@ -481,37 +489,30 @@ def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
             hom_space(m, m)
 
 
-def _answer_hom_system_with(monkeypatch, h):
-    """Make the kernel of every 4-unknown Hom system the single vector vec(h),
-    at the system's scalar kind; the annihilator of Fil1 is left intact."""
+def _answer_the_cut_with_all_of_c(monkeypatch, m):
+    """Make the Hodge cut of m's pair keep all of the commutant: its kernel,
+    at either precision, is every coordinate vector.  m's Fil1 is one
+    column, so the annihilator, the kernel of its transpose, is the one
+    other 1 x 2 system; it is left intact."""
     real = linalg.kernel
 
     def kernel(system):
-        if system.cols != 4:
+        if (system.rows, system.cols) != (1, 2) or system.entries == m.fil1.entries:
             return real(system)
-        vec = linalg.to_padic(h, system.ctx) if system.kind == PADIC else h
-        return linalg.KernelResult(1, [list(vec.entries)])
+        ident = Matrix.identity(2, system.ctx)
+        return linalg.KernelResult(2, [ident.row(0), ident.row(1)])
 
     monkeypatch.setattr(linalg, "kernel", kernel)
 
 
 def test_hom_rejects_an_exact_fil1_escape_without_precision_advice(monkeypatch):
-    # phi commutes with itself but moves the generic Hodge line span(e1);
-    # rational input, so more digits cannot help
+    # the commutant Q[phi] moves the generic Hodge line span(e1), so a cut
+    # that keeps all of it fails the Fil1 check; rational input, so more
+    # digits cannot help
     m = realize_elliptic(0, EllipticFilMode("generic"), C5)
     assert m.phi.kind == RATIONAL and m.fil1.kind == RATIONAL
-    _answer_hom_system_with(monkeypatch, m.phi)
+    _answer_the_cut_with_all_of_c(monkeypatch, m)
     with pytest.raises(VerificationFailure, match="image of Fil1 escapes"):
-        hom_space(m, m)
-
-
-def test_hom_padic_non_equivariant_vector_is_a_precision_failure(monkeypatch):
-    # at q = 25, t = 0 both roots have slope 1/2: the Hodge line is p-adic
-    # and no slope part, so the pair is solved over Q_p
-    m = realize_elliptic(0, AUTO, C25)
-    assert m.fil1.kind == PADIC and m.slope_parts is None
-    _answer_hom_system_with(monkeypatch, frac_matrix([[0, 1], [0, 0]]))
-    with pytest.raises(PrecisionExhausted, match="equivariance residual"):
         hom_space(m, m)
 
 
@@ -520,15 +521,17 @@ def test_hom_padic_fil1_escape_is_a_precision_failure(monkeypatch):
     m = FilteredPhiModule(
         C5, 2, generic.phi, generic.weights, linalg.to_padic(generic.fil1, C5.doubled()), label="padic line"
     )
-    _answer_hom_system_with(monkeypatch, m.phi)
+    _answer_the_cut_with_all_of_c(monkeypatch, m)
     with pytest.raises(PrecisionExhausted, match="image of Fil1 escapes"):
         hom_space(m, m)
 
 
 def test_hom_tests_no_zero_fil1_image_for_rank(monkeypatch):
-    # End(lattice 1 + torus 1) is spanned by E11 and E22; E11 sends the
-    # torus Hodge line to 0, so only E22's image needs a rank test
-    m = kummer(C5)
+    # End of lattice 1 + torus 1 as one dense atom is its Hodge cut,
+    # spanned by E11 and E22; E11 sends the torus Hodge line to 0, so only
+    # E22's image needs a rank test
+    m = dense(kummer(C5))
+    assert not m.parts
     calls = []
     real = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda a: calls.append(a) or real(a))
@@ -555,42 +558,47 @@ def test_hom_promotes_its_inputs_once_per_precision(monkeypatch):
     to_padic = linalg.to_padic
     monkeypatch.setattr(linalg, "to_padic", lambda a, ctx: calls.append((a, ctx.precision)) or to_padic(a, ctx))
     h = hom_space(m, m)
-    # only the p-adic elliptic pair promotes its atom's phi and Fil1, once at
-    # N and once at 2N; the lattice's and torus's matrices never are
-    assert [n for a, n in calls if a is elliptic.phi or a is elliptic.fil1] == [40] * 2 + [80] * 2
-    rest = [(a, n) for a, n in calls if a is not elliptic.phi and a is not elliptic.fil1]
-    assert not any(a is x for a, _ in rest for x in (lattice.phi, lattice.fil1, torus.phi, torus.fil1))
-    # the exact pairs' verified blocks are promoted once each, into the
-    # space's field at 2N, as they are stored
+    # last, the exact pairs' verified blocks are promoted once each, into
+    # the space's field at 2N, as they are stored
     exact = h.blocks[id(lattice), id(lattice)] + h.blocks[id(torus), id(torus)]
-    assert len(exact) == 8 and [n for _, n in rest] == [80] * 8
-    assert [to_padic(a, C25.doubled()) for a, _ in rest] == exact and all(a.ctx is None for a, _ in rest)
+    rest, blocks = calls[:-8], calls[-8:]
+    assert len(exact) == 8 and [n for _, n in blocks] == [80] * 8
+    assert [to_padic(a, C25.doubled()) for a, _ in blocks] == exact and all(a.ctx is None for a, _ in blocks)
+    # before them only the elliptic pair's Hodge cut promotes: its
+    # annihilator rows, Fil1 columns and commutant basis once at N and once
+    # at 2N, then the target Fil1 at 2N for the block check; no atom's phi
+    # ever is
+    assert [n for _, n in rest] == [40] * 3 + [80] * 4 and rest[-1][0] is elliptic.fil1
+    assert not any(a is x.phi for a, _ in rest for x in (lattice, elliptic, torus))
+    assert not any(a is x.fil1 for a, _ in rest for x in (lattice, torus))
 
 
 def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
     m, *_ = _lattice2_elliptic0x3_torus2()
     systems = []
-    real = homsolver._hom_system
+    real = linalg.kernel
 
-    def spy(mats):
-        systems.append((mats[1].cols, mats[3].cols, mats[0].ctx and mats[0].ctx.precision))
-        return real(mats)
+    def spy(system):
+        systems.append((system.rows, system.cols, system.ctx and system.ctx.precision))
+        return real(system)
 
-    monkeypatch.setattr(homsolver, "_hom_system", spy)
+    monkeypatch.setattr(linalg, "kernel", spy)
     e = end_algebra(m)
     assert e.dimension == 4 + 9 * 2 + 4
-    # (Fil1 ranks, precision) per solved pair: the lattice (0) and torus (2)
-    # pairs once over Q, the elliptic pair (1) at N and 2N; the three
-    # elliptic copies share that solve, and the pairs of distinct weights are
-    # decided by the gcd without a system
-    assert systems == [(0, 0, None), (1, 1, 40), (1, 1, 80), (2, 2, None)]
-    # each distinct pair is verified on its own 2 x 2 blocks: 4 lattice,
-    # 2 elliptic and 4 torus maps, not every basis element of the sum
+    # the commutant of each distinct pair with a shared root, once over Q:
+    # lattice, elliptic, torus; the three elliptic copies share that solve,
+    # and the pairs of distinct weights are decided by the gcd without a
+    # system.  Only the elliptic pair has a Hodge cut (the lattice's Fil1 is
+    # 0, the torus's everything): the annihilator of its Hodge line at 2N,
+    # then one row on the commutant's 2 coordinates at N and at 2N
+    assert systems == [(4, 4, None), (4, 4, None), (1, 2, 80), (1, 2, 40), (1, 2, 80), (4, 4, None)]
+    # the Fil1 check runs on the cut's own 2 x 2 blocks, not on every basis
+    # element of the sum, and not on a commutant taken whole
     checked = []
     verify = homsolver._verify_element
-    monkeypatch.setattr(homsolver, "_verify_element", lambda h, mats: checked.append((h.rows, h.cols)) or verify(h, mats))
+    monkeypatch.setattr(homsolver, "_verify_element", lambda h, c_a, c_b: checked.append((h.rows, h.cols)) or verify(h, c_a, c_b))
     end_algebra(m)
-    assert checked == [(2, 2)] * 10
+    assert checked == [(2, 2)] * 2
     lattice, elliptic = realize_lattice(1, C25), realize_elliptic(0, AUTO, C25)
     kernels = []
     monkeypatch.setattr(linalg, "kernel", kernels.append)
@@ -600,22 +608,23 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
 
 def test_precision_report_is_the_fewest_digits_of_the_p_adic_pairs(monkeypatch):
     m, *_ = _lattice2_elliptic0x3_torus2()
-    systems, reports = [], []
-    build, kernel = homsolver._hom_system, linalg.kernel
+    reports = []
+    kernel = linalg.kernel
 
     def spy(system):
         k = kernel(system)
-        if any(system is x for x in systems):
-            reports.append((system.kind, k.precision_report))
+        reports.append((system.ctx and system.ctx.precision, k.precision_report))
         return k
 
-    monkeypatch.setattr(homsolver, "_hom_system", lambda mats: systems.append(build(mats)) or systems[-1])
     monkeypatch.setattr(linalg, "kernel", spy)
     e = hom_space(m, m)
-    assert [kind for kind, _ in reports] == [RATIONAL, PADIC, PADIC, RATIONAL]
-    padic = [r for kind, r in reports if kind == PADIC]
-    assert all(r is None for kind, r in reports if kind == RATIONAL) and None not in padic
-    assert e.precision_report == min(padic)
+    # the three commutants are exact; the p-adic systems are the
+    # annihilator of the Hodge line at 2N, then the cut at N and at 2N,
+    # and only the cut's digits are reported
+    assert all(r is None for n, r in reports if n is None)
+    padic = [(n, r) for n, r in reports if n is not None]
+    assert [n for n, _ in padic] == [80, 40, 80] and None not in [r for _, r in padic]
+    assert e.precision_report == min(r for _, r in padic[1:])
     # a p-adic source whose only solved pair is exact decides its space
     # exactly, and over Q: no block of the space is p-adic
     h = hom_space(z_to_e(0, C25), realize_lattice(1, C25))
@@ -637,15 +646,7 @@ def _split_module_at_q3():
     (
         -2,
         -1,
-        pytest.param(
-            1,
-            marks=pytest.mark.xfail(
-                raises=PrecisionExhausted,
-                strict=True,
-                reason="ROADMAP item 2: g's own block has trace 1, so Hom(g, E) is a p-adic pair "
-                "that meets the valuation-blind zero threshold on its own",
-            ),
-        ),
+        1,
         2,
     ),
 )
@@ -709,15 +710,7 @@ def _conjugated_sums(q):
 @pytest.mark.parametrize(
     "q",
     (
-        pytest.param(
-            4,
-            marks=pytest.mark.xfail(
-                raises=PrecisionExhausted,
-                strict=True,
-                reason="ROADMAP item 2: the dense system's equivariance residual misses the "
-                "valuation-blind zero threshold at p = 2",
-            ),
-        ),
+        4,
         5,
         7,
         9,
@@ -781,7 +774,7 @@ def test_slope_certified_end_is_the_p_adic_end_made_exact():
                 for h, g in zip(exact.basis, padic.basis):
                     assert all(_in_coset(x, y) for x, y in zip(h.entries, g.entries)), (q, t, mode)
                 answered += 1
-    assert (answered, raised) == (618, 66)
+    assert (answered, raised) == (648, 36)
 
 
 def _assert_reduced_echelon(space):
@@ -979,6 +972,39 @@ def test_block_reading_answers_as_the_whole_basis_on_every_survey_row_up_to_q64(
     assert {tag.split("+")[1] for _, tag in seen} == {
         SCALAR_ONLY, POLYNOMIAL_ALGEBRA_OF_PHI, UPPER_TRIANGULAR_FULL
     }
+
+
+def test_p_adic_systems_under_hom_space_are_no_wider_than_the_commutant(monkeypatch):
+    """On every survey row up to q = 64, in every mode, each p-adic system
+    that hom_space solves for an atom pair has at most as many columns as
+    the pair's commutant has dimensions: at most 4 for two 2 x 2 atoms."""
+    kernel, pair_kernel = linalg.kernel, homsolver._pair_kernel
+    solved, widths = [], []
+    monkeypatch.setattr(linalg, "kernel", lambda system: solved.append(system) or kernel(system))
+
+    def spy(a, b, reports):
+        solved.clear()
+        blocks = pair_kernel(a, b, reports)
+        d = kernel(linalg.sylvester(b.phi, a.phi)).dimension
+        widths.extend((system.cols, d, a.dim * b.dim) for system in solved if system.ctx)
+        return blocks
+
+    monkeypatch.setattr(homsolver, "_pair_kernel", spy)
+    rows = 0
+    for q in _SURVEY_QS:
+        ctx = PadicContext.from_q(q)
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            for mode in ("auto", "generic", "eigenline:0", "eigenline:1") + (("scalar", "jordan") if t * t == 4 * q else ()):
+                try:
+                    elliptic = realize_elliptic(t, EllipticFilMode.parse(mode), ctx)
+                except ModeMismatch:
+                    continue
+                m = direct_sum([realize_lattice(1, ctx), elliptic])
+                hom_space(m, m)
+                rows += 1
+    assert rows > 2000 and widths
+    assert all(cols <= d <= n == 4 for cols, d, n in widths)
 
 
 def test_block_reading_answers_as_the_whole_basis_on_the_end_bench_items(workloads):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from onemotives.errors import ColumnMismatch, NonSquare, PrecisionExhausted
+from onemotives.errors import NonSquare, PrecisionExhausted
 from onemotives.linalg import (
     Matrix,
     PADIC,
@@ -28,7 +28,6 @@ from onemotives.linalg import (
     sylvester,
     to_padic,
     transpose,
-    vstack,
     matrix_to_jsonable,
     matrix_from_jsonable,
 )
@@ -463,7 +462,7 @@ def test_inverse_roundtrip():
         inverse(frac_matrix([[1, 2], [2, 4]]))
 
 
-# -- sylvester and the Hom system -------------------------------------------------
+# -- sylvester -------------------------------------------------
 
 
 def kron(a, b):
@@ -494,33 +493,6 @@ def test_sylvester_equals_kronecker_reference(seed):
             assert got.entries == reference.entries
             if kind == PADIC:
                 entries = a.entries + b.entries
-                seen["exact zero"] += any(e.is_exact_zero for e in entries)
-                seen["unresolved zero"] += any(e.is_unresolved for e in entries)
-    assert all(seen.values()), seen
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_hom_system_fil1_rows_equal_kronecker_reference(seed, monkeypatch):
-    """Below the Sylvester rows, _hom_system holds kron(Q, C^T) entry for
-    entry, p-adic v, unit and prec included, where C is the source Fil1 and
-    Q the annihilator rows of the target Fil1 (drawn here at random)."""
-    rng = random.Random(100 + seed)
-    seen = {"n != m": 0, "exact zero": 0, "unresolved zero": 0}
-    for _ in range(12):
-        n, m, s, r = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3)
-        seen["n != m"] += n != m
-        for kind, draw, ctx in ((RATIONAL, _random_fraction, None), (PADIC, _random_padic, C5)):
-            def rand(rows, cols):
-                return Matrix(rows, cols, [draw(rng) for _ in range(rows * cols)], ctx)
-
-            phi_a, c_a, phi_b, c_b, q = rand(n, n), rand(n, s), rand(m, m), rand(m, 1), rand(r, m)
-            monkeypatch.setattr(linalg, "annihilator_rows", lambda f: q if f is c_b else None)
-            got = homsolver._hom_system((phi_a, c_a, phi_b, c_b))
-            reference = kron(q, transpose(c_a))
-            assert (got.rows, got.cols) == (n * m + r * s, n * m)
-            assert got.entries[n * m * n * m :] == reference.entries
-            if kind == PADIC:
-                entries = q.entries + c_a.entries
                 seen["exact zero"] += any(e.is_exact_zero for e in entries)
                 seen["unresolved zero"] += any(e.is_unresolved for e in entries)
     assert all(seen.values()), seen
@@ -685,28 +657,15 @@ def test_eigen_line_rational():
     assert kernel(shift_diagonal(m, Fraction(-5))).dimension == 0
 
 
-# -- constraint stacking --------------------------------------------------------------
-
-
-def test_constraint_stack_single():
-    b = frac_matrix([[1, 2]])
-    assert vstack([b]) == b
+# -- stacked constraints ---------------------------------------------------------------
 
 
 def test_constraint_stack_with_zero_block():
-    b = frac_matrix([[1, 2]])
-    z = Matrix.zeros(1, 2)
-    assert kernel(vstack([b, z])).basis == kernel(b).basis
+    assert kernel(frac_matrix([[1, 2], [0, 0]])).basis == kernel(frac_matrix([[1, 2]])).basis
 
 
 def test_constraint_stack_full_rank():
-    res = kernel(vstack([frac_matrix([[1, 0]]), frac_matrix([[0, 1]])]))
-    assert res.dimension == 0
-
-
-def test_constraint_stack_mismatch():
-    with pytest.raises(ColumnMismatch):
-        vstack([frac_matrix([[1, 0]]), frac_matrix([[1]])])
+    assert kernel(frac_matrix([[1, 0], [0, 1]])).dimension == 0
 
 
 # -- misc -------------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 
 Runs each shape of ``SHAPES`` at its q (q = 5 unless the name ends in
 ``@q``) in a child process of its own, one at a time, and prints one JSON
-line per shape to stdout:
+line per shape to stdout.  A full garbage collection runs before each
+timed stage, so none that an earlier stage's garbage triggers lands in
+the next one's time:
 
 * ``hom_space_s``, ``closure_s``, ``classify_end_s`` and
   ``frobenius_membership_s``: seconds in ``hom_space``, in the rest of
@@ -26,6 +28,7 @@ budget.  Nothing is written to disk.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import resource
@@ -93,6 +96,7 @@ def measure(name: str) -> dict:
             spent.append(time.perf_counter() - start)
 
     homsolver.hom_space = timed_hom_space
+    gc.collect()
     start = time.perf_counter()
     try:
         e = _answer(lambda: homsolver.end_algebra(m))
@@ -107,6 +111,7 @@ def measure(name: str) -> dict:
         ("classify_end", lambda: homsolver.classify_end(m, e).summary()),
         ("frobenius_membership", lambda: homsolver.frobenius_membership(m, e)),
     ):
+        gc.collect()
         start = time.perf_counter()
         line[key] = _answer(stage)
         line[key + "_s"] = round(time.perf_counter() - start, 4)
