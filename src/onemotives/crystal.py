@@ -172,7 +172,7 @@ def validate_graded(m: FilteredPhiModule) -> None:
     off_block = (linalg.submatrix(m.phi, b1, b2) for b1 in blocks for b2 in blocks if b1 != b2)
     if not all(linalg.is_zero(x) for x in off_block):
         raise ValueError("phi is not block-diagonal for the stated grading")
-    polys = tuple(linalg.char_poly(linalg.submatrix(m.phi, b, b)) for b in blocks)
+    polys = tuple(linalg.char_poly(m.phi if len(b) == m.dim else linalg.submatrix(m.phi, b, b)) for b in blocks)
     # phi is block-diagonal, so det(phi) is the product of the blocks' +-cp[0]
     if any(cp[0] == 0 for cp in polys):
         raise ValueError("phi is singular")
@@ -192,10 +192,14 @@ def validate_graded(m: FilteredPhiModule) -> None:
 
 
 def _validate_fil1_basis(m: FilteredPhiModule) -> None:
-    """Fil1's columns are at most dim, linearly independent generators."""
+    """Fil1's columns are at most dim, linearly independent generators.  One
+    column with a certainly nonzero entry, a nonzero Fraction or a resolved
+    p-adic scalar, is of rank 1 by form; any other Fil1 is eliminated."""
     r = m.fil1.cols
     if r > m.dim:
         raise ValueError("fil1 has more columns than the dimension")
+    if r == 1 and any(map(linalg.certainly_nonzero(m.fil1.ctx), m.fil1.entries)):
+        return
     if r > 0 and linalg.rank(m.fil1) != r:
         raise ValueError("fil1 generators are linearly dependent")
 
@@ -216,10 +220,11 @@ def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str, parts=(
     ordered = sorted(blocks, key=lambda b: -b[0])
     perm = [i for _, block in ordered for i in block]
     weights = tuple((w, sum(len(b) for _, b in run)) for w, run in groupby(ordered, key=lambda b: b[0]))
-    fil1 = linalg.submatrix(fil1, perm, range(fil1.cols))
+    if perm != list(range(len(perm))):
+        fil1, phi = linalg.submatrix(fil1, perm, range(fil1.cols)), linalg.submatrix(phi, perm, perm)
     where = {i: k for k, i in enumerate(perm)}
     parts = tuple(sorted(((a, tuple(where[i] for i in r), c) for a, r, c in parts), key=lambda x: x[1][0]))
-    return FilteredPhiModule(ctx, len(perm), linalg.submatrix(phi, perm, perm), weights, fil1, label, parts=parts)
+    return FilteredPhiModule(ctx, len(perm), phi, weights, fil1, label, parts=parts)
 
 
 # -- symbolic one-motive descriptions ----------------------------------------
@@ -263,7 +268,7 @@ def realize_lattice(r: int, ctx: PadicContext) -> FilteredPhiModule:
     if r == 0:
         return zero_module(ctx)
     one = _graded(ctx, Matrix.identity(1), ((0, 1),), Matrix.zeros(1, 0), "lattice(1)", frozenset())
-    return one if r == 1 else replace(direct_sum([one] * r), label=f"lattice({r})")
+    return one if r == 1 else _copies(one, r, Matrix.identity(r), Matrix.zeros(r, 0), f"lattice({r})")
 
 
 def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
@@ -272,9 +277,20 @@ def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
         raise ValueError("dimension must be >= 0")
     if t == 0:
         return zero_module(ctx)
-    q = Matrix(1, 1, [Fraction(ctx.q)])
-    one = _graded(ctx, q, ((-2, 1),), Matrix.identity(1), "torus(1)", frozenset({Fraction(1)}))
-    return one if t == 1 else replace(direct_sum([one] * t), label=f"torus({t})")
+    q = Fraction(ctx.q)
+    one = _graded(ctx, Matrix(1, 1, [q]), ((-2, 1),), Matrix.identity(1), "torus(1)", frozenset({Fraction(1)}))
+    if t == 1:
+        return one
+    return _copies(one, t, linalg.mat_scale(q, Matrix.identity(t)), Matrix.identity(t), f"torus({t})")
+
+
+def _copies(one: FilteredPhiModule, r: int, phi: Matrix, fil1: Matrix, label: str) -> FilteredPhiModule:
+    """The sum of r copies of the rank-1 atom ``one`` on its diagonal phi and
+    Fil1, copy i at basis position i: what ``direct_sum([one] * r)`` builds,
+    with its ``parts``, and not validated again for the same reason."""
+    c = one.fil1.cols
+    parts = tuple((one, (i,), range(i * c, i * c + c)) for i in range(r))
+    return FilteredPhiModule(one.ctx, r, phi, ((one.weights[0][0], r),), fil1, label, parts=parts)
 
 
 def frobenius_char_poly(trace: int, ctx: PadicContext) -> list[Fraction]:

@@ -122,6 +122,13 @@ def nonzero_test(ctx: PadicContext | None):
     return bool if ctx is None else (lambda x: x.v is not None)
 
 
+def certainly_nonzero(ctx: PadicContext | None):
+    """Predicate true exactly on the entries known to be nonzero: a nonzero
+    Fraction, or a resolved p-adic scalar, whose valuation is exact.  Such
+    an entry is always a valid pivot."""
+    return bool if ctx is None else (lambda x: x.is_resolved)
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     """a - b, entry for entry.  An exact-zero operand is skipped: x - 0 is x
     and 0 - y is -y, which is what ``x - y`` returns for both scalar kinds
@@ -230,15 +237,14 @@ def hstack(blocks: list[Matrix]) -> Matrix:
 def block_diag(blocks: list[Matrix]) -> Matrix:
     n = sum(b.rows for b in blocks)
     c = sum(b.cols for b in blocks)
-    out = Matrix.zeros(n, c, blocks[0].ctx)
+    out = [_zero(blocks[0].ctx)] * (n * c)
     ro, co = 0, 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                out.entries[(ro + i) * c + (co + j)] = b.at(i, j)
+            out[(ro + i) * c + co : (ro + i) * c + co + b.cols] = b.row(i)
         ro += b.rows
         co += b.cols
-    return out
+    return Matrix(n, c, out, blocks[0].ctx)
 
 
 def to_padic(a: Matrix, ctx: PadicContext) -> Matrix:
@@ -465,6 +471,15 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise NonSquare(f"cannot invert a {m.rows}x{m.cols} matrix")
     n = m.rows
+    if m.ctx is None and 0 < n <= 2:
+        # the adjugate over the determinant: Fraction is canonical, so this
+        # is the matrix elimination gives
+        e = m.entries
+        det = e[0] if n == 1 else e[0] * e[3] - e[1] * e[2]
+        if det == 0:
+            raise ValueError("matrix is singular")
+        adj = [Fraction(1)] if n == 1 else [e[3], -e[1], -e[2], e[0]]
+        return Matrix(n, n, [x / det for x in adj])
     ident = Matrix.identity(n, m.ctx)
     data = [m.row(i) + ident.row(i) for i in range(n)]
     pivots = _rref(data, n, m.ctx)
@@ -480,9 +495,10 @@ def inverse(m: Matrix) -> Matrix:
 def char_poly(m: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial, ascending coefficients, exact.
 
-    A closed form for a 2x2 block, [ad - bc, -(a + d), 1]; the
-    Faddeev-LeVerrier recursion for every other block.  Its divisions are
-    by integers only, so the result of an integer matrix is integral.
+    Closed forms for a 1x1 block, [-a, 1], and a 2x2 block, [ad - bc,
+    -(a + d), 1]; the Faddeev-LeVerrier recursion for every other block.
+    Its divisions are by integers only, so the result of an integer matrix
+    is integral.
     """
     if m.kind != RATIONAL:
         raise ValueError("characteristic polynomial requires the rational kind")
@@ -491,6 +507,8 @@ def char_poly(m: Matrix) -> list[Fraction]:
     n, e = m.rows, m.entries
     if n == 0:
         return [Fraction(1)]
+    if n == 1:
+        return [-e[0], Fraction(1)]
     if n == 2:
         a, b, c, d = e
         return [a * d - b * c, -(a + d), Fraction(1)]
@@ -519,6 +537,8 @@ def companion(poly: list) -> Matrix:
     n = len(coeffs) - 1
     if n < 1 or coeffs[n] != 1:
         raise ValueError("monic polynomial of degree >= 1 required")
+    if n == 2:
+        return Matrix(2, 2, [Fraction(0), -coeffs[0], Fraction(1), -coeffs[1]])
     m = Matrix.zeros(n, n)
     for i in range(1, n):
         m.entries[i * n + (i - 1)] = Fraction(1)
@@ -528,7 +548,27 @@ def companion(poly: list) -> Matrix:
 
 
 def annihilator_rows(f: Matrix) -> Matrix:
-    """Full-rank matrix whose rows span the annihilator of span(columns of f)."""
+    """Full-rank matrix whose rows span the annihilator of span(columns of f).
+
+    Read by form where the elimination's result is known: of no columns
+    the identity; of one row with a certainly nonzero entry no rows; of a
+    column (a, b) with a certainly nonzero the row (0, 1) when b is exactly
+    zero, and (y/y, 1/y) with y = -b/a when b is certainly nonzero, each
+    scalar computed as the elimination computes it, so p-adic digits and
+    precisions agree too.  Any other f is eliminated.
+    """
+    certain = certainly_nonzero(f.ctx)
+    if f.cols == 0:
+        return Matrix.identity(f.rows, f.ctx)
+    if f.rows == 1 and any(map(certain, f.entries)):
+        return Matrix(0, 1, [], f.ctx)
+    if (f.rows, f.cols) == (2, 1) and certain(f.entries[0]):
+        a, b = f.entries
+        if not nonzero_test(f.ctx)(b):
+            return Matrix(1, 2, [_zero(f.ctx), _one(f.ctx)], f.ctx)
+        if certain(b):
+            y = -(b / a)
+            return Matrix(1, 2, [y / y, _one(f.ctx) / y], f.ctx)
     ker = kernel(transpose(f))
     entries = [e for vec in ker.basis for e in vec]
     return Matrix(len(ker.basis), f.rows, entries, f.ctx)
@@ -536,8 +576,9 @@ def annihilator_rows(f: Matrix) -> Matrix:
 
 def share_root(f: list, g: list) -> bool:
     """Whether two nonzero polynomials (ascending int or ``Fraction``
-    coefficients) have a common complex root: Euclid's algorithm over Z on
-    primitive polynomials, exact."""
+    coefficients) have a common complex root, exactly: when one is linear,
+    a0 + a1 T, whether the other's a1^n g(-a0/a1) is 0 in integers, else
+    Euclid's algorithm over Z on primitive polynomials."""
 
     def primitive(h: list) -> list:
         content = math.gcd(*h)
@@ -554,6 +595,11 @@ def share_root(f: list, g: list) -> bool:
     a, b = integral(f), integral(g)
     if not a or not b:
         raise ValueError("share_root of the zero polynomial")
+    if len(b) == 2:
+        a, b = b, a
+    if len(a) == 2:
+        (a0, a1), n = a, len(b) - 1
+        return sum(c * (-a0) ** k * a1 ** (n - k) for k, c in enumerate(b)) == 0
     while b:
         while len(a) >= len(b):  # pseudo-remainder: cancel a's leading term
             m = math.gcd(a[-1], b[-1])

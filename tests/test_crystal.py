@@ -90,6 +90,22 @@ def test_torus_shapes():
     assert t2.phi == frac_matrix([[9, 0], [0, 9]])
 
 
+@pytest.mark.parametrize("realize", (realize_lattice, realize_torus), ids=("lattice", "torus"))
+def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
+    """lattice(r) and torus(r) are built on their diagonal phi and Fil1, as
+    direct_sum([one] * r) builds them: the same module, parts and label,
+    and so the same dual."""
+    for ctx in (C5, PadicContext(2, 3, 40)):
+        for r in range(2, 5):
+            m = realize(r, ctx)
+            one = m.parts[0][0]
+            ref = dataclasses.replace(direct_sum([one] * r), label=m.label)
+            assert m == ref and m.parts == ref.parts and m.block_polys == ref.block_polys == ()
+            assert m.slope_parts is ref.slope_parts is None and all(a is one for a, _, _ in m.parts)
+            d, d_ref = dual(m), dual(ref)
+            assert d == d_ref and d.parts == d_ref.parts
+
+
 # -- elliptic blocks ----------------------------------------------------------
 
 
@@ -539,6 +555,85 @@ def test_dual_reflects_slopes():
         m = build()
         reflected = sorted(1 - s for s in newton_slopes_of(m))
         assert newton_slopes_of(dual(m)) == reflected
+
+
+# -- closed forms against elimination --------------------------------------------
+
+
+def _eliminated_dual(m):
+    """The Cartier dual of an atom by elimination: (phi^T)^-1 by
+    linalg.solve_many on the identity's columns, the annihilator of Fil1 as
+    the kernel of Fil1^T; one weight block, so no reordering."""
+    n, t = m.dim, linalg.transpose(m.phi)
+    cols = linalg.solve_many(t, [[Fraction(i == j) for i in range(n)] for j in range(n)])
+    phi = linalg.mat_scale(Fraction(m.ctx.q), Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)]))
+    ker = linalg.kernel(linalg.transpose(m.fil1))
+    fil1 = Matrix(n, ker.dimension, [v[i] for i in range(n) for v in ker.basis], m.fil1.ctx)
+    ((w, d),) = m.weights
+    return FilteredPhiModule(m.ctx, n, phi, ((-2 - w, d),), fil1, f"dual({m.label})")
+
+
+def _assert_same_module(m, ref, polys):
+    # Matrix == compares the context and every entry; a p-adic entry's
+    # == compares its valuation, unit and precision
+    assert m == ref, m.label
+    assert m.fil1.ctx == ref.fil1.ctx and m.block_polys == polys and m.parts == ref.parts == ()
+
+
+def test_built_in_atoms_and_their_duals_equal_the_eliminated_route():
+    """Every built-in atom over every q <= 256, at every admissible trace
+    and every fil mode that realizes, and its dual, equal the modules the
+    generic route builds: a companion filled entry by entry, Fil1 of rank
+    1 by elimination, the inverse by linalg.solve and the annihilator by
+    linalg.kernel.  The Hodge line is the realized one, its rank checked by
+    elimination.  Weight-block polynomials are T^2 - tT + q (scalar and
+    jordan have t^2 = 4q), T - 1 and T - q, and the dual swaps the last two."""
+    modes = [EllipticFilMode.parse(x) for x in ("auto", "generic", "eigenline:0", "eigenline:1", "scalar", "jordan")]
+    built = 0
+    for q in _prime_powers(256):
+        ctx = PadicContext.from_q(q)
+        one, t_q = [Fraction(-1), Fraction(1)], [Fraction(-q), Fraction(1)]
+        lat, tor = realize_lattice(1, ctx), realize_torus(1, ctx)
+        _assert_same_module(lat, FilteredPhiModule(ctx, 1, Matrix.identity(1), ((0, 1),), None, "lattice(1)"), (one,))
+        _assert_same_module(tor, FilteredPhiModule(ctx, 1, frac_matrix([[q]]), ((-2, 1),), Matrix.identity(1), "torus(1)"), (t_q,))
+        _assert_same_module(dual(lat), _eliminated_dual(lat), (t_q,))
+        _assert_same_module(dual(tor), _eliminated_dual(tor), (one,))
+        for t in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+            companion = Matrix.zeros(2, 2)
+            companion.entries[1:4] = [Fraction(-q), Fraction(1), Fraction(t)]
+            phis = {"scalar": frac_matrix([[Fraction(t, 2), 0], [0, Fraction(t, 2)]]), "jordan": frac_matrix([[Fraction(t, 2), 1], [0, Fraction(t, 2)]])}
+            polys = (frobenius_char_poly(t, ctx),)
+            for mode in modes:
+                try:
+                    m = realize_elliptic(t, mode, ctx)
+                except ModeMismatch:
+                    continue
+                built += 1
+                assert linalg.rank(m.fil1) == 1
+                ref = FilteredPhiModule(ctx, 2, phis.get(mode.kind, companion), ((-1, 2),), m.fil1, m.label)
+                _assert_same_module(m, ref, polys)
+                _assert_same_module(dual(m), _eliminated_dual(m), polys)
+    assert built == 10420
+
+
+def test_realization_runs_no_elimination_and_the_dual_none(monkeypatch):
+    """Built-in atoms, their r-copy sums and their duals are built without
+    one _rref call: every Fil1 rank, inverse and annihilator they need is
+    read by form.  An explicit abelian block is still eliminated."""
+    rref, calls = linalg._rref, []
+    monkeypatch.setattr(linalg, "_rref", lambda *a, **k: calls.append(a[1]) or rref(*a, **k))
+    modes = [EllipticFilMode.parse(x) for x in ("auto", "generic", "eigenline:0", "scalar", "jordan")]
+    for ctx, traces in ((C5, (1, 0, -4, 2)), (C25, (10, 0, 5, 3)), (PadicContext(2, 2, 40), (4, 0, 1, 2))):
+        for mode in modes:
+            try:
+                m = realize_one_motive(OneMotiveSpec(lattice_rank=3, torus_dim=2, elliptic_traces=traces), ctx, mode)
+            except ModeMismatch:
+                continue
+            assert calls == [], (ctx, mode)
+            dual(m)
+            assert calls == [], (ctx, mode)
+    realize_abelian_block(frac_matrix([[0, -5], [1, 1]]), frac_matrix([[1, 0], [0, 1]]), C5)
+    assert calls == [2]
 
 
 # -- extension demo ---------------------------------------------------------------

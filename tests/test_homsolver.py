@@ -589,9 +589,9 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
     # lattice, elliptic, torus; the three elliptic copies share that solve,
     # and the pairs of distinct weights are decided by the gcd without a
     # system.  Only the elliptic pair has a Hodge cut (the lattice's Fil1 is
-    # 0, the torus's everything): the annihilator of its Hodge line at 2N,
-    # then one row on the commutant's 2 coordinates at N and at 2N
-    assert systems == [(4, 4, None), (4, 4, None), (1, 2, 80), (1, 2, 40), (1, 2, 80), (4, 4, None)]
+    # 0, the torus's everything): the annihilator of its Hodge line is read
+    # by form, then one row on the commutant's 2 coordinates at N and at 2N
+    assert systems == [(4, 4, None), (4, 4, None), (1, 2, 40), (1, 2, 80), (4, 4, None)]
     # the Fil1 check runs on the cut's own 2 x 2 blocks, not on every basis
     # element of the sum, and not on a commutant taken whole
     checked = []
@@ -618,13 +618,13 @@ def test_precision_report_is_the_fewest_digits_of_the_p_adic_pairs(monkeypatch):
 
     monkeypatch.setattr(linalg, "kernel", spy)
     e = hom_space(m, m)
-    # the three commutants are exact; the p-adic systems are the
-    # annihilator of the Hodge line at 2N, then the cut at N and at 2N,
-    # and only the cut's digits are reported
+    # the three commutants are exact; the annihilator of the Hodge line is
+    # read by form, so the p-adic systems are the cut at N and at 2N, and
+    # the report is the fewest digits of the two
     assert all(r is None for n, r in reports if n is None)
     padic = [(n, r) for n, r in reports if n is not None]
-    assert [n for n, _ in padic] == [80, 40, 80] and None not in [r for _, r in padic]
-    assert e.precision_report == min(r for _, r in padic[1:])
+    assert [n for n, _ in padic] == [40, 80] and None not in [r for _, r in padic]
+    assert e.precision_report == min(r for _, r in padic)
     # a p-adic source whose only solved pair is exact decides its space
     # exactly, and over Q: no block of the space is p-adic
     h = hom_space(z_to_e(0, C25), realize_lattice(1, C25))

@@ -462,6 +462,25 @@ def test_inverse_roundtrip():
         inverse(frac_matrix([[1, 2], [2, 4]]))
 
 
+def test_small_rational_inverse_equals_elimination():
+    """A 1 x 1 or 2 x 2 rational inverse is the adjugate over the
+    determinant: the matrix solve_many gives on the identity's columns,
+    and the same ValueError on a singular matrix."""
+    rng = random.Random(2027)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 2)
+        m = Matrix(n, n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n * n)])
+        cols = solve_many(m, [[Fraction(i == j) for i in range(n)] for j in range(n)])
+        if None in cols:
+            singular += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                inverse(m)
+            continue
+        assert inverse(m) == Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    assert 20 < singular < 200
+
+
 # -- sylvester -------------------------------------------------
 
 
@@ -678,6 +697,48 @@ def test_annihilator_rows():
     assert mat_mul(q, f) == Matrix.zeros(1, 1)
 
 
+def _kernel_annihilator(f):
+    """The annihilator's rows as the kernel of f^T, by elimination."""
+    ker = kernel(transpose(f))
+    return Matrix(ker.dimension, f.rows, [e for v in ker.basis for e in v], f.ctx)
+
+
+def test_annihilator_rows_by_form_equals_the_kernel():
+    """Every shape read by form (no columns, one row, a 2 x 1 column with a
+    certainly nonzero first entry) gives the kernel's rows entry for entry,
+    p-adic valuation, unit and precision included, or raises what the
+    kernel raises; entries run over every p-adic state."""
+    rng = random.Random(8128)
+    ctx = PadicContext(3, 1, 12)
+    p = ctx.p
+
+    def entry(padic):
+        if not padic:
+            return Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 9))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return PadicScalar.exact_zero(p)
+        if kind == 1:
+            return PadicScalar.unresolved_zero(p, rng.randint(-2, 2 * ctx.precision))
+        return PadicScalar.from_residue(p, rng.randrange(1, p**8), rng.randint(1, 8), rng.randint(-3, 3))
+
+    outcomes = set()
+    for _ in range(1500):
+        padic = rng.random() < 0.7
+        rows, cols = rng.choice([(2, 1), (2, 1), (1, 1), (1, 2), (3, 0), (1, 0), (2, 2)])
+        f = Matrix(rows, cols, [entry(padic) for _ in range(rows * cols)], ctx if padic else None)
+        try:
+            expected = _kernel_annihilator(f)
+        except PrecisionExhausted as exc:
+            with pytest.raises(PrecisionExhausted, match=str(exc)):
+                annihilator_rows(f)
+            outcomes.add("raises")
+            continue
+        assert annihilator_rows(f) == expected, f
+        outcomes.add((rows, cols, expected.rows))
+    assert "raises" in outcomes and {(2, 1, 1), (2, 1, 2), (1, 1, 0), (1, 1, 1), (3, 0, 3)} <= outcomes
+
+
 def test_share_root_detects_shared_roots():
     # (T-1)(T-2) against (T-3): no shared root
     assert not share_root([2, -3, 1], [-3, 1])
@@ -758,6 +819,27 @@ def test_share_root_matches_fraction_euclid():
         assert share_root(f, g) == expected, (f, g)
         shared += expected
     assert 200 < shared < 1800
+
+
+def test_share_root_of_a_linear_polynomial_matches_the_euclid_path():
+    """A linear f = a0 + a1 T is decided by one evaluation, a1^n g(-a0/a1)
+    = 0; f^2 has f's roots and takes Euclid's path against a g of degree 2
+    or more, and the Fraction Euclid is a second reference."""
+    rng = random.Random(1729)
+    answers = []
+    for _ in range(600):
+        f = [rng.randint(-6, 6), rng.choice([-3, -2, -1, 1, 2, 3])]
+        if rng.random() < 0.5:
+            g = _poly_mul(f, [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)])
+        else:
+            g = [rng.randint(-5, 5) for _ in range(rng.randint(2, 4))] + [rng.randint(1, 4)]
+        expected = share_root(_poly_mul(f, f), g)
+        assert share_root(f, g) == share_root(g, f) == expected == _fraction_euclid_share_root(f, g), (f, g)
+        answers.append(expected)
+        # against a linear or constant g, the Fraction Euclid alone
+        h = [rng.choice([-4, -2, -1, 1, 3, 5])] + [rng.randint(1, 3)] * rng.randint(0, 1)
+        assert share_root(f, h) == share_root(h, f) == _fraction_euclid_share_root(f, h), (f, h)
+    assert 200 < sum(answers) < 400
 
 
 def test_matrix_serialization_roundtrip():

@@ -104,9 +104,18 @@ def test_callcount_prints_the_same_counts_in_two_runs():
     command = [sys.executable, str(TOOLS / "callcount.py"), "--workload", "end", "--seed", "1"]
     outputs = [subprocess.run(command, capture_output=True, text=True, check=True, timeout=300).stdout for _ in range(2)]
     lines = [line.split() for line in outputs[0].splitlines()]
-    assert [name for name, _ in lines] == ["calls", "fraction_new", "padic_scalar_new", "modular_inverse"]
+    assert [name for name, _ in lines] == ["calls", "fraction_new", "padic_scalar_new", "modular_inverse", "rref"]
     assert all(int(value) > 0 for _, value in lines)
     assert outputs[0] == outputs[1]
+
+
+def test_callcount_counts_eliminations():
+    callcount = _load_tool("callcount")
+    profile = cProfile.Profile()
+    # a rank is one elimination; a kernel with a basis is two, the second
+    # echelonizing the basis
+    profile.runcall(lambda: [linalg.rank(linalg.Matrix.identity(2)) for _ in range(7)] + [linalg.kernel(linalg.Matrix.zeros(1, 2))])
+    assert callcount.tally(profile)["rref"] == 9
 
 
 def _setprofile_calls(function) -> int:

@@ -7,9 +7,10 @@ then one more under cProfile, each operation followed by the benchmark's
 own answer check; an operation that raises a package error is skipped, as
 the benchmark counts it failed.  Prints, for the profiled pass of the
 checkout this file sits in, the total number of function calls, the
-number of ``Fraction`` and ``PadicScalar`` constructions and the number of
-``padic.modular_inverse`` calls (the extended Euclid of p-adic division),
-one ``<name> <count>`` line each.  The counts repeat exactly from run to run on
+number of ``Fraction`` and ``PadicScalar`` constructions, the number of
+``padic.modular_inverse`` calls (the extended Euclid of p-adic division)
+and the number of ``linalg._rref`` calls (every elimination), one
+``<name> <count>`` line each.  The counts repeat exactly from run to run on
 one Python version, so two checkouts compare without timing noise; they
 omit work inside native code and are counts, not times.
 
@@ -77,6 +78,7 @@ def tally(profile: cProfile.Profile) -> dict[str, int]:
         "fraction_new": fractions,
         "padic_scalar_new": calls(padic.PadicScalar.__init__),
         "modular_inverse": calls(padic.modular_inverse),
+        "rref": calls(linalg._rref),
     }
 
 
