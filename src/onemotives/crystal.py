@@ -287,7 +287,7 @@ def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
 def _copies(one: FilteredPhiModule, r: int, phi: Matrix, fil1: Matrix, label: str) -> FilteredPhiModule:
     """The sum of r copies of the rank-1 atom ``one`` on its diagonal phi and
     Fil1, copy i at basis position i: what ``direct_sum([one] * r)`` builds,
-    with its ``parts``, and not validated again for the same reason."""
+    with its ``parts``; like any direct sum it is not validated again."""
     c = one.fil1.cols
     parts = tuple((one, (i,), range(i * c, i * c + c)) for i in range(r))
     return FilteredPhiModule(one.ctx, r, phi, ((one.weights[0][0], r),), fil1, label, parts=parts)

@@ -616,7 +616,7 @@ def test_built_in_atoms_and_their_duals_equal_the_eliminated_route():
     assert built == 10420
 
 
-def test_realization_runs_no_elimination_and_the_dual_none(monkeypatch):
+def test_built_in_realization_and_its_dual_run_no_elimination(monkeypatch):
     """Built-in atoms, their r-copy sums and their duals are built without
     one _rref call: every Fil1 rank, inverse and annihilator they need is
     read by form.  An explicit abelian block is still eliminated."""
