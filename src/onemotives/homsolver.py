@@ -18,13 +18,12 @@ over Q when both Fil1 are rational, else over Q_p at the context precision
 N and again at 2N, where a dimension flip raises ``PrecisionExhausted``.
 Only this cut, and the Fil1 check on its blocks, is ever p-adic.
 
-Each pair's blocks are in echelon form, verified on the pair's own
-blocks, on which End closure is checked too, and placed at their
-positions of h, whose unknowns are enumerated row-major.  Placement keeps
-the order of a pair's unknowns and pairs' blocks are disjoint, so
-ordering by pivot gives the echelon form of the whole space: identical
-inputs give byte-identical output.  The space is over Q when every block
-is, else over Q_p at 2N, where the exact blocks are promoted.
+The space is its pairs' blocks, in echelon form and verified, on which
+End closure, phi-membership and the classification are read.  Only output
+places a dense basis, each block at its positions of h, whose unknowns
+are enumerated row-major; pairs' blocks are disjoint, so ordering by
+pivot gives the echelon form of the whole space, byte for byte.  The
+space is over Q when every block is, else over Q_p at 2N.
 
 Only the commutation with phi is imposed: at the linearized level the
 Verschiebung is q * phi^{-1}, so commuting with phi already commutes
@@ -58,17 +57,48 @@ _FULL_ALGEBRA = {0: LATTICE_SCALARS, -2: TORUS_SCALARS}
 
 @dataclass
 class HomSpace:
-    """Basis of maps source -> target, each of shape (target.dim x source.dim);
+    """Maps source -> target as ``blocks``: each distinct atom pair (id(a),
+    id(b)) to its verified (b.dim x a.dim) blocks, all in one field.
     ``precision_report`` is the fewest digits behind any p-adic pivot
-    decision made, None when every solved pair was exact; ``blocks`` maps
-    each distinct atom pair (id(a), id(b)) to its verified blocks (no JSON)."""
+    decision made, None when every solved pair was exact."""
 
     source: FilteredPhiModule
     target: FilteredPhiModule
-    dimension: int
-    basis: list[Matrix]
+    blocks: dict = field(compare=False, repr=False)
     precision_report: int | None = None
-    blocks: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def places(self) -> list:
+        """(a, rows_a, b, rows_b) for each source atom a and target atom b."""
+        return [(a, rows_a, b, rows_b) for a, rows_a, _ in self.source.atoms() for b, rows_b, _ in self.target.atoms()]
+
+    @property
+    def dimension(self) -> int:
+        return sum(len(self.blocks[id(a), id(b)]) for a, _, b, _ in self.places())
+
+    @property
+    def ctx(self):
+        return next((h.ctx for pair in self.blocks.values() for h in pair), None)
+
+    @property
+    def basis(self) -> list[Matrix]:
+        n, m, ctx = self.target.dim, self.source.dim, self.ctx
+        return [Matrix(n, m, h, ctx) for h in self.placed(range(n), range(m))]
+
+    def placed(self, rows: range, cols: range) -> list[list]:
+        """Entries of every block at each place (a, rows_a, b, rows_b), at
+        rows rows_b and columns rows_a of a map cut to the window rows x cols,
+        in the pivot order of the whole placed maps."""
+        n, blank, out = len(cols), Matrix.zeros(len(rows), len(cols), self.ctx).entries, []
+        for a, rows_a, b, rows_b in self.places():
+            # pair unknown i * a.dim + j is entry (rows_b[i], rows_a[j]) of a map
+            at = [(i * a.dim + j, (r - rows.start) * n + c - cols.start)
+                  for i, r in enumerate(rows_b) if r in rows for j, c in enumerate(rows_a) if c in cols]
+            for blk in self.blocks[id(a), id(b)] if at else ():
+                h = list(blank)
+                for k, x in at:
+                    h[x] = blk.entries[k]
+                out.append((_lead(blk, rows_b, rows_a, self.source.dim), h))
+        return [h for _, h in sorted(out, key=lambda x: x[0])]
 
 
 def _verify_element(h: Matrix, c_a: Matrix, c_b: Matrix) -> None:
@@ -157,40 +187,29 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> l
     return blocks
 
 
-def _lead(h: Matrix) -> int:
-    """Index of h's leading entry: its first Fraction that is not 0, or its
+def _lead(h: Matrix, rows_b, rows_a, n: int) -> int:
+    """Index in a map of n columns of block h's leading entry, h placed at
+    rows rows_b and columns rows_a: its first Fraction that is not 0, or its
     first resolved p-adic entry (unresolved zeros may come before it)."""
-    return next(k for k, x in enumerate(h.entries) if (x.is_resolved if h.ctx else x))
+    k = next(k for k, x in enumerate(h.entries) if (x.is_resolved if h.ctx else x))
+    return rows_b[k // h.cols] * n + rows_a[k % h.cols]
 
 
 def hom_space(src: FilteredPhiModule, tgt: FilteredPhiModule) -> HomSpace:
     """All Frobenius-equivariant, filtration-preserving maps src -> tgt: each
-    distinct atom pair's verified blocks at its positions, ordered by pivot.
-    The space is over Q when every block is, else over Q_p at 2N, where the
-    exact blocks are promoted."""
+    distinct atom pair's verified blocks.  The space is over Q when every
+    block is, else over Q_p at 2N, where the exact blocks are promoted."""
     if src.ctx != tgt.ctx:
         raise ContextMismatch("source and target live over different contexts")
-    pairs = [(a, rows_a, b, rows_b) for a, rows_a, _ in src.atoms() for b, rows_b, _ in tgt.atoms()]
     reports, blocks = [], {}
-    for a, _, b, _ in pairs:
-        if (id(a), id(b)) not in blocks:
-            blocks[id(a), id(b)] = _pair_kernel(a, b, reports)
-    # the space's field: Q, or Q_p at 2N, where unresolved zeros may precede a pivot
-    ctx = src.ctx.doubled() if any(h.ctx for pair in blocks.values() for h in pair) else None
-    if ctx:
+    for a, _, _ in src.atoms():
+        for b, _, _ in tgt.atoms():
+            if (id(a), id(b)) not in blocks:
+                blocks[id(a), id(b)] = _pair_kernel(a, b, reports)
+    if any(h.ctx for pair in blocks.values() for h in pair):
+        ctx = src.ctx.doubled()
         blocks = {key: [h if h.ctx else linalg.to_padic(h, ctx) for h in pair] for key, pair in blocks.items()}
-    n, blank = src.dim, Matrix.zeros(tgt.dim, src.dim, ctx).entries
-    placed = []
-    for a, rows_a, b, rows_b in pairs:
-        # pair unknown (i, j) is unknown (rows_b[i], rows_a[j]) of h
-        at = [i * n + j for i in rows_b for j in rows_a]
-        for blk in blocks[id(a), id(b)]:
-            h = list(blank)
-            for k, x in zip(at, blk.entries):
-                h[k] = x
-            placed.append((at[_lead(blk)], h))
-    basis = [Matrix(tgt.dim, n, h, ctx) for _, h in sorted(placed, key=lambda x: x[0])]
-    return HomSpace(src, tgt, len(basis), basis, min(reports, default=None), blocks)
+    return HomSpace(src, tgt, blocks, min(reports, default=None))
 
 
 # -- span membership -----------------------------------------------------------
@@ -254,9 +273,8 @@ def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
     ``in_span_many`` per distinct pair.  One outside answers False; else
     the first ambiguous test raises."""
     restrictions = {}
-    for a, rows_a, _ in e.source.atoms():
-        for c, rows_c, _ in e.target.atoms():
-            restrictions.setdefault((id(a), id(c)), []).append(linalg.submatrix(m.phi, rows_c, rows_a))
+    for a, rows_a, c, rows_c in e.places():
+        restrictions.setdefault((id(a), id(c)), []).append(linalg.submatrix(m.phi, rows_c, rows_a))
     answers = [x for key, targets in restrictions.items() for x in in_span_many(e.blocks[key], targets)]
     errors = [x for x in answers if isinstance(x, PrecisionExhausted)]
     if errors and None not in answers:
@@ -311,19 +329,10 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
         raise UnclassifiedShape("classification needs a graded module")
     atoms = (*e.source.atoms(), *e.target.atoms())
     weights = {id(a): {w: range(o, o + d) for w, o, d in a.weight_offsets()} for a, _, _ in atoms}
-    places = [
-        (e.blocks[id(a), id(c)], rows_c, weights[id(c)], rows_a, weights[id(a)])
-        for a, rows_a, _ in e.source.atoms()
-        for c, rows_c, _ in e.target.atoms()
-    ]
-
-    def placed_lead(h: Matrix, rows_c, rows_a) -> int:
-        k = _lead(h)
-        return rows_c[k // h.cols] * e.source.dim + rows_a[k % h.cols]
-
+    places = [(e.blocks[id(a), id(c)], rows_c, weights[id(c)], rows_a, weights[id(a)]) for a, rows_a, c, rows_c in e.places()]
     # the first coupling in basis order: the smallest lead, then weight order
     coupled = [
-        (placed_lead(h, rows_c, rows_a), -w1, -w2)
+        (_lead(h, rows_c, rows_a, e.source.dim), -w1, -w2)
         for blocks, rows_c, wc, rows_a, wa in places
         for w1, i in wc.items()
         for w2, j in wa.items()
@@ -334,24 +343,16 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     if coupled:
         _, w1, w2 = min(coupled)
         raise UnclassifiedShape(f"an endomorphism couples weight {-w2} into weight {-w1}")
-    ctx = e.basis[0].ctx if e.basis else None
+    ctx = e.ctx
     tags, total = [], 0
     for w, off, d in m.weight_offsets():
         inside = [(blocks, rows_c, wc[w], rows_a, wa[w]) for blocks, rows_c, wc, rows_a, wa in places if w in wc and w in wa]
         span = None
         if w == -1 and d == 2:
-            # restrictions in basis order, in the block's coordinates; an
-            # element placed elsewhere restricts to exact zeros, which
-            # change no echelon row
-            placed, blank = [], Matrix.zeros(d, d, ctx).entries
-            for blocks, rows_c, i, rows_a, j in inside:
-                at = [((rows_c[x] - off) * d + rows_a[y] - off, x * len(rows_a) + y) for x in i for y in j]
-                for h in blocks:
-                    v = list(blank)
-                    for k, x in at:
-                        v[k] = h.entries[x]
-                    placed.append((placed_lead(h, rows_c, rows_a), v))
-            span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows([v for _, v in sorted(placed)], ctx)]
+            # the restrictions to the block in basis order; an element placed
+            # elsewhere restricts to exact zeros, which change no echelon row
+            window = range(off, off + d)
+            span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows(e.placed(window, window), ctx)]
         # a pair of one-weight atoms has independent blocks: count them
         bd = len(span) if span is not None else sum(
             len(blocks) if len(i) == len(rows_c) and len(j) == len(rows_a)
@@ -365,7 +366,7 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
             f"block dimensions sum to {total} but the endomorphism space has "
             f"dimension {e.dimension}; cross-weight relations are present"
         )
-    return EndClassification(tuple(tags), e.dimension)
+    return EndClassification(tuple(tags), total)
 
 
 def _classify_block(m: FilteredPhiModule, w: int, block: range, bd: int, span: list[Matrix] | None) -> str:
@@ -385,9 +386,7 @@ def _classify_block(m: FilteredPhiModule, w: int, block: range, bd: int, span: l
             # a 3-dimensional unital subalgebra of M_2 preserving a line is
             # the full stabilizer of that line
             return UPPER_TRIANGULAR_FULL
-    raise UnclassifiedShape(
-        f"weight {w} block of size {d} with algebra dimension {bd} matches no known case"
-    )
+    raise UnclassifiedShape(f"weight {w} block of size {d} with algebra dimension {bd} matches no known case")
 
 
 # -- serialization ---------------------------------------------------------------

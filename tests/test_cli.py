@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -399,3 +400,27 @@ def test_end_table_format_prints_basis(capsys):
     assert lines[0] == "end dimension: 2"
     assert lines[1] == "classification: lattice_scalars+torus_scalars"
     assert sum(1 for ln in lines if ln.startswith("basis[")) == 2
+
+
+# sha256 of stdout, each pinning the order of a basis whose elements come
+# from several atom pairs (exact and p-adic End, exact and p-adic Hom)
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("end --p 5 --lattice 2 --elliptic 1,1 --torus 1", "9cb51f0030cf43ce4870ae558657c72c78509ae9bbe10676a7534db73e8e2599"),
+        ("end --p 5 --f 2 --elliptic 0,0", "5a81634b45adfbd679cdc46775175c994c2124c487f01eedd8f1b9e026796cba"),
+        ("end --p 2 --lattice 1 --elliptic 1,2", "c38f13a473eec0e18f29c1d9fb579633103a45c3f1bc2a0413d8f5f5fafb8e0d"),
+        ("end --p 3 --elliptic 0,0,3 --torus 2 --format table", "ef9e75cbd464d06559fed40eed272b1b2ae02d8291a899ef58823f0825c363e1"),
+        (
+            "hom --p 3 --a lattice:1,elliptic:1,torus:1 --b elliptic:1,elliptic:2,lattice:2",
+            "e3f2f9da93d60c377f07c17c2a7d6c139a6924d42f3ce6dc783a3d1fd3f05e21",
+        ),
+        (
+            "hom --p 5 --f 2 --a elliptic:0,torus:1 --b lattice:1,elliptic:0,elliptic:0",
+            "86bdc74f2958141ce3f22e350eaa6d570ba7bd3a7f49d1b137eace77f3b74dd5",
+        ),
+    ],
+)
+def test_basis_output_is_byte_stable(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

@@ -55,6 +55,7 @@ from onemotives.homsolver import (
 )
 from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL
+from onemotives.motivic import hom_complex, realize_motive
 from onemotives.padic import PadicContext, PadicScalar, fraction_valuation, from_rational
 
 C3 = PadicContext(3, 1, 40)
@@ -284,7 +285,7 @@ def _end_with_basis(monkeypatch, basis):
     """end_algebra of a dense lattice:2 atom with hom_space forced to return
     ``basis``, the single atom's only block list."""
     monkeypatch.setattr(
-        homsolver, "hom_space", lambda s, t: HomSpace(s, t, len(basis), basis, blocks={(id(s), id(s)): basis})
+        homsolver, "hom_space", lambda s, t: HomSpace(s, t, blocks={(id(s), id(s)): basis})
     )
     return end_algebra(dense(realize_lattice(2, C5)))
 
@@ -1090,6 +1091,42 @@ def test_classify_end_refuses_a_large_weight_minus_1_block_without_eliminating(m
     assert calls == []
 
 
+def test_the_solver_path_places_no_window_wider_than_2x2(monkeypatch):
+    """End, its closure, phi-membership, the classification and a complex's
+    Hom read the atom-pair blocks: the only placement on that path is a
+    2x2 weight -1 span, never the dense basis."""
+    windows, placed = [], HomSpace.placed
+
+    def spy(e, rows, cols):
+        windows.append((len(rows), len(cols)))
+        return placed(e, rows, cols)
+
+    monkeypatch.setattr(HomSpace, "placed", spy)
+    spec = OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1), torus_dim=2)
+    big = realize_one_motive(spec, C5)
+    # survey rows: ordinary, irreducible, and scalar phi at t^2 = 4q
+    rows = [
+        direct_sum([realize_lattice(1, ctx), realize_elliptic(t, EllipticFilMode(mode), ctx)])
+        for ctx, t, mode in ((C5, 1, "auto"), (C5, 0, "auto"), (C25, 10, "scalar"))
+    ]
+    dims, members, tags = [], [], []
+    for m in (big, *rows):
+        e = end_algebra(m)
+        dims.append(e.dimension)
+        members.append(frobenius_membership(m, e))
+        try:
+            tags.append(classify_end(m, e).tag_for_weight(-1))
+        except UnclassifiedShape:
+            tags.append(None)
+    assert dims == [4 + 8 + 4, 3, 2, 4] and members == [True, True, False, True]
+    assert tags == [None, POLYNOMIAL_ALGEBRA_OF_PHI, SCALAR_ONLY, UPPER_TRIANGULAR_FULL]
+    x, y = realize_motive(spec, C5), realize_motive(OneMotiveSpec(lattice_rank=1, torus_dim=1), C5)
+    assert hom_complex(x, x).dimension == dims[0] and hom_complex(x, y).dimension == hom_space(big, kummer(C5)).dimension
+    assert windows and all(r <= 2 and c <= 2 for r, c in windows)
+    # the spy sees every placement: reading the basis places the whole space
+    assert len(end_algebra(big).basis) == dims[0] and windows[-1] == (big.dim, big.dim)
+
+
 def _membership_on_forged_blocks(xx, yy):
     """frobenius_membership of the sum of two lattice:2 atoms X and Y when
     End's (X, X) blocks are ``xx``, its (Y, Y) blocks ``yy`` and the two
@@ -1098,7 +1135,7 @@ def _membership_on_forged_blocks(xx, yy):
     m = direct_sum([x, y])
     blocks = {(id(a), id(c)): [] for a in (x, y) for c in (x, y)}
     blocks[id(x), id(x)], blocks[id(y), id(y)] = xx, yy
-    return frobenius_membership(m, HomSpace(m, m, len(xx) + len(yy), [], blocks=blocks))
+    return frobenius_membership(m, HomSpace(m, m, blocks=blocks))
 
 
 def test_membership_checks_that_each_pair_span_is_complete():

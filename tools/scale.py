@@ -9,12 +9,15 @@ timed stage, so none that an earlier stage's garbage triggers lands in
 the next one's time:
 
 * ``hom_space_s``, ``closure_s``, ``classify_end_s`` and
-  ``frobenius_membership_s``: seconds in ``hom_space``, in the rest of
-  ``end_algebra`` (its closure check), in ``classify_end`` and in
+  ``frobenius_membership_s``: seconds in ``hom_space`` (the atom-pair
+  solves only: it places no dense basis), in the rest of ``end_algebra``
+  (its closure check), in ``classify_end`` and in
   ``frobenius_membership``;
 * ``end_dimension`` and ``end_sha256``, the sha256 of
   ``json.dumps(homspace_to_jsonable(end_algebra(m)))``, so two checkouts
-  that print the same digest computed the same End, byte for byte;
+  that print the same digest computed the same End, byte for byte, and
+  ``end_sha256_s``, the seconds that digest takes: placing the dense basis
+  from the blocks and writing it;
 * ``classify_end`` (the classification's summary) and
   ``frobenius_membership``: the answers, or ``[error class, message]``
   when one raised;
@@ -35,8 +38,8 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -64,7 +67,9 @@ BUDGET_S = 60  # seconds a shape may take
 def end_sha256(e: homsolver.HomSpace) -> str:
     """sha256 of ``json.dumps(homspace_to_jsonable(e))``, fed one basis
     matrix at a time: the JSON of a large End does not fit in memory."""
-    head, tail = json.dumps(homsolver.homspace_to_jsonable(replace(e, basis=[]))).split('"basis": []')
+    # the JSON of a space with e's dimension and report and no basis
+    empty = SimpleNamespace(dimension=e.dimension, basis=[], precision_report=e.precision_report)
+    head, tail = json.dumps(homsolver.homspace_to_jsonable(empty)).split('"basis": []')
     digest = hashlib.sha256(f'{head}"basis": ['.encode())
     for i, h in enumerate(e.basis):
         digest.update(((", " if i else "") + json.dumps(linalg.matrix_to_jsonable(h))).encode())
@@ -116,7 +121,10 @@ def measure(name: str) -> dict:
         line[key] = _answer(stage)
         line[key + "_s"] = round(time.perf_counter() - start, 4)
     line["end_dimension"] = e.dimension
+    gc.collect()
+    start = time.perf_counter()
     line["end_sha256"] = end_sha256(e)
+    line["end_sha256_s"] = round(time.perf_counter() - start, 4)
     line["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return line
 
