@@ -16,7 +16,7 @@ are produced by Hensel lifting inside Q_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import groupby
 
@@ -85,6 +85,20 @@ class EllipticFilMode:
         return self.kind
 
 
+class _PlacedOnRead:
+    """Default of ``phi`` and ``fil1``: a sum holds neither until one is
+    read, and ``_place`` writes both on it, shadowing this for good."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return None  # the field's default
+        _place(m)
+        return m.__dict__[self.name]
+
+
 @dataclass
 class FilteredPhiModule:
     """Object of the filtered phi-module category.
@@ -97,28 +111,37 @@ class FilteredPhiModule:
     block split.  Its Fil1 generators are checked independent on
     construction, as ``validate_graded`` checks a graded module's.
     ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
-    of a ``direct_sum`` not itself made by ``direct_sum`` (empty for an
-    atom); ``block_polys`` the weight blocks' characteristic polynomials once
-    ``validate_graded`` computed them; ``slope_parts`` the set S of slopes
-    whose parts of phi sum to Fil1, set by the constructor that knows the
-    roots, else None (``replace`` drops it).  None of the three is part of
-    ``==`` or ``repr``.
+    of a sum not itself a sum (empty for an atom).  A sum built without
+    phi is its parts: its dense phi and Fil1 are placed by ``_place`` when
+    first read, and kept.  ``block_polys``, ``block_slopes`` and
+    ``block_forms`` hold each weight block's characteristic polynomial, its
+    Newton slopes and its ``linalg.primitive_form`` once ``validate_graded``
+    computed them; ``slope_parts`` the set S of slopes whose parts of phi
+    sum to Fil1, set by the constructor that knows the roots, else None
+    (``replace`` drops it).  None of these is part of ``==`` or ``repr``.
     """
 
     ctx: PadicContext
     dim: int
-    phi: Matrix
+    phi: Matrix = _PlacedOnRead()
     weights: tuple = ()
-    fil1: Matrix = None
+    fil1: Matrix = _PlacedOnRead()
     label: str = ""
     graded: bool = True
     split_at: int | None = None
     parts: tuple = field(default=(), compare=False, repr=False)
     block_polys: tuple = field(default=(), compare=False, repr=False)
+    block_slopes: tuple = field(default=(), compare=False, repr=False)
+    block_forms: tuple = field(default=(), compare=False, repr=False)
     slope_parts: frozenset | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights = tuple((int(w), int(d)) for w, d in self.weights)
+        if self.phi is None:
+            if not self.parts:
+                raise ValueError("a module needs phi, or parts to place it from")
+            del self.phi, self.fil1  # a sum: placed from its parts when read
+            return
         if self.fil1 is None:
             self.fil1 = Matrix.zeros(self.dim, 0)
         if self.phi.rows != self.dim or self.phi.cols != self.dim:
@@ -135,10 +158,19 @@ class FilteredPhiModule:
         """``parts``, or this module as its own single atom."""
         return self.parts or ((self, range(self.dim), range(self.fil1.cols)),)
 
-    def polys(self) -> list:
-        """Characteristic polynomials whose product is phi's: each atom's
-        ``block_polys``, or its whole phi's for an atom not validated."""
-        return [cp for a, _, _ in self.atoms() for cp in (a.block_polys or (linalg.char_poly(a.phi),))]
+    def invariants(self) -> list:
+        """(characteristic polynomial, its Newton slopes, its primitive
+        integer form) of blocks whose polynomials multiply to phi's: each
+        atom's weight blocks as ``validate_graded`` kept them, or its whole
+        phi for an atom not validated, computed here."""
+        out = []
+        for a, _, _ in self.atoms():
+            if a.block_polys:
+                out += zip(a.block_polys, a.block_slopes, a.block_forms)
+            else:
+                cp = linalg.char_poly(a.phi)
+                out.append((cp, newton_slopes(cp, self.ctx), linalg.primitive_form(cp)))
+        return out
 
     def weight_offsets(self) -> list[tuple[int, int, int]]:
         """List of (weight, offset, block dimension)."""
@@ -150,6 +182,25 @@ class FilteredPhiModule:
         return out
 
 
+def _place(m: FilteredPhiModule) -> None:
+    """Write the dense phi and Fil1 of a sum on it, from its parts: each
+    atom's phi at its rows x rows and its Fil1 at its rows x its columns,
+    zero elsewhere.  Fil1 is over Q_p at 2N, rational ones promoted, when
+    any atom's Fil1 is p-adic.  The module keeps both, so this runs at most
+    once per module."""
+    n, cols = m.dim, sum(len(c) for _, _, c in m.parts)
+    work = m.ctx.doubled() if any(a.fil1.kind == PADIC for a, _, _ in m.parts) else None
+    phi, fil1 = Matrix.zeros(n, n).entries, Matrix.zeros(n, cols, work).entries
+    for a, rows, c in m.parts:
+        fil = linalg.to_padic(a.fil1, work) if work and a.fil1.ctx != work else a.fil1
+        for i, r in enumerate(rows):
+            for j, s in enumerate(rows):
+                phi[r * n + s] = a.phi.entries[i * a.dim + j]
+            for j, s in enumerate(c):
+                fil1[r * cols + s] = fil.entries[i * fil.cols + j]
+    m.phi, m.fil1 = Matrix(n, n, phi), Matrix(n, cols, fil1, work)
+
+
 def validate_graded(m: FilteredPhiModule) -> None:
     """Construction-time invariants for graded modules.
 
@@ -157,7 +208,8 @@ def validate_graded(m: FilteredPhiModule) -> None:
     the slope support of each weight block (0 / [0,1] / 1), full column
     rank of fil1, and Fil1 meeting the weight-0 block trivially.
     Invertibility and slopes are both read from the characteristic
-    polynomials of the weight blocks, computed once each.
+    polynomials of the weight blocks, computed once each and kept on the
+    module with their slopes and primitive integer forms.
     """
     if not m.graded:
         raise ValueError("validate_graded on a non-graded module")
@@ -176,8 +228,8 @@ def validate_graded(m: FilteredPhiModule) -> None:
     # phi is block-diagonal, so det(phi) is the product of the blocks' +-cp[0]
     if any(cp[0] == 0 for cp in polys):
         raise ValueError("phi is singular")
-    for (w, _, _), cp in zip(offsets, polys):
-        slopes = newton_slopes(cp, m.ctx)
+    block_slopes = tuple(newton_slopes(cp, m.ctx) for cp in polys)
+    for (w, _, _), slopes in zip(offsets, block_slopes):
         fits, tail = _SLOPE_RULES[w]
         if not all(fits(s) for s in slopes):
             raise ValueError(f"weight {w} block has slopes {slopes}{tail}")
@@ -188,7 +240,7 @@ def validate_graded(m: FilteredPhiModule) -> None:
         # a rank drop here is a Fil1 element supported in the weight-0 block
         if w0 > 0 and linalg.rank(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))) != r:
             raise ValueError("Fil1 meets the weight-0 block nontrivially")
-    m.block_polys = polys
+    m.block_polys, m.block_slopes, m.block_forms = polys, block_slopes, tuple(map(linalg.primitive_form, polys))
 
 
 def _validate_fil1_basis(m: FilteredPhiModule) -> None:
@@ -211,20 +263,23 @@ def _graded(ctx, phi, weights, fil1, label, slope_parts=None) -> FilteredPhiModu
     return m
 
 
-def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str, parts=()) -> FilteredPhiModule:
-    """The unvalidated module on phi and Fil1 in weight order: the (weight,
-    index range) ``blocks`` covering the basis are sorted stably by
-    descending weight, adjacent blocks of equal weight merge, and phi's rows
-    and columns and Fil1's rows are permuted to match, and so are the basis
-    positions of ``parts``, which are listed by their first position."""
+def _weight_order(blocks) -> tuple:
+    """The basis order that sorts the (weight, index range) ``blocks``
+    covering the basis stably by descending weight, and the (weight,
+    dimension) runs of that order, adjacent blocks of equal weight merged."""
     ordered = sorted(blocks, key=lambda b: -b[0])
     perm = [i for _, block in ordered for i in block]
     weights = tuple((w, sum(len(b) for _, b in run)) for w, run in groupby(ordered, key=lambda b: b[0]))
+    return perm, weights
+
+
+def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str) -> FilteredPhiModule:
+    """The unvalidated module on phi and Fil1 in the ``_weight_order`` of
+    ``blocks``: phi's rows and columns and Fil1's rows permuted to match."""
+    perm, weights = _weight_order(blocks)
     if perm != list(range(len(perm))):
         fil1, phi = linalg.submatrix(fil1, perm, range(fil1.cols)), linalg.submatrix(phi, perm, perm)
-    where = {i: k for k, i in enumerate(perm)}
-    parts = tuple(sorted(((a, tuple(where[i] for i in r), c) for a, r, c in parts), key=lambda x: x[1][0]))
-    return FilteredPhiModule(ctx, len(perm), phi, weights, fil1, label, parts=parts)
+    return FilteredPhiModule(ctx, len(perm), phi, weights, fil1, label)
 
 
 # -- symbolic one-motive descriptions ----------------------------------------
@@ -268,7 +323,7 @@ def realize_lattice(r: int, ctx: PadicContext) -> FilteredPhiModule:
     if r == 0:
         return zero_module(ctx)
     one = _graded(ctx, Matrix.identity(1), ((0, 1),), Matrix.zeros(1, 0), "lattice(1)", frozenset())
-    return one if r == 1 else _copies(one, r, Matrix.identity(r), Matrix.zeros(r, 0), f"lattice({r})")
+    return one if r == 1 else _sum([one] * r, f"lattice({r})")
 
 
 def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
@@ -279,18 +334,7 @@ def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
         return zero_module(ctx)
     q = Fraction(ctx.q)
     one = _graded(ctx, Matrix(1, 1, [q]), ((-2, 1),), Matrix.identity(1), "torus(1)", frozenset({Fraction(1)}))
-    if t == 1:
-        return one
-    return _copies(one, t, linalg.mat_scale(q, Matrix.identity(t)), Matrix.identity(t), f"torus({t})")
-
-
-def _copies(one: FilteredPhiModule, r: int, phi: Matrix, fil1: Matrix, label: str) -> FilteredPhiModule:
-    """The sum of r copies of the rank-1 atom ``one`` on its diagonal phi and
-    Fil1, copy i at basis position i: what ``direct_sum([one] * r)`` builds,
-    with its ``parts``; like any direct sum it is not validated again."""
-    c = one.fil1.cols
-    parts = tuple((one, (i,), range(i * c, i * c + c)) for i in range(r))
-    return FilteredPhiModule(one.ctx, r, phi, ((one.weights[0][0], r),), fil1, label, parts=parts)
+    return one if t == 1 else _sum([one] * t, f"torus({t})")
 
 
 def frobenius_char_poly(trace: int, ctx: PadicContext) -> list[Fraction]:
@@ -410,8 +454,8 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
     """Block-diagonal sum with weight blocks merged per weight.
 
     The basis is permuted so all weight-0 blocks come first, then -1,
-    then -2; within a weight, summands keep their input order.  The atoms
-    of the summands, nested sums flattened, are kept in ``parts``.
+    then -2; within a weight, summands keep their input order.  The sum is
+    its summands' atoms, nested sums flattened, in ``parts``.
 
     The sum is not validated again: every summand is, and reordering
     block-diagonal summands keeps the weight order, block-diagonality,
@@ -432,17 +476,24 @@ def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:
     modules = [m for m in modules if m.dim > 0]
     if not modules:
         return zero_module(ctx)
+    return _sum(modules, " + ".join(m.label for m in modules))
+
+
+def _sum(modules: list[FilteredPhiModule], label: str) -> FilteredPhiModule:
+    """The sum of nonzero graded modules over one context as its atoms, at
+    their basis positions in ``_weight_order`` and their Fil1 columns, the
+    summands' in turn; its phi and Fil1 are placed only when read."""
     blocks, parts, start, col = [], [], 0, 0
     for m in modules:
         blocks += [(w, range(start + o, start + o + d)) for w, o, d in m.weight_offsets()]
-        parts += [(a, [start + i for i in rows], range(col + c.start, col + c.stop)) for a, rows, c in m.atoms()]
-        start += m.dim
-        col += m.fil1.cols
-    work = ctx.doubled() if any(m.fil1.kind == PADIC for m in modules) else None
-    fils = [linalg.to_padic(m.fil1, work) if work and m.fil1.ctx != work else m.fil1 for m in modules]
-    phi = linalg.block_diag([m.phi for m in modules])
-    label = " + ".join(m.label for m in modules)
-    return _in_weight_order(ctx, phi, linalg.block_diag(fils), blocks, label, parts)
+        atoms = m.atoms()
+        parts += [(a, [start + i for i in rows], range(col + c.start, col + c.stop)) for a, rows, c in atoms]
+        start, col = start + m.dim, col + sum(len(c) for _, _, c in atoms)
+    perm, weights = _weight_order(blocks)
+    where = {i: k for k, i in enumerate(perm)}
+    # listed by first basis position
+    parts = tuple(sorted(((a, tuple(where[i] for i in r), c) for a, r, c in parts), key=lambda x: x[1][0]))
+    return FilteredPhiModule(modules[0].ctx, start, weights=weights, label=label, parts=parts)
 
 
 def realize_one_motive(
@@ -486,8 +537,8 @@ def dual(m: FilteredPhiModule) -> FilteredPhiModule:
 
     phi goes to q * (phi^T)^{-1}, weight w blocks to weight -2-w (basis
     permuted back into canonical order), and Fil1 to the annihilator of
-    Fil1 in the dual basis.  An atom's dual is validated; a ``direct_sum``'s
-    dual is the ``direct_sum`` of its atoms' duals, so it keeps its atoms.
+    Fil1 in the dual basis.  An atom's dual is validated; a sum's dual is
+    the sum of its atoms' duals, so it keeps its atoms.
     """
     if not m.graded:
         raise ValueError("dual of a non-graded module; split the extension first")
@@ -496,7 +547,7 @@ def dual(m: FilteredPhiModule) -> FilteredPhiModule:
         return zero_module(ctx)
     if m.parts:
         duals = {key: dual(a) for key, a in {id(a): a for a, _, _ in m.parts}.items()}
-        return replace(direct_sum([duals[id(a)] for a, _, _ in m.parts]), label=f"dual({m.label})")
+        return _sum([duals[id(a)] for a, _, _ in m.parts], f"dual({m.label})")
     phi = linalg.mat_scale(Fraction(ctx.q), linalg.inverse(linalg.transpose(m.phi)))
     fil1 = linalg.transpose(linalg.annihilator_rows(m.fil1))
     blocks = [(-2 - w, range(o, o + d)) for w, o, d in m.weight_offsets()]
@@ -586,15 +637,15 @@ def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
 
 
 def newton_slopes_of(m: FilteredPhiModule) -> list:
-    """Multiset of Newton slopes of phi, normalized by f, read from ``m.polys()``."""
-    return sorted(s for cp in m.polys() for s in newton_slopes(cp, m.ctx))
+    """Multiset of Newton slopes of phi, normalized by f, read from ``m.invariants()``."""
+    return sorted(s for _, slopes, _ in m.invariants() for s in slopes)
 
 
 def hodge_newton_numbers(m: FilteredPhiModule) -> tuple[int, Fraction]:
-    """(t_H, t_N) = (rank Fil1, v_p(det phi) / f), where v_p(det phi) is the
-    sum of v_p(cp[0]) over ``m.polys()``."""
-    v = sum(fraction_valuation(cp[0], m.ctx.p) for cp in m.polys())
-    return (m.fil1.cols, Fraction(v, m.ctx.f))
+    """(t_H, t_N) = (rank Fil1, v_p(det phi) / f): the atoms' Fil1 ranks
+    summed, and v_p(det phi) the sum of v_p(cp[0]) over ``m.invariants()``."""
+    v = sum(fraction_valuation(cp[0], m.ctx.p) for cp, _, _ in m.invariants())
+    return (sum(a.fil1.cols for a, _, _ in m.atoms()), Fraction(v, m.ctx.f))
 
 
 def _stacked_rank(phi: Matrix, fil1: Matrix, work: PadicContext) -> int:

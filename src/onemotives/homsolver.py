@@ -143,7 +143,8 @@ def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> l
     for disjoint spectra; the commutant C, solved and checked over Q, when
     no Fil1 condition binds; else C's Hodge cut, over Q when both Fil1 are
     rational, else over Q_p at N and then 2N."""
-    if not any(linalg.share_root(f, g) for f in a.polys() for g in b.polys()):
+    forms_b = [g for _, _, g in b.invariants()]
+    if not any(linalg.forms_share_root(f, g) for _, _, f in a.invariants() for g in forms_b):
         return []
     sylvester = linalg.sylvester(b.phi, a.phi)
     basis = linalg.kernel(sylvester).basis
@@ -270,11 +271,14 @@ def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
     is the disjoint sum of each atom pair's blocks at each place the pair
     occurs, so phi lies in it exactly when each restriction of phi to such
     a place (at e's atom positions) lies in its pair's span, tested in one
-    ``in_span_many`` per distinct pair.  One outside answers False; else
-    the first ambiguous test raises."""
+    ``in_span_many`` per distinct pair.  phi is block-diagonal on the parts,
+    so its restriction is the atom's phi at a part's own rows and zero at
+    any other place.  One outside answers False; else the first ambiguous
+    test raises."""
     restrictions = {}
     for a, rows_a, c, rows_c in e.places():
-        restrictions.setdefault((id(a), id(c)), []).append(linalg.submatrix(m.phi, rows_c, rows_a))
+        phi = a.phi if a is c and rows_a == rows_c else Matrix.zeros(c.dim, a.dim)
+        restrictions.setdefault((id(a), id(c)), []).append(phi)
     answers = [x for key, targets in restrictions.items() for x in in_span_many(e.blocks[key], targets)]
     errors = [x for x in answers if isinstance(x, PrecisionExhausted)]
     if errors and None not in answers:
@@ -380,8 +384,11 @@ def _classify_block(m: FilteredPhiModule, w: int, block: range, bd: int, span: l
     if span is not None:
         if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
             return SCALAR_ONLY
-        if bd == 2 and in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
-            return POLYNOMIAL_ALGEBRA_OF_PHI
+        if bd == 2:
+            # phi on the block: the phi of the atom that is the block, if one is
+            atom = next((a for a, rows, _ in m.atoms() if tuple(rows) == tuple(block)), None)
+            if in_span(span, atom.phi if atom else linalg.submatrix(m.phi, block, block)) is not None:
+                return POLYNOMIAL_ALGEBRA_OF_PHI
         if bd == 3:
             # a 3-dimensional unital subalgebra of M_2 preserving a line is
             # the full stabilizer of that line

@@ -106,13 +106,17 @@ def _require_same_kind(a: Matrix, b: Matrix) -> None:
         raise ContextMismatch(f"mixed primes {a.ctx.p} and {b.ctx.p}")
 
 
+# Fraction is immutable, so every rational zero and one is one of these
+_FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
+
+
 # a bad context gets a Fraction here, and the TypeError of the Matrix built on it
 def _zero(ctx: PadicContext | None):
-    return PadicScalar.exact_zero(ctx.p) if isinstance(ctx, PadicContext) else Fraction(0)
+    return PadicScalar.exact_zero(ctx.p) if isinstance(ctx, PadicContext) else _FRACTION_ZERO
 
 
 def _one(ctx: PadicContext | None):
-    return PadicScalar.one(ctx.p, ctx.precision) if isinstance(ctx, PadicContext) else Fraction(1)
+    return PadicScalar.one(ctx.p, ctx.precision) if isinstance(ctx, PadicContext) else _FRACTION_ONE
 
 
 def nonzero_test(ctx: PadicContext | None):
@@ -232,19 +236,6 @@ def hstack(blocks: list[Matrix]) -> Matrix:
         for b in blocks:
             out.extend(b.row(i))
     return Matrix(rows, sum(b.cols for b in blocks), out, blocks[0].ctx)
-
-
-def block_diag(blocks: list[Matrix]) -> Matrix:
-    n = sum(b.rows for b in blocks)
-    c = sum(b.cols for b in blocks)
-    out = [_zero(blocks[0].ctx)] * (n * c)
-    ro, co = 0, 0
-    for b in blocks:
-        for i in range(b.rows):
-            out[(ro + i) * c + co : (ro + i) * c + co + b.cols] = b.row(i)
-        ro += b.rows
-        co += b.cols
-    return Matrix(n, c, out, blocks[0].ctx)
 
 
 def to_padic(a: Matrix, ctx: PadicContext) -> Matrix:
@@ -574,25 +565,33 @@ def annihilator_rows(f: Matrix) -> Matrix:
     return Matrix(len(ker.basis), f.rows, entries, f.ctx)
 
 
+def _primitive(h: list) -> list:
+    content = math.gcd(*h)
+    return [c // content for c in h] if content > 1 else h
+
+
+def primitive_form(h: list) -> list[int]:
+    """The primitive integer multiple of a polynomial with ascending int or
+    ``Fraction`` coefficients, trailing zeros dropped: [] for zero."""
+    h = list(h)
+    while h and h[-1] == 0:
+        h.pop()
+    den = math.lcm(*(c.denominator for c in h))
+    return _primitive([c.numerator * (den // c.denominator) for c in h])
+
+
 def share_root(f: list, g: list) -> bool:
     """Whether two nonzero polynomials (ascending int or ``Fraction``
-    coefficients) have a common complex root, exactly: when one is linear,
-    a0 + a1 T, whether the other's a1^n g(-a0/a1) is 0 in integers, else
-    Euclid's algorithm over Z on primitive polynomials."""
+    coefficients) have a common complex root, exactly: ``forms_share_root``
+    of their primitive forms."""
+    return forms_share_root(primitive_form(f), primitive_form(g))
 
-    def primitive(h: list) -> list:
-        content = math.gcd(*h)
-        return [c // content for c in h] if content > 1 else h
 
-    def integral(h: list) -> list:
-        # the primitive integer multiple, trailing zeros dropped
-        h = list(h)
-        while h and h[-1] == 0:
-            h.pop()
-        den = math.lcm(*(c.denominator for c in h))
-        return primitive([c.numerator * (den // c.denominator) for c in h])
-
-    a, b = integral(f), integral(g)
+def forms_share_root(a: list, b: list) -> bool:
+    """Whether the polynomials of two nonzero ``primitive_form``s have a
+    common complex root: when one is linear, a0 + a1 T, whether the other's
+    a1^n b(-a0/a1) is 0, else by Euclid's algorithm over Z.  Neither list is
+    changed."""
     if not a or not b:
         raise ValueError("share_root of the zero polynomial")
     if len(b) == 2:
@@ -607,7 +606,7 @@ def share_root(f: list, g: list) -> bool:
             a = [ka * c - kb * b[i - s] if i >= s else ka * c for i, c in enumerate(a)]
             while a and a[-1] == 0:
                 a.pop()
-        a, b = b, primitive(a)
+        a, b = b, _primitive(a)
     return len(a) > 1  # a is gcd(f, g) up to a constant
 
 

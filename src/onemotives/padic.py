@@ -469,10 +469,27 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def newton_slopes(poly: list, ctx: PadicContext) -> list:
     """Root valuations with multiplicity, normalized by f, sorted ascending.
 
-    Computed from the lower convex hull of ``(i, v_p(a_i))``.  A zero
-    constant coefficient contributes roots of infinite slope.  When the
-    leading coefficient is a p-unit the slopes sum to ``v_p(a_0)/f``.
+    Read from the lower convex hull of ``(i, v_p(a_i))``.  A monic linear or
+    quadratic polynomial with a nonzero constant term takes the hull's
+    closed form in v0 = v_p(a0) and v1 = v_p(a1): for T^2 + a1 T + a0 one
+    segment of slope v0/2 when v0 <= 2 v1 (a1 = 0 has v1 infinite), else
+    the slopes v1 and v0 - v1.  A zero constant coefficient contributes
+    roots of infinite slope.  When the leading coefficient is a p-unit the
+    slopes sum to ``v_p(a_0)/f``.
     """
+    if len(poly) in (2, 3) and poly[-1] == 1 and poly[0] != 0:
+        v0, f = fraction_valuation(poly[0], ctx.p), ctx.f
+        if len(poly) == 2:
+            return [Fraction(v0, f)]
+        v1 = fraction_valuation(poly[1], ctx.p)
+        if v0 <= 2 * v1:
+            return [Fraction(v0, 2 * f)] * 2
+        return [Fraction(v1, f), Fraction(v0 - v1, f)]
+    return _hull_slopes(poly, ctx)
+
+
+def _hull_slopes(poly: list, ctx: PadicContext) -> list:
+    """``newton_slopes`` of any polynomial, from the lower convex hull."""
     coeffs = [c if type(c) is Fraction else Fraction(c) for c in poly]
     deg = poly_degree(coeffs)
     if deg < 0:
@@ -580,8 +597,8 @@ def scalar_from_jsonable(obj: dict, ctx: PadicContext) -> PadicScalar:
     return PadicScalar.exact_zero(p) if v == "inf" else PadicScalar(p, v, unit, prec)
 
 
-def rational_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+def rational_to_str(x: Fraction | int) -> str:
+    """The string "num/den" of a ``Fraction`` or an ``int``, read as it is."""
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -764,6 +764,58 @@ def test_direct_sum_places_blocks_by_weight():
     assert m.label == "torus(1) + elliptic(t=1) + lattice(1)"
 
 
+def _block_diag(mats, ctx):
+    """The block-diagonal matrix of ``mats``, all over ``ctx``'s field."""
+    rows, cols = sum(x.rows for x in mats), sum(x.cols for x in mats)
+    out, r0, c0 = Matrix.zeros(rows, cols, ctx).entries, 0, 0
+    for x in mats:
+        for i in range(x.rows):
+            out[(r0 + i) * cols + c0 : (r0 + i) * cols + c0 + x.cols] = x.row(i)
+        r0, c0 = r0 + x.rows, c0 + x.cols
+    return Matrix(rows, cols, out, ctx)
+
+
+def test_a_sum_is_placed_once_and_writes_the_json_of_its_dense_twin(monkeypatch):
+    """A sum holds its parts; reading phi or Fil1 places both, once, and its
+    JSON is that of the dense module.  L2 + E(1) + T2, with an exact and
+    with a p-adic Hodge line, against the block-diagonal of its atoms (in
+    weight order already) and against its dataclasses.replace twin with no
+    parts."""
+    placed, place = [], crystal._place
+    monkeypatch.setattr(crystal, "_place", lambda m: placed.append(m.label) or place(m))
+    spec = OneMotiveSpec(lattice_rank=2, elliptic_traces=(1,), torus_dim=2)
+    for mode, work in ((EllipticFilMode("generic"), None), (AUTO, C5.doubled())):
+        m = realize_one_motive(spec, C5, mode)
+        assert "phi" not in vars(m) and "fil1" not in vars(m) and placed == []
+        atoms = [a for a, _, _ in m.parts]
+        fils = [to_padic(a.fil1, work) if work else a.fil1 for a in atoms]
+        ref = FilteredPhiModule(C5, 6, _block_diag([a.phi for a in atoms], None), m.weights, _block_diag(fils, work), m.label)
+        assert module_to_jsonable(m) == module_to_jsonable(ref) and m.fil1.ctx == work
+        twin = dataclasses.replace(m, parts=())
+        assert module_to_jsonable(twin) == module_to_jsonable(m) and twin == m == ref and not twin.parts
+        assert placed == [m.label]
+        placed.clear()
+
+
+def test_validation_keeps_each_blocks_slopes_and_primitive_form(monkeypatch):
+    """validate_graded keeps each weight block's Newton slopes and primitive
+    integer form beside its polynomial; newton_slopes_of and the Hom gate
+    read them and compute neither, while a dense twin, never validated,
+    computes both."""
+    from onemotives.homsolver import hom_space
+
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 2), torus_dim=1), C5)
+    for a, _, _ in m.parts:
+        assert a.block_slopes == tuple(newton_slopes(cp, C5) for cp in a.block_polys)
+        assert a.block_forms == tuple(linalg.primitive_form(cp) for cp in a.block_polys)
+    calls, form = [], linalg.primitive_form
+    monkeypatch.setattr(crystal, "newton_slopes", lambda *args: calls.append(args) or newton_slopes(*args))
+    monkeypatch.setattr(linalg, "primitive_form", lambda h: calls.append(h) or form(h))
+    slopes = newton_slopes_of(m)
+    assert slopes == [0, 0, 0, 0, 1, 1, 1] and hom_space(m, m).dimension == 4 + 2 + 2 + 1 and calls == []
+    assert newton_slopes_of(dataclasses.replace(m, parts=())) == slopes and len(calls) == 2
+
+
 def test_split_extension_coincident_but_solvable():
     loose = FilteredPhiModule(
         C5,

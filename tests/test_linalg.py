@@ -752,6 +752,33 @@ def test_share_root_detects_shared_roots():
         share_root([0], [1, 1])
 
 
+def test_primitive_forms_share_a_root_as_their_polynomials_do():
+    """primitive_form is the primitive integer multiple, trailing zeros
+    dropped; forms_share_root on two forms answers as share_root on the
+    polynomials and changes neither form, which atoms keep and share."""
+    assert linalg.primitive_form([Fraction(1, 2), Fraction(-3, 4), Fraction(1), 0]) == [2, -3, 4]
+    assert linalg.primitive_form([6, -4, 2]) == [3, -2, 1] and linalg.primitive_form([0, 0]) == []
+    rng = random.Random("primitive-forms")
+    for _ in range(200):
+        f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 5))] + [Fraction(1)]
+        g = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))] + [Fraction(1)]
+        if rng.random() < 0.4:
+            h = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(1)]  # a common factor
+            f, g = _poly_mul(h, f), _poly_mul(h, g)
+        a, b = linalg.primitive_form(f), linalg.primitive_form(g)
+        kept = (list(a), list(b))
+        assert linalg.forms_share_root(a, b) == share_root(f, g), (f, g)
+        assert (a, b) == kept
+    with pytest.raises(ValueError, match="zero polynomial"):
+        linalg.forms_share_root([], [1, 1])
+
+
+def test_rational_zero_and_one_are_shared_constants():
+    assert linalg._zero(None) is linalg._zero(None) == 0 and linalg._one(None) is linalg._one(None) == 1
+    assert all(x is linalg._zero(None) for x in Matrix.zeros(2, 3).entries)
+    assert type(linalg._zero(None)) is type(linalg._one(None)) is Fraction
+
+
 def _poly_mul(f, g):
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):

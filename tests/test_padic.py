@@ -27,6 +27,7 @@ from onemotives.padic import (
     newton_slopes,
     poly_eval_mod,
     rational_from_str,
+    rational_to_str,
     scalar_from_jsonable,
     scalar_to_jsonable,
 )
@@ -313,6 +314,45 @@ def test_newton_slopes_sum_matches_constant_valuation():
             m //= ctx.p
             v0 += 1
         assert total == Fraction(v0, ctx.f)
+
+
+def test_newton_slopes_closed_form_matches_the_hull(monkeypatch):
+    """A monic linear or quadratic polynomial with a nonzero constant term
+    takes the closed form, never the hull, and answers as the hull does,
+    value and type: over seeded polynomials at p in {2, 3, 5, 7, 101} and
+    f <= 3, with zero, unit and non-unit middle coefficients, int and
+    rational coefficients, p in numerators and denominators."""
+    rng = random.Random("newton-closed-form")
+    hull, calls = padic._hull_slopes, []
+    monkeypatch.setattr(padic, "_hull_slopes", lambda poly, ctx: calls.append(poly) or hull(poly, ctx))
+    compared = 0
+    for p in (2, 3, 5, 7, 101):
+        units = [c for c in range(-40, 41) if c % p]
+
+        def scalar():
+            x = Fraction(rng.choice(units), rng.choice([1, 1, 2, 3, 7])) * Fraction(p) ** rng.randint(-2, 4)
+            return int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+
+        for f in (1, 2, 3):
+            ctx = PadicContext(p, f, 40)
+            for _ in range(400):
+                if rng.random() < 0.25:
+                    poly = [scalar(), 1]
+                else:
+                    poly = [scalar(), rng.choice([0, Fraction(0), rng.choice(units), scalar()]), rng.choice([1, Fraction(1)])]
+                got = newton_slopes(poly, ctx)
+                expected = hull(poly, ctx)
+                assert got == expected and [type(s) for s in got] == [type(s) for s in expected], (p, f, poly)
+                compared += 1
+    assert compared == 6000 and calls == []
+    # a zero constant term or a polynomial that is not monic takes the hull
+    assert newton_slopes([0, -1, 1], C5) == [0, math.inf] and newton_slopes([5, 0, 5], C5) == [0, 0]
+    assert len(calls) == 2
+
+
+def test_rational_to_str_reads_fractions_and_ints_as_they_are():
+    for x, text in ((Fraction(-6, 4), "-3/2"), (Fraction(0), "0/1"), (Fraction(7, 5), "7/5"), (7, "7/1"), (-3, "-3/1"), (0, "0/1")):
+        assert rational_to_str(x) == text and rational_from_str(text) == x
 
 
 def test_integer_square_root():

@@ -48,3 +48,27 @@ def test_every_seed_1_item_is_answered_and_checked(workloads, workload):
 @pytest.mark.parametrize("workload", ["survey", "end", "hom"])
 def test_every_seed_11_item_is_answered_and_checked(workloads, workload):
     _answer_and_check(workloads, workload, 11)
+
+
+def test_no_workload_operation_places_a_sum(workloads, monkeypatch):
+    """survey, end and hom read a sum's atoms only: on survey rows of every
+    kind (ordinary, irreducible, scalar Frobenius), on end items with at most
+    one elliptic block, which classify, and on the hom items that also take
+    the Cartier duals, no sum's dense phi or Fil1 is ever placed."""
+    placed, place = [], crystal._place
+    monkeypatch.setattr(crystal, "_place", lambda m: placed.append(m.label) or place(m))
+    golden = workloads.load_golden(ROOT)
+    # (q, p, f, t, mode): ordinary, irreducible over Q_5 (T^2 + 5), scalar
+    survey = [(5, 5, 1, 1, "auto"), (5, 5, 1, 0, "auto"), (25, 5, 2, 10, "scalar")]
+    # (lattice, torus, elliptic copies, class, p, f, t, mode)
+    end = [(2, 2, 1, "ordinary", 5, 1, 1, "auto"), (1, 0, 1, "generic", 3, 1, 0, "auto"), (2, 1, 1, "scalar", 5, 2, 10, "scalar")]
+    hom = [item for item in workloads.hom_inputs(1) if item[4]]
+    assert any(len(xs) > 1 for _, _, xs, _, _ in hom)
+    for workload, items in (("survey", survey), ("end", end), ("hom", hom)):
+        op = workloads.WORKLOADS[workload][1]
+        for item in items:
+            workloads.check(workload, item, op(LIB, item), golden)
+    assert placed == []
+    # the spy sees a placement: the JSON form places the sum
+    crystal.module_to_jsonable(crystal.realize_lattice(2, padic.PadicContext(5)))
+    assert placed == ["lattice(2)"]
