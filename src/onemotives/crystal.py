@@ -209,7 +209,8 @@ def validate_graded(m: FilteredPhiModule) -> None:
     rank of fil1, and Fil1 meeting the weight-0 block trivially.
     Invertibility and slopes are both read from the characteristic
     polynomials of the weight blocks, computed once each and kept on the
-    module with their slopes and primitive integer forms.
+    module with their slopes and primitive integer forms.  A module of one
+    weight block is that block: its phi is read whole.
     """
     if not m.graded:
         raise ValueError("validate_graded on a non-graded module")
@@ -219,27 +220,28 @@ def validate_graded(m: FilteredPhiModule) -> None:
     ws = [w for w, _ in m.weights]
     if any(w not in WEIGHTS for w in ws) or sorted(ws, reverse=True) != ws or len(set(ws)) != len(ws):
         raise ValueError(f"weights {ws} are not strictly decreasing within {WEIGHTS}")
-    offsets = m.weight_offsets()
-    blocks = [range(o, o + d) for _, o, d in offsets]
-    off_block = (linalg.submatrix(m.phi, b1, b2) for b1 in blocks for b2 in blocks if b1 != b2)
-    if not all(linalg.is_zero(x) for x in off_block):
-        raise ValueError("phi is not block-diagonal for the stated grading")
-    polys = tuple(linalg.char_poly(m.phi if len(b) == m.dim else linalg.submatrix(m.phi, b, b)) for b in blocks)
+    if len(ws) == 1:
+        polys = (linalg.char_poly(m.phi),)
+    else:
+        blocks = [range(o, o + d) for _, o, d in m.weight_offsets()]
+        off_block = (linalg.submatrix(m.phi, b1, b2) for b1 in blocks for b2 in blocks if b1 != b2)
+        if not all(linalg.is_zero(x) for x in off_block):
+            raise ValueError("phi is not block-diagonal for the stated grading")
+        polys = tuple(linalg.char_poly(linalg.submatrix(m.phi, b, b)) for b in blocks)
     # phi is block-diagonal, so det(phi) is the product of the blocks' +-cp[0]
     if any(cp[0] == 0 for cp in polys):
         raise ValueError("phi is singular")
     block_slopes = tuple(newton_slopes(cp, m.ctx) for cp in polys)
-    for (w, _, _), slopes in zip(offsets, block_slopes):
+    for w, slopes in zip(ws, block_slopes):
         fits, tail = _SLOPE_RULES[w]
-        if not all(fits(s) for s in slopes):
+        if not all(map(fits, slopes)):
             raise ValueError(f"weight {w} block has slopes {slopes}{tail}")
     _validate_fil1_basis(m)
     r = m.fil1.cols
-    if r > 0:
-        w0 = next((d for w, _, d in offsets if w == 0), 0)
-        # a rank drop here is a Fil1 element supported in the weight-0 block
-        if w0 > 0 and linalg.rank(linalg.submatrix(m.fil1, range(w0, m.dim), range(r))) != r:
-            raise ValueError("Fil1 meets the weight-0 block nontrivially")
+    # weight 0 comes first when present; a rank drop here is a Fil1 element
+    # supported in its block
+    if r > 0 and ws[0] == 0 and linalg.rank(linalg.submatrix(m.fil1, range(dims[0], m.dim), range(r))) != r:
+        raise ValueError("Fil1 meets the weight-0 block nontrivially")
     m.block_polys, m.block_slopes, m.block_forms = polys, block_slopes, tuple(map(linalg.primitive_form, polys))
 
 
@@ -501,7 +503,10 @@ def realize_one_motive(
     ctx: PadicContext,
     fil_mode: EllipticFilMode | None = None,
 ) -> FilteredPhiModule:
-    """Direct sum of lattice, elliptic/abelian blocks, and torus, in weight order."""
+    """Direct sum of lattice, elliptic/abelian blocks, and torus, in weight
+    order: one ``_sum`` over all their atoms, the module ``direct_sum`` of
+    ``lattice(r)``, the blocks and ``torus(d)`` gives; a single atom is
+    returned as itself."""
     if spec.kummer_lambda is not None:
         if (
             spec.lattice_rank == 1
@@ -514,19 +519,18 @@ def realize_one_motive(
             "kummer_lambda is a demo for the rank-1 lattice / 1-dimensional torus shape"
         )
     mode = fil_mode or EllipticFilMode("auto")
-    summands = []
-    if spec.lattice_rank:
-        summands.append(realize_lattice(spec.lattice_rank, ctx))
-    # one block per distinct trace: repeated traces share one atom
+    r, d = spec.lattice_rank, spec.torus_dim
+    # the r lattice and the d torus copies share one atom each, and
+    # repeated traces one elliptic atom each
+    lattice = [realize_lattice(1, ctx)] * r if r else []
     elliptic = {t: realize_elliptic(t, mode, ctx) for t in dict.fromkeys(spec.elliptic_traces)}
-    summands += [elliptic[t] for t in spec.elliptic_traces]
-    for phi, fil1 in spec.abelian_explicit:
-        summands.append(realize_abelian_block(phi, fil1, ctx))
-    if spec.torus_dim:
-        summands.append(realize_torus(spec.torus_dim, ctx))
-    if not summands:
-        return zero_module(ctx)
-    return direct_sum(summands)
+    middle = [elliptic[t] for t in spec.elliptic_traces]
+    middle += [realize_abelian_block(phi, fil1, ctx) for phi, fil1 in spec.abelian_explicit]
+    atoms = lattice + middle + ([realize_torus(1, ctx)] * d if d else [])
+    if len(atoms) < 2:
+        return atoms[0] if atoms else zero_module(ctx)
+    labels = [f"lattice({r})"] * bool(r) + [a.label for a in middle] + [f"torus({d})"] * bool(d)
+    return _sum(atoms, " + ".join(labels))
 
 
 # -- duality --------------------------------------------------------------------

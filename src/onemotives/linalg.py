@@ -133,18 +133,6 @@ def certainly_nonzero(ctx: PadicContext | None):
     return bool if ctx is None else (lambda x: x.is_resolved)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    """a - b, entry for entry.  An exact-zero operand is skipped: x - 0 is x
-    and 0 - y is -y, which is what ``x - y`` returns for both scalar kinds
-    (a p-adic sum hands back the other operand of an exact zero)."""
-    _require_same_kind(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch in subtraction")
-    nonzero = nonzero_test(a.ctx)
-    out = [(x - y if nonzero(x) else -y) if nonzero(y) else x for x, y in zip(a.entries, b.entries)]
-    return Matrix(a.rows, a.cols, out, a.ctx)
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, [c * x for x in a.entries], a.ctx)
 
@@ -381,10 +369,14 @@ def echelon_rows(vectors: list[list], ctx: PadicContext | None) -> list[list]:
 def kernel(m: Matrix) -> KernelResult:
     """Basis of the right null space.
 
-    Exact for the rational kind.  P-adic kind: pivots on the minimal-valuation
-    entry per column; entries vanishing past the context threshold are
-    treated as zero and lower the precision report.
+    Exact for the rational kind, and of a rational 1x1 matrix read by form:
+    [[1]] when its entry is 0, else nothing, as elimination gives.  P-adic
+    kind: pivots on the minimal-valuation entry per column; entries
+    vanishing past the context threshold are treated as zero and lower the
+    precision report.
     """
+    if m.ctx is None and m.rows == m.cols == 1:
+        return KernelResult(1, [[_FRACTION_ONE]]) if m.entries[0] == 0 else KernelResult(0, [])
     data = [m.row(i) for i in range(m.rows)]
     digits: list = []
     pivots = _rref(data, m.cols, m.ctx, digits)
@@ -497,12 +489,12 @@ def char_poly(m: Matrix) -> list[Fraction]:
         raise NonSquare(f"characteristic polynomial of a {m.rows}x{m.cols} matrix")
     n, e = m.rows, m.entries
     if n == 0:
-        return [Fraction(1)]
+        return [_FRACTION_ONE]
     if n == 1:
-        return [-e[0], Fraction(1)]
+        return [-e[0], _FRACTION_ONE]
     if n == 2:
         a, b, c, d = e
-        return [a * d - b * c, -(a + d), Fraction(1)]
+        return [a * d - b * c, -(a + d), _FRACTION_ONE]
     coeffs = []
     ak = m
     for k in range(1, n + 1):
@@ -510,7 +502,7 @@ def char_poly(m: Matrix) -> list[Fraction]:
         coeffs.append(ck)
         if k < n:
             ak = mat_mul(m, shift_diagonal(ak, ck))
-    return list(reversed(coeffs)) + [Fraction(1)]
+    return list(reversed(coeffs)) + [_FRACTION_ONE]
 
 
 def trace(m: Matrix):

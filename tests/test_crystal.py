@@ -487,6 +487,36 @@ def test_direct_sum_context_mismatch():
         direct_sum([realize_lattice(1, C5), realize_lattice(1, C25)])
 
 
+@pytest.mark.parametrize("ctx", (C5, C25), ids=("q5", "q25"))
+def test_flat_realization_equals_the_nested_build(ctx, monkeypatch):
+    """realize_one_motive is one sum over its atoms, and that is the module
+    direct_sum of lattice(r), the blocks and torus(d) builds: same label,
+    weights, dimension, JSON, parts and shared atoms."""
+    abelian = _abelian_4x4(random.Random(ctx.q), ctx)
+    sums, _sum = [], crystal._sum
+    monkeypatch.setattr(crystal, "_sum", lambda ms, label: sums.append(label) or _sum(ms, label))
+    for r in range(4):
+        for d in range(4):
+            for traces in ((), (1,), (1, 1), (1, 0)):
+                for blocks in ((), (abelian,)):
+                    spec = OneMotiveSpec(lattice_rank=r, torus_dim=d, elliptic_traces=traces, abelian_explicit=blocks)
+                    sums.clear()
+                    m = realize_one_motive(spec, ctx)
+                    assert len(sums) <= 1 and sums == ([m.label] if m.parts else []), spec
+                    elliptic = {t: realize_elliptic(t, AUTO, ctx) for t in dict.fromkeys(traces)}
+                    nested = [realize_lattice(r, ctx)] * bool(r) + [elliptic[t] for t in traces]
+                    nested += [realize_abelian_block(phi, fil1, ctx) for phi, fil1 in blocks]
+                    nested += [realize_torus(d, ctx)] * bool(d)
+                    ref = direct_sum(nested) if nested else zero_module(ctx)
+                    assert (m.label, m.weights, m.dim) == (ref.label, ref.weights, ref.dim), spec
+                    assert module_to_jsonable(m) == module_to_jsonable(ref), spec
+                    shape = [(a.label, tuple(p), c) for a, p, c in m.atoms()]
+                    assert shape == [(a.label, tuple(p), c) for a, p, c in ref.atoms()], spec
+                    # every copy of a label is one atom object
+                    for label, _, _ in shape:
+                        assert len({id(a) for a, _, _ in m.atoms() if a.label == label}) == 1, spec
+
+
 # -- duality --------------------------------------------------------------------
 
 
@@ -937,6 +967,48 @@ def test_slope_rules_name_the_weight_and_the_slopes(weight, entry, message):
     bad = FilteredPhiModule(C5, 1, frac_matrix([[entry]]), ((weight, 1),), Matrix.zeros(1, 0))
     with pytest.raises(ValueError) as err:
         validate_graded(bad)
+    assert str(err.value) == message
+
+
+def _module(weights, phi, fil1=None, graded=True):
+    phi = frac_matrix(phi)
+    fil1 = frac_matrix(fil1) if fil1 else Matrix.zeros(phi.rows, 0)
+    return FilteredPhiModule(C5, phi.rows, phi, weights, fil1, graded=graded, split_at=None if graded else 1)
+
+
+@pytest.mark.parametrize(
+    "weights, phi, fil1, message",
+    [
+        # one weight block
+        ((), [[1, 0], [0, 5]], None, "validate_graded on a non-graded module"),
+        (((0, 2),), [[1]], None, "weight blocks ((0, 2),) do not fill dimension 1"),
+        (((1, 1),), [[1]], None, "weights [1] are not strictly decreasing within (0, -1, -2)"),
+        # T has slope infinity at weight 0: singular is reported first
+        (((0, 1),), [[0]], None, "phi is singular"),
+        (((-2, 1),), [[5]], [[1, 1]], "fil1 has more columns than the dimension"),
+        # a zero column also meets the weight-0 block: the basis is checked first
+        (((0, 1),), [[1]], [[0]], "fil1 generators are linearly dependent"),
+        (((0, 1),), [[1]], [[1]], "Fil1 meets the weight-0 block nontrivially"),
+        # two or three weight blocks
+        (((0, 1), (-2, 0)), [[1]], None, "weight blocks ((0, 1), (-2, 0)) do not fill dimension 1"),
+        (((0, 1), (-2, 2)), [[1, 0], [0, 5]], None, "weight blocks ((0, 1), (-2, 2)) do not fill dimension 2"),
+        (((-2, 1), (0, 1)), [[5, 0], [0, 1]], None, "weights [-2, 0] are not strictly decreasing within (0, -1, -2)"),
+        (((0, 1), (0, 1)), [[1, 0], [0, 1]], None, "weights [0, 0] are not strictly decreasing within (0, -1, -2)"),
+        (((0, 1), (-2, 1)), [[1, 0], [1, 5]], [[0], [1]], "phi is not block-diagonal for the stated grading"),
+        # the weight-0 block's slope 1 would fail too: singular comes first
+        (((0, 1), (-2, 1)), [[5, 0], [0, 0]], None, "phi is singular"),
+        (((0, 1), (-2, 1)), [[1, 0], [0, 1]], None, "weight -2 block has slopes [Fraction(0, 1)], expected all 1"),
+        (((0, 1), (-1, 2), (-2, 1)), [[1, 0, 0, 0], [0, 0, -125, 0], [0, 1, 0, 0], [0, 0, 0, 5]], None,
+         "weight -1 block has slopes [Fraction(3, 2), Fraction(3, 2)] outside [0, 1]"),
+        (((0, 1), (-2, 1)), [[1, 0], [0, 5]], [[1, 0, 0], [0, 1, 0]], "fil1 has more columns than the dimension"),
+        (((0, 1), (-2, 1)), [[1, 0], [0, 5]], [[1, 2], [0, 0]], "fil1 generators are linearly dependent"),
+        (((0, 1), (-2, 1)), [[1, 0], [0, 5]], [[1], [0]], "Fil1 meets the weight-0 block nontrivially"),
+    ],
+)
+def test_every_validation_message_is_pinned(weights, phi, fil1, message):
+    m = _module(weights, phi, fil1, graded=bool(weights))
+    with pytest.raises(ValueError) as err:
+        validate_graded(m)
     assert str(err.value) == message
 
 

@@ -1091,6 +1091,17 @@ def test_classify_end_refuses_a_large_weight_minus_1_block_without_eliminating(m
     assert calls == []
 
 
+def test_lattice_and_torus_pairs_make_no_elimination(monkeypatch):
+    """An (L, L) or (T, T) pair's Sylvester matrix is the 1x1 zero, whose
+    kernel is read by form: Hom(L^2 + T, L^3 + T^2) calls no _rref."""
+    src = realize_one_motive(OneMotiveSpec(lattice_rank=2, torus_dim=1), C5)
+    tgt = realize_one_motive(OneMotiveSpec(lattice_rank=3, torus_dim=2), C5)
+    calls, real = [], linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or real(*args))
+    assert hom_space(src, tgt).dimension == 2 * 3 + 1 * 2
+    assert calls == []
+
+
 def test_the_solver_path_places_no_window_wider_than_2x2(monkeypatch):
     """End, its closure, phi-membership, the classification and a complex's
     Hom read the atom-pair blocks: the only placement on that path is a

@@ -18,7 +18,6 @@ from onemotives.linalg import (
     kernel,
     mat_mul,
     mat_scale,
-    mat_sub,
     rank,
     share_root,
     shift_diagonal,
@@ -126,6 +125,30 @@ def test_kernel_field_independence():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         m = Matrix(r, c, [Fraction(rng.randint(-9, 9)) for _ in range(r * c)])
         assert kernel(m).dimension == kernel(to_padic(m, C5)).dimension
+
+
+@pytest.mark.parametrize("x", [0, 1, -3, Fraction(2, 7)])
+def test_rational_1x1_kernel_is_read_by_form(x, monkeypatch):
+    """The kernel of a rational [x] is [[1]] when x is 0 and nothing
+    otherwise, with no elimination: what _rref gives on [x] (its pivots) and
+    on [x; 0], the same null space, basis and precision report included."""
+    calls, rref = [], linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or rref(*args))
+    got = kernel(Matrix(1, 1, [x]))
+    assert calls == []
+    ref = kernel(Matrix(2, 1, [x, 0]))
+    assert calls
+    assert (got.dimension, got.basis, got.precision_report) == (ref.dimension, ref.basis, ref.precision_report)
+    assert got.dimension == 1 - len(rref([[Fraction(x)]], 1, None))
+    assert all(type(e) is Fraction for v in got.basis for e in v)
+
+
+@pytest.mark.parametrize("x, dimension", [(0, 1), (5, 0)])
+def test_padic_1x1_kernel_still_eliminates(x, dimension, monkeypatch):
+    calls, rref = [], linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or rref(*args))
+    assert kernel(Matrix(1, 1, [from_rational(x, C5)], C5)).dimension == dimension
+    assert calls
 
 
 def _rank_mod_prime(rows, ncols, q):
@@ -236,22 +259,6 @@ def test_mat_mul_equals_dense_reference_product(seed):
         b = Matrix(n, c, [_random_padic(rng) for _ in range(n * c)], C5)
         # PadicScalar equality compares p, v, unit and prec
         assert mat_mul(a, b).entries == dense_product(a, b)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_mat_sub_equals_entrywise_difference(seed):
-    rng = random.Random(seed)
-    for _ in range(10):
-        r, c = rng.randint(1, 6), rng.randint(1, 6)
-        a = Matrix(r, c, [_random_fraction(rng) for _ in range(r * c)])
-        b = Matrix(r, c, [_random_fraction(rng) for _ in range(r * c)])
-        got = mat_sub(a, b).entries
-        assert got == [x - y for x, y in zip(a.entries, b.entries)]
-        assert all(type(e) is Fraction for e in got)
-        a = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], C5)
-        b = Matrix(r, c, [_random_padic(rng) for _ in range(r * c)], C5)
-        # PadicScalar equality compares p, v, unit and prec
-        assert mat_sub(a, b).entries == [x - y for x, y in zip(a.entries, b.entries)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -503,13 +510,10 @@ def test_sylvester_equals_kronecker_reference(seed):
         for kind, draw, ctx in ((RATIONAL, _random_fraction, None), (PADIC, _random_padic, C5)):
             a = Matrix(n, n, [draw(rng) for _ in range(n * n)], ctx)
             b = Matrix(m, m, [draw(rng) for _ in range(m * m)], ctx)
-            reference = mat_sub(
-                kron(a, Matrix.identity(m, ctx)),
-                kron(Matrix.identity(n, ctx), transpose(b)),
-            )
+            left, right = kron(a, Matrix.identity(m, ctx)), kron(Matrix.identity(n, ctx), transpose(b))
             got = sylvester(a, b)
             assert (got.rows, got.cols) == (n * m, n * m)
-            assert got.entries == reference.entries
+            assert got.entries == [x - y for x, y in zip(left.entries, right.entries)]
             if kind == PADIC:
                 entries = a.entries + b.entries
                 seen["exact zero"] += any(e.is_exact_zero for e in entries)
@@ -657,9 +661,9 @@ def test_eigen_line_at_hensel_root():
     res = kernel(shift_diagonal(m, -u))
     assert res.dimension == 1
     vec = res.basis[0]
-    shifted = mat_sub(m, mat_scale(u, Matrix.identity(2, C5)))
+    shift = mat_scale(u, Matrix.identity(2, C5))
     image = [
-        shifted.at(i, 0) * vec[0] + shifted.at(i, 1) * vec[1] for i in range(2)
+        (m.at(i, 0) - shift.at(i, 0)) * vec[0] + (m.at(i, 1) - shift.at(i, 1)) * vec[1] for i in range(2)
     ]
     assert all(e.negligible(C5.threshold) for e in image)
 

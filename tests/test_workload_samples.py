@@ -72,3 +72,18 @@ def test_no_workload_operation_places_a_sum(workloads, monkeypatch):
     # the spy sees a placement: the JSON form places the sum
     crystal.module_to_jsonable(crystal.realize_lattice(2, padic.PadicContext(5)))
     assert placed == ["lattice(2)"]
+
+
+def test_seed_1_validation_counts(workloads, monkeypatch):
+    """validate_graded runs once on every atom and every dual it checks:
+    1200 times in the seed-1 survey pass, 81 in end and 2800 in hom."""
+    counts, validate = [], crystal.validate_graded
+    monkeypatch.setattr(crystal, "validate_graded", lambda m: counts.append(m) or validate(m))
+    seen = {}
+    for workload in ("survey", "end", "hom"):
+        make, op = workloads.WORKLOADS[workload]
+        counts.clear()
+        for item in make(1):
+            op(LIB, item)
+        seen[workload] = len(counts)
+    assert seen == {"survey": 1200, "end": 81, "hom": 2800}
