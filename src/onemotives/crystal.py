@@ -652,27 +652,22 @@ def hodge_newton_numbers(m: FilteredPhiModule) -> tuple[int, Fraction]:
     return (sum(a.fil1.cols for a, _, _ in m.atoms()), Fraction(v, m.ctx.f))
 
 
-def _stacked_rank(phi: Matrix, fil1: Matrix, work: PadicContext) -> int:
-    phi_w = linalg.to_padic(phi, work)
-    fil_w = linalg.to_padic(fil1, work)
-    return linalg.rank(linalg.hstack([fil_w, linalg.mat_mul(phi_w, fil_w)]))
-
-
 def check_filtration_stability(m: FilteredPhiModule) -> bool:
-    """True iff phi maps span(Fil1) into itself, decided by rank comparison."""
+    """True iff phi maps span(Fil1) into itself, decided by rank comparison:
+    over Q for a rational Fil1, else over Q_p at N and again at 2N, where a
+    rank flip raises ``PrecisionExhausted``."""
     r = m.fil1.cols
     if r == 0 or r == m.dim:
         return True
-    if m.fil1.kind == RATIONAL:
-        stacked = linalg.hstack([m.fil1, linalg.mat_mul(m.phi, m.fil1)])
-        return linalg.rank(stacked) == r
-    r1 = _stacked_rank(m.phi, m.fil1, m.ctx)
-    r2 = _stacked_rank(m.phi, m.fil1, m.ctx.doubled())
-    if r1 != r2:
+    ranks = []
+    for c in (m.ctx, m.ctx.doubled()) if m.fil1.kind == PADIC else (None,):
+        phi, fil = (linalg.to_padic(x, c) if c else x for x in (m.phi, m.fil1))
+        ranks.append(linalg.rank(linalg.hstack([fil, linalg.mat_mul(phi, fil)])))
+    if ranks[0] != ranks[-1]:
         raise PrecisionExhausted(
-            f"filtration stability rank flipped between precisions ({r1} vs {r2})"
+            f"filtration stability rank flipped between precisions ({ranks[0]} vs {ranks[-1]})"
         )
-    return r1 == r
+    return ranks[0] == r
 
 
 # -- serialization -----------------------------------------------------------------

@@ -269,17 +269,13 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
 def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
     """Whether phi itself lies in the computed endomorphism span: the span
     is the disjoint sum of each atom pair's blocks at each place the pair
-    occurs, so phi lies in it exactly when each restriction of phi to such
-    a place (at e's atom positions) lies in its pair's span, tested in one
-    ``in_span_many`` per distinct pair.  phi is block-diagonal on the parts,
-    so its restriction is the atom's phi at a part's own rows and zero at
-    any other place.  One outside answers False; else the first ambiguous
-    test raises."""
-    restrictions = {}
-    for a, rows_a, c, rows_c in e.places():
-        phi = a.phi if a is c and rows_a == rows_c else Matrix.zeros(c.dim, a.dim)
-        restrictions.setdefault((id(a), id(c)), []).append(phi)
-    answers = [x for key, targets in restrictions.items() for x in in_span_many(e.blocks[key], targets)]
+    occurs, and phi is block-diagonal on the atoms, so it lies in the span
+    exactly when each distinct atom's phi lies in the span of its own
+    (a, a) blocks, one ``in_span_many`` per atom.  phi is zero at every
+    other place, and zero lies in every span.  One outside answers False;
+    else the first ambiguous test raises."""
+    atoms = {id(a): a for a, _, _ in e.source.atoms()}
+    answers = [x for key, a in atoms.items() for x in in_span_many(e.blocks[key, key], [a.phi])]
     errors = [x for x in answers if isinstance(x, PrecisionExhausted)]
     if errors and None not in answers:
         raise errors[0]

@@ -520,8 +520,6 @@ def companion(poly: list) -> Matrix:
     n = len(coeffs) - 1
     if n < 1 or coeffs[n] != 1:
         raise ValueError("monic polynomial of degree >= 1 required")
-    if n == 2:
-        return Matrix(2, 2, [Fraction(0), -coeffs[0], Fraction(1), -coeffs[1]])
     m = Matrix.zeros(n, n)
     for i in range(1, n):
         m.entries[i * n + (i - 1)] = Fraction(1)

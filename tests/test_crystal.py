@@ -922,6 +922,24 @@ def test_filtration_stability_examples():
     )
 
 
+def test_filtration_stability_raises_when_the_rank_flips_between_precisions(monkeypatch):
+    """A p-adic Fil1 is tested at N and again at 2N; ranks that differ
+    raise, naming both."""
+    m = realize_elliptic(1, AUTO, C5)
+    assert m.fil1.kind == PADIC
+    real, precisions = linalg.rank, []
+
+    def rank(x):
+        precisions.append(x.ctx.precision)
+        return real(x) + (x.ctx.precision > C5.precision)
+
+    monkeypatch.setattr(linalg, "rank", rank)
+    with pytest.raises(PrecisionExhausted) as info:
+        check_filtration_stability(m)
+    assert str(info.value) == "filtration stability rank flipped between precisions (1 vs 2)"
+    assert precisions == [C5.precision, C5.doubled().precision]
+
+
 # -- validation ---------------------------------------------------------------------
 
 

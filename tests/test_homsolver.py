@@ -15,6 +15,7 @@ from onemotives.crystal import (
     EllipticFilMode,
     FilteredPhiModule,
     OneMotiveSpec,
+    check_filtration_stability,
     dual,
     direct_sum,
     extension_module,
@@ -940,7 +941,9 @@ def _outcome(compute):
 def _block_reading_outcomes(m):
     """frobenius_membership and classify_end of m in End(m), each asserted
     equal to the whole-basis scan's answer, or to its error class and
-    message; None when End itself raises."""
+    message; None when End itself raises.  Membership is also asserted
+    equal to Fil1 stability: phi commutes with itself, so it lies in End
+    exactly when it keeps Fil1, a test that reads no basis."""
     e = _outcome(lambda: end_algebra(m))
     if isinstance(e, tuple):
         return None
@@ -949,6 +952,7 @@ def _block_reading_outcomes(m):
         answer = _outcome(lambda: on_blocks(m, e))
         assert answer == _outcome(lambda: on_basis(m, e)), (m.label, on_blocks.__name__)
         out.append(answer.summary() if isinstance(answer, homsolver.EndClassification) else answer)
+    assert out[0] == _outcome(lambda: check_filtration_stability(m)), m.label
     return tuple(out)
 
 
@@ -1155,6 +1159,21 @@ def test_membership_checks_that_each_pair_span_is_complete():
     # phi's (Y, Y) restriction is the identity, outside an empty span
     assert _membership_on_forged_blocks([identity], []) is False
     assert _membership_on_forged_blocks([_padic_2x2([[1, 0], [0, 0]])], [identity]) is False
+
+
+def test_membership_makes_one_span_test_per_distinct_atom(monkeypatch):
+    """phi of L^2 + E(1)^2 + T^2 is tested once per distinct atom, each
+    atom's phi against its own blocks; the zeros of phi at every other
+    place are never built."""
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1), torus_dim=2), C5)
+    e = end_algebra(m)
+    calls, zeros, real, real_zeros = [], [], homsolver.in_span_many, Matrix.zeros.__func__
+    monkeypatch.setattr(homsolver, "in_span_many", lambda basis, targets: calls.append((basis, targets)) or real(basis, targets))
+    monkeypatch.setattr(Matrix, "zeros", classmethod(lambda cls, *args: zeros.append(args) or real_zeros(cls, *args)))
+    assert frobenius_membership(m, e) is True
+    own_blocks = {id(a.phi): e.blocks[id(a), id(a)] for a, _, _ in m.atoms()}
+    assert [len(targets) for _, targets in calls] == [1, 1, 1] and zeros == []
+    assert all(basis is own_blocks[id(phi)] for basis, (phi,) in calls)
 
 
 def test_membership_answers_false_before_raising_an_ambiguous_test():
