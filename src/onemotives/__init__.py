@@ -33,7 +33,6 @@ from .homsolver import (
     end_algebra,
     frobenius_membership,
     hom_space,
-    weight_block_structure,
 )
 from .linalg import (
     KernelResult,
@@ -91,6 +90,5 @@ __all__ = [
     "scalar_frobenius_analysis",
     "shift",
     "split_extension",
-    "weight_block_structure",
     "zero_module",
 ]

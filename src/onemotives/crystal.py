@@ -113,12 +113,12 @@ class FilteredPhiModule:
     ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
     of a sum not itself a sum (empty for an atom).  A sum built without
     phi is its parts: its dense phi and Fil1 are placed by ``_place`` when
-    first read, and kept.  ``block_polys``, ``block_slopes`` and
-    ``block_forms`` hold each weight block's characteristic polynomial, its
-    Newton slopes and its ``linalg.primitive_form`` once ``validate_graded``
-    computed them; ``slope_parts`` the set S of slopes whose parts of phi
-    sum to Fil1, set by the constructor that knows the roots, else None
-    (``replace`` drops it).  None of these is part of ``==`` or ``repr``.
+    first read, and kept.  ``block_invariants`` holds each weight block's
+    (characteristic polynomial, Newton slopes, ``linalg.primitive_form``),
+    written by ``validate_graded`` alone; ``slope_parts`` the set S of
+    slopes whose parts of phi sum to Fil1, set by the constructor that
+    knows the roots, else None.  Neither is an ``__init__`` field, so
+    ``replace`` drops both, and neither is part of ``==`` or ``repr``.
     """
 
     ctx: PadicContext
@@ -130,9 +130,7 @@ class FilteredPhiModule:
     graded: bool = True
     split_at: int | None = None
     parts: tuple = field(default=(), compare=False, repr=False)
-    block_polys: tuple = field(default=(), compare=False, repr=False)
-    block_slopes: tuple = field(default=(), compare=False, repr=False)
-    block_forms: tuple = field(default=(), compare=False, repr=False)
+    block_invariants: tuple = field(default=(), init=False, compare=False, repr=False)
     slope_parts: frozenset | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -165,8 +163,8 @@ class FilteredPhiModule:
         phi for an atom not validated, computed here."""
         out = []
         for a, _, _ in self.atoms():
-            if a.block_polys:
-                out += zip(a.block_polys, a.block_slopes, a.block_forms)
+            if a.block_invariants:
+                out += a.block_invariants
             else:
                 cp = linalg.char_poly(a.phi)
                 out.append((cp, newton_slopes(cp, self.ctx), linalg.primitive_form(cp)))
@@ -242,7 +240,7 @@ def validate_graded(m: FilteredPhiModule) -> None:
     # supported in its block
     if r > 0 and ws[0] == 0 and linalg.rank(linalg.submatrix(m.fil1, range(dims[0], m.dim), range(r))) != r:
         raise ValueError("Fil1 meets the weight-0 block nontrivially")
-    m.block_polys, m.block_slopes, m.block_forms = polys, block_slopes, tuple(map(linalg.primitive_form, polys))
+    m.block_invariants = tuple(zip(polys, block_slopes, map(linalg.primitive_form, polys)))
 
 
 def _validate_fil1_basis(m: FilteredPhiModule) -> None:

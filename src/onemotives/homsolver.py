@@ -55,16 +55,17 @@ UPPER_TRIANGULAR_FULL = "upper_triangular_full"
 _FULL_ALGEBRA = {0: LATTICE_SCALARS, -2: TORUS_SCALARS}
 
 
-@dataclass
+@dataclass(eq=False)
 class HomSpace:
     """Maps source -> target as ``blocks``: each distinct atom pair (id(a),
     id(b)) to its verified (b.dim x a.dim) blocks, all in one field.
     ``precision_report`` is the fewest digits behind any p-adic pivot
-    decision made, None when every solved pair was exact."""
+    decision made, None when every solved pair was exact.  Its blocks are
+    keyed by atom identity, so a space equals only itself."""
 
     source: FilteredPhiModule
     target: FilteredPhiModule
-    blocks: dict = field(compare=False, repr=False)
+    blocks: dict = field(repr=False)
     precision_report: int | None = None
 
     def places(self) -> list:
@@ -266,15 +267,22 @@ def end_algebra(m: FilteredPhiModule) -> HomSpace:
     return e
 
 
+def _end_module(m: FilteredPhiModule, e: HomSpace) -> FilteredPhiModule:
+    """``e.source``, when e is End(m): its target is its source, m or equal to m."""
+    if e.target is not e.source or (m is not e.source and m != e.source):
+        raise ValueError(f"the space is not End({m.label})")
+    return e.source
+
+
 def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
-    """Whether phi itself lies in the computed endomorphism span: the span
+    """Whether phi itself lies in m's computed endomorphism span e: the span
     is the disjoint sum of each atom pair's blocks at each place the pair
     occurs, and phi is block-diagonal on the atoms, so it lies in the span
     exactly when each distinct atom's phi lies in the span of its own
     (a, a) blocks, one ``in_span_many`` per atom.  phi is zero at every
     other place, and zero lies in every span.  One outside answers False;
-    else the first ambiguous test raises."""
-    atoms = {id(a): a for a, _, _ in e.source.atoms()}
+    else the first ambiguous test raises.  ValueError if e is not End(m)."""
+    atoms = {id(a): a for a, _, _ in _end_module(m, e).atoms()}
     answers = [x for key, a in atoms.items() for x in in_span_many(e.blocks[key, key], [a.phi])]
     errors = [x for x in answers if isinstance(x, PrecisionExhausted)]
     if errors and None not in answers:
@@ -287,24 +295,15 @@ def frobenius_membership(m: FilteredPhiModule, e: HomSpace) -> bool:
 
 @dataclass(frozen=True)
 class EndClassification:
-    """Per-weight-block case tags plus the verified total dimension."""
+    """Per-weight-block case tags."""
 
     blocks: tuple
-    total_dimension: int
 
     def tag_for_weight(self, w: int) -> str | None:
         return dict(self.blocks).get(w)
 
     def summary(self) -> str:
         return "+".join(tag for _, tag in self.blocks) if self.blocks else "zero"
-
-
-def weight_block_structure(h: Matrix, m: FilteredPhiModule) -> dict:
-    """Zero/nonzero report for each weight-to-weight block of an endomorphism."""
-    blocks = [(w, range(o, o + d)) for w, o, d in m.weight_offsets()]
-    return {
-        (w1, w2): linalg.is_zero(linalg.submatrix(h, b1, b2)) for w1, b1 in blocks for w2, b2 in blocks
-    }
 
 
 def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
@@ -317,6 +316,7 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     polynomial algebra of its Frobenius block, or the full upper-triangular
     algebra in a basis adapted to the Hodge line.  The zero module has no
     blocks.  Anything else raises ``UnclassifiedShape``; nothing is coerced.
+    ``ValueError`` when e is not End(m).
 
     All of it is read from each atom pair's blocks, restricted to the
     weight blocks of its two atoms, at the places the pair occurs (e's atom
@@ -325,10 +325,10 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     ranks: the block count for two atoms of that one weight.  Only a 2x2
     weight -1 block forms its span.
     """
+    m = _end_module(m, e)
     if not m.graded:
         raise UnclassifiedShape("classification needs a graded module")
-    atoms = (*e.source.atoms(), *e.target.atoms())
-    weights = {id(a): {w: range(o, o + d) for w, o, d in a.weight_offsets()} for a, _, _ in atoms}
+    weights = {id(a): {w: range(o, o + d) for w, o, d in a.weight_offsets()} for a, _, _ in m.atoms()}
     places = [(e.blocks[id(a), id(c)], rows_c, weights[id(c)], rows_a, weights[id(a)]) for a, rows_a, c, rows_c in e.places()]
     # the first coupling in basis order: the smallest lead, then weight order
     coupled = [
@@ -366,7 +366,7 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
             f"block dimensions sum to {total} but the endomorphism space has "
             f"dimension {e.dimension}; cross-weight relations are present"
         )
-    return EndClassification(tuple(tags), total)
+    return EndClassification(tuple(tags))
 
 
 def _classify_block(m: FilteredPhiModule, w: int, block: range, bd: int, span: list[Matrix] | None) -> str:

@@ -348,9 +348,12 @@ class KernelResult:
     guaranteed digits across the pivot decisions (p-adic kind only).
     """
 
-    dimension: int
     basis: list
     precision_report: int | None = None
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def echelon_rows(vectors: list[list], ctx: PadicContext | None) -> list[list]:
@@ -376,7 +379,7 @@ def kernel(m: Matrix) -> KernelResult:
     precision report.
     """
     if m.ctx is None and m.rows == m.cols == 1:
-        return KernelResult(1, [[_FRACTION_ONE]]) if m.entries[0] == 0 else KernelResult(0, [])
+        return KernelResult([[_FRACTION_ONE]] if m.entries[0] == 0 else [])
     data = [m.row(i) for i in range(m.rows)]
     digits: list = []
     pivots = _rref(data, m.cols, m.ctx, digits)
@@ -392,7 +395,7 @@ def kernel(m: Matrix) -> KernelResult:
             vec[c] = -data[r][fc]
         basis.append(vec)
     basis = echelon_rows(basis, m.ctx)
-    return KernelResult(len(basis), basis, min(digits) if digits else None)
+    return KernelResult(basis, min(digits) if digits else None)
 
 
 def rank(m: Matrix) -> int:

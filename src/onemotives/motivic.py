@@ -50,10 +50,13 @@ def direct_sum_complex(x: MotivicComplex, y: MotivicComplex) -> MotivicComplex:
 
 @dataclass
 class ComplexHom:
-    """Total dimension plus the per-degree Hom spaces that contribute."""
+    """The per-degree Hom spaces that contribute, and their total dimension."""
 
-    dimension: int
     by_degree: dict[int, list[HomSpace]]
+
+    @property
+    def dimension(self) -> int:
+        return sum(h.dimension for spaces in self.by_degree.values() for h in spaces)
 
 
 def hom_complex(x: MotivicComplex, y: MotivicComplex) -> ComplexHom:
@@ -62,15 +65,11 @@ def hom_complex(x: MotivicComplex, y: MotivicComplex) -> ComplexHom:
         if x.summands[0][0].ctx != y.summands[0][0].ctx:
             raise ContextMismatch("complexes live over different contexts")
     by_degree: dict[int, list[HomSpace]] = {}
-    total = 0
     for mx, dx in x.summands:
         for my, dy in y.summands:
-            if dx != dy:
-                continue
-            h = hom_space(mx, my)
-            by_degree.setdefault(dx, []).append(h)
-            total += h.dimension
-    return ComplexHom(total, by_degree)
+            if dx == dy:
+                by_degree.setdefault(dx, []).append(hom_space(mx, my))
+    return ComplexHom(by_degree)
 
 
 def realize_motive(spec: OneMotiveSpec, ctx: PadicContext, **kwargs) -> MotivicComplex:

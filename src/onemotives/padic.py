@@ -199,18 +199,18 @@ class PadicScalar:
         return cls(p, 0, 1, prec)
 
     @classmethod
-    def from_residue(cls, p: int, value: int, abs_prec: int, shift: int = 0) -> PadicScalar:
-        """Scalar from an integer known modulo p**abs_prec, times p**shift."""
+    def from_residue(cls, p: int, value: int, abs_prec: int) -> PadicScalar:
+        """Scalar from an integer known modulo p**abs_prec."""
         if abs_prec <= 0:
-            return cls.unresolved_zero(p, shift + max(abs_prec, 0))
+            return cls.unresolved_zero(p, 0)
         value %= p**abs_prec
         if value == 0:
-            return cls.unresolved_zero(p, abs_prec + shift)
+            return cls.unresolved_zero(p, abs_prec)
         w = 0
         while value % p == 0:
             value //= p
             w += 1
-        return cls(p, w + shift, value % p ** (abs_prec - w), abs_prec - w)
+        return cls(p, w, value % p ** (abs_prec - w), abs_prec - w)
 
     # -- state predicates --------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Independent brute-force Hom oracle shared by the solver and acceptance tests."""
+"""Independent brute-force Hom oracle, and a weight-block reader of one
+endomorphism, shared by the solver and acceptance tests."""
 
 from fractions import Fraction
 
@@ -67,3 +68,11 @@ def random_rational_module(rng, ctx):
         if r == 0 or linalg.rank(fil) == r:
             break
     return FilteredPhiModule(ctx, n, phi, ((-1, n),), fil, label="random")
+
+
+def weight_block_structure(h, m):
+    """Zero/nonzero report for each weight-to-weight block of an endomorphism."""
+    blocks = [(w, range(o, o + d)) for w, o, d in m.weight_offsets()]
+    return {
+        (w1, w2): linalg.is_zero(linalg.submatrix(h, b1, b2)) for w1, b1 in blocks for w2, b2 in blocks
+    }

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hom_oracle import naive_hom_dimension, random_rational_module
+from hom_oracle import naive_hom_dimension, random_rational_module, weight_block_structure
 from onemotives import linalg
 from onemotives.cli import main
 from onemotives.crystal import (
@@ -48,7 +48,6 @@ from onemotives.homsolver import (
     end_algebra,
     frobenius_membership,
     hom_space,
-    weight_block_structure,
 )
 from onemotives.linalg import Matrix
 from onemotives.padic import PadicContext, hensel_lift_root, poly_eval_mod

@@ -1,9 +1,12 @@
 """The public surface: what the package exports, and what it no longer does."""
 
+import dataclasses
+import inspect
+
 import onemotives
 from onemotives import crystal, homsolver, linalg, motivic, padic
 
-REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line", "det")
+REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line", "det", "weight_block_structure")
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +32,19 @@ def test_removed_names_are_gone():
     assert not hasattr(padic.PadicContext, "with_precision")
     assert not hasattr(homsolver, "_solve_once")
     assert not hasattr(linalg, "resultant") and not hasattr(linalg, "det")
+    assert not hasattr(homsolver, "weight_block_structure")
+    assert "shift" not in inspect.signature(padic.PadicScalar.from_residue).parameters
+
+
+def test_core_records_take_only_their_defining_data():
+    """Each core record's ``__init__`` takes exactly the data that defines
+    it; what follows from that data is read from it, not stored beside it."""
+    pinned = {
+        crystal.FilteredPhiModule: ("ctx", "dim", "phi", "weights", "fil1", "label", "graded", "split_at", "parts"),
+        linalg.KernelResult: ("basis", "precision_report"),
+        motivic.ComplexHom: ("by_degree",),
+        homsolver.EndClassification: ("blocks",),
+    }
+    for cls, names in pinned.items():
+        assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == names, cls.__name__
+    assert homsolver.HomSpace.__eq__ is object.__eq__

@@ -100,7 +100,7 @@ def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
             m = realize(r, ctx)
             one = m.parts[0][0]
             ref = dataclasses.replace(direct_sum([one] * r), label=m.label)
-            assert m == ref and m.parts == ref.parts and m.block_polys == ref.block_polys == ()
+            assert m == ref and m.parts == ref.parts and m.block_invariants == ref.block_invariants == ()
             assert m.slope_parts is ref.slope_parts is None and all(a is one for a, _, _ in m.parts)
             d, d_ref = dual(m), dual(ref)
             assert d == d_ref and d.parts == d_ref.parts
@@ -607,7 +607,7 @@ def _assert_same_module(m, ref, polys):
     # Matrix == compares the context and every entry; a p-adic entry's
     # == compares its valuation, unit and precision
     assert m == ref, m.label
-    assert m.fil1.ctx == ref.fil1.ctx and m.block_polys == polys and m.parts == ref.parts == ()
+    assert m.fil1.ctx == ref.fil1.ctx and tuple(cp for cp, _, _ in m.block_invariants) == polys and m.parts == ref.parts == ()
 
 
 def test_built_in_atoms_and_their_duals_equal_the_eliminated_route():
@@ -836,8 +836,8 @@ def test_validation_keeps_each_blocks_slopes_and_primitive_form(monkeypatch):
 
     m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 2), torus_dim=1), C5)
     for a, _, _ in m.parts:
-        assert a.block_slopes == tuple(newton_slopes(cp, C5) for cp in a.block_polys)
-        assert a.block_forms == tuple(linalg.primitive_form(cp) for cp in a.block_polys)
+        assert all(slopes == newton_slopes(cp, C5) for cp, slopes, _ in a.block_invariants)
+        assert all(form == linalg.primitive_form(cp) for cp, _, form in a.block_invariants)
     calls, form = [], linalg.primitive_form
     monkeypatch.setattr(crystal, "newton_slopes", lambda *args: calls.append(args) or newton_slopes(*args))
     monkeypatch.setattr(linalg, "primitive_form", lambda h: calls.append(h) or form(h))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hom_oracle import naive_hom_dimension, random_rational_module
+from hom_oracle import naive_hom_dimension, random_rational_module, weight_block_structure
 from test_workload_samples import workloads  # noqa: F401  (a fixture)
 from test_linalg import dense_product
 from onemotives.crystal import (
@@ -19,8 +19,10 @@ from onemotives.crystal import (
     dual,
     direct_sum,
     extension_module,
+    hodge_newton_numbers,
     module_from_jsonable,
     module_to_jsonable,
+    newton_slopes_of,
     realize_abelian_block,
     realize_elliptic,
     realize_lattice,
@@ -52,7 +54,6 @@ from onemotives.homsolver import (
     hom_space,
     homspace_to_jsonable,
     in_span,
-    weight_block_structure,
 )
 from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL
@@ -132,6 +133,44 @@ def test_kummer_end_is_diagonal_plane():
     c = classify_end(kummer(C5), e)
     assert c.blocks == ((0, LATTICE_SCALARS), (-2, TORUS_SCALARS))
     assert frobenius_membership(kummer(C5), e)
+
+
+@pytest.mark.parametrize("mode", ["auto", "generic"])
+def test_a_replaced_module_has_the_homs_of_the_module_it_equals(mode):
+    """A module rebuilt by ``replace`` on another's phi, Fil1 and label
+    equals it and has its Homs, End and invariants: none of the validated
+    block invariants of the module it was copied from rides along."""
+    mode = EllipticFilMode(mode)
+    for t_from, t_to in ((1, 2), (0, 1)):
+        src, ref = realize_elliptic(t_from, mode, C5), realize_elliptic(t_to, mode, C5)
+        twin = replace(src, phi=ref.phi, fil1=ref.fil1, label=ref.label)
+        assert twin == ref and twin.slope_parts is None
+        d = hom_space(ref, ref).dimension
+        assert d == (2 if mode == AUTO else 1), (mode, t_to)
+        assert hom_space(twin, ref).dimension == hom_space(ref, twin).dimension == end_algebra(twin).dimension == d
+        assert newton_slopes_of(twin) == newton_slopes_of(ref)
+        assert hodge_newton_numbers(twin) == hodge_newton_numbers(ref)
+        assert twin.block_invariants == ()
+
+
+def test_a_hom_space_equals_only_itself():
+    m = z_to_e(1, C5)
+    e = end_algebra(m)
+    assert e == e and e != HomSpace(m, m, {}) and e != end_algebra(m)
+
+
+def test_end_readers_reject_a_space_that_is_not_the_modules_end():
+    """frobenius_membership and classify_end read End(m) alone: the End of
+    another module, or a Hom space that is no End, raises ValueError; an
+    equal module freshly realized is read as the space's own."""
+    good, bad = z_to_e(1, C5), z_to_e(0, C5)
+    e = end_algebra(good)
+    for reader in (frobenius_membership, classify_end):
+        for m, space in ((bad, e), (good, hom_space(good, realize_lattice(1, C5))), (good, hom_space(good, z_to_e(1, C5)))):
+            with pytest.raises(ValueError, match="not End"):
+                reader(m, space)
+    assert frobenius_membership(z_to_e(1, C5), e)
+    assert classify_end(z_to_e(1, C5), e).tag_for_weight(-1) == POLYNOMIAL_ALGEBRA_OF_PHI
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
@@ -262,7 +301,7 @@ def test_classification_rejects_cross_weight_relations():
 def test_zero_module_classifies_through_the_general_path():
     z = zero_module(C5)
     c = classify_end(z, end_algebra(z))
-    assert c == homsolver.EndClassification((), 0)
+    assert c == homsolver.EndClassification(())
     assert c.summary() == "zero"
 
 
@@ -483,7 +522,7 @@ def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
     # commutant system of the (split, split) pair is answered wrongly.  The
     # bogus vector fails the exact check on the commutant, before any Hodge
     # cut, whether the split module is the whole source or one atom of a sum.
-    bogus = linalg.KernelResult(1, [[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]])
+    bogus = linalg.KernelResult([[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]])
     real = linalg.kernel
     monkeypatch.setattr(linalg, "kernel", lambda system: bogus if system.cols == 4 else real(system))
     for m in (split, direct_sum([split, realize_lattice(1, C5)])):
@@ -502,7 +541,7 @@ def _answer_the_cut_with_all_of_c(monkeypatch, m):
         if (system.rows, system.cols) != (1, 2) or system.entries == m.fil1.entries:
             return real(system)
         ident = Matrix.identity(2, system.ctx)
-        return linalg.KernelResult(2, [ident.row(0), ident.row(1)])
+        return linalg.KernelResult([ident.row(0), ident.row(1)])
 
     monkeypatch.setattr(linalg, "kernel", kernel)
 
@@ -911,7 +950,7 @@ def _whole_basis_classification(m, e):
             f"block dimensions sum to {total} but the endomorphism space has "
             f"dimension {e.dimension}; cross-weight relations are present"
         )
-    return homsolver.EndClassification(tuple(tags), e.dimension)
+    return homsolver.EndClassification(tuple(tags))
 
 
 def _whole_basis_tag(m, w, block, span):

@@ -724,7 +724,8 @@ def test_annihilator_rows_by_form_equals_the_kernel():
             return PadicScalar.exact_zero(p)
         if kind == 1:
             return PadicScalar.unresolved_zero(p, rng.randint(-2, 2 * ctx.precision))
-        return PadicScalar.from_residue(p, rng.randrange(1, p**8), rng.randint(1, 8), rng.randint(-3, 3))
+        x = PadicScalar.from_residue(p, rng.randrange(1, p**8), rng.randint(1, 8))
+        return PadicScalar(p, x.v + rng.randint(-3, 3), x.unit, x.prec)
 
     outcomes = set()
     for _ in range(1500):

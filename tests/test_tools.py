@@ -142,7 +142,7 @@ def test_callcount_counts_every_dataclass_init():
     k = 50
 
     def base():
-        return [linalg.KernelResult(0, []) for _ in range(k)]
+        return [linalg.KernelResult([]) for _ in range(k)]
 
     def more():
         return base() + [linalg.Matrix(0, 0) for _ in range(k)]
