@@ -108,17 +108,19 @@ class FilteredPhiModule:
     generators of the Hodge subspace; phi is rational, Fil1 over Q or Q_p.
     ``graded=False`` marks the two-block extension demo, whose weights are
     unresolved until ``split_extension`` runs; ``split_at`` remembers its
-    block split.  Its Fil1 generators are checked independent on
-    construction, as ``validate_graded`` checks a graded module's.
-    ``parts`` holds (atom, basis positions, Fil1 columns) for each summand
-    of a sum not itself a sum (empty for an atom).  A sum built without
-    phi is its parts: its dense phi and Fil1 are placed by ``_place`` when
-    first read, and kept.  ``block_invariants`` holds each weight block's
-    (characteristic polynomial, Newton slopes, ``linalg.primitive_form``),
-    written by ``validate_graded`` alone; ``slope_parts`` the set S of
-    slopes whose parts of phi sum to Fil1, set by the constructor that
+    block split.  Construction, ``replace`` too, checks each module that
+    holds phi: a graded one by ``validate_graded``, a non-graded one's Fil1
+    generators independent.  ``parts`` holds (atom, basis positions, Fil1
+    columns) for each summand of a sum not itself a sum (empty for an
+    atom).  A sum built without phi is its parts, not checked again: its
+    dense phi and Fil1 are placed by ``_place`` when first read, and kept.
+    ``block_invariants`` holds (characteristic polynomial, Newton slopes,
+    ``linalg.primitive_form``) of each weight block, or of a non-graded
+    phi whole, written on construction alone; ``slope_parts`` the set S
+    of slopes whose parts of phi sum to Fil1, set by the constructor that
     knows the roots, else None.  Neither is an ``__init__`` field, so
-    ``replace`` drops both, and neither is part of ``==`` or ``repr``.
+    ``replace`` recomputes the first and drops the second; neither is part
+    of ``==`` or ``repr``.
     """
 
     ctx: PadicContext
@@ -148,9 +150,12 @@ class FilteredPhiModule:
             raise ValueError("phi must be a rational matrix")
         if self.fil1.rows != self.dim:
             raise ValueError("fil1 row count does not match dim")
-        if not self.graded:
-            # a graded module's Fil1 is checked by ``validate_graded``
+        if self.graded:
+            validate_graded(self)
+        else:
             _validate_fil1_basis(self)
+            cp = linalg.char_poly(self.phi)
+            self.block_invariants = ((cp, newton_slopes(cp, self.ctx), linalg.primitive_form(cp)),)
 
     def atoms(self) -> tuple:
         """``parts``, or this module as its own single atom."""
@@ -159,15 +164,10 @@ class FilteredPhiModule:
     def invariants(self) -> list:
         """(characteristic polynomial, its Newton slopes, its primitive
         integer form) of blocks whose polynomials multiply to phi's: each
-        atom's weight blocks as ``validate_graded`` kept them, or its whole
-        phi for an atom not validated, computed here."""
+        atom's ``block_invariants``, as its construction wrote them."""
         out = []
         for a, _, _ in self.atoms():
-            if a.block_invariants:
-                out += a.block_invariants
-            else:
-                cp = linalg.char_poly(a.phi)
-                out.append((cp, newton_slopes(cp, self.ctx), linalg.primitive_form(cp)))
+            out += a.block_invariants
         return out
 
     def weight_offsets(self) -> list[tuple[int, int, int]]:
@@ -200,7 +200,8 @@ def _place(m: FilteredPhiModule) -> None:
 
 
 def validate_graded(m: FilteredPhiModule) -> None:
-    """Construction-time invariants for graded modules.
+    """Construction-time invariants for graded modules, run by
+    ``FilteredPhiModule.__post_init__`` on each one that holds phi.
 
     Checks the weight bookkeeping, block-diagonality of phi, invertibility,
     the slope support of each weight block (0 / [0,1] / 1), full column
@@ -258,7 +259,6 @@ def _validate_fil1_basis(m: FilteredPhiModule) -> None:
 
 def _graded(ctx, phi, weights, fil1, label, slope_parts=None) -> FilteredPhiModule:
     m = FilteredPhiModule(ctx, phi.rows, phi, weights, fil1, label)
-    validate_graded(m)
     m.slope_parts = slope_parts
     return m
 
@@ -274,7 +274,7 @@ def _weight_order(blocks) -> tuple:
 
 
 def _in_weight_order(ctx, phi: Matrix, fil1: Matrix, blocks, label: str) -> FilteredPhiModule:
-    """The unvalidated module on phi and Fil1 in the ``_weight_order`` of
+    """The graded module on phi and Fil1 in the ``_weight_order`` of
     ``blocks``: phi's rows and columns and Fil1's rows permuted to match."""
     perm, weights = _weight_order(blocks)
     if perm != list(range(len(perm))):
@@ -553,9 +553,7 @@ def dual(m: FilteredPhiModule) -> FilteredPhiModule:
     phi = linalg.mat_scale(Fraction(ctx.q), linalg.inverse(linalg.transpose(m.phi)))
     fil1 = linalg.transpose(linalg.annihilator_rows(m.fil1))
     blocks = [(-2 - w, range(o, o + d)) for w, o, d in m.weight_offsets()]
-    out = _in_weight_order(ctx, phi, fil1, blocks, f"dual({m.label})")
-    validate_graded(out)
-    return out
+    return _in_weight_order(ctx, phi, fil1, blocks, f"dual({m.label})")
 
 
 # -- extension demo --------------------------------------------------------------
@@ -630,9 +628,7 @@ def split_extension(m: FilteredPhiModule) -> tuple[FilteredPhiModule, Matrix]:
     fil1, u_f = m.fil1, u
     if fil1.kind == PADIC:
         fil1, u_f = linalg.to_padic(fil1, m.ctx.doubled()), linalg.to_padic(u, m.ctx.doubled())
-    out = _in_weight_order(m.ctx, g, linalg.mat_mul(u_f, fil1), blocks, f"split({m.label})")
-    validate_graded(out)
-    return out, u
+    return _in_weight_order(m.ctx, g, linalg.mat_mul(u_f, fil1), blocks, f"split({m.label})"), u
 
 
 # -- numerical invariants ---------------------------------------------------------
@@ -696,10 +692,9 @@ def _int_pairs(x) -> bool:
 
 
 def module_from_jsonable(obj: dict) -> FilteredPhiModule:
-    """Inverse of ``module_to_jsonable``; a graded module is validated, the
-    Fil1 generators of any module must be independent, and a missing or
-    unknown field, or one of the wrong type, raises ``ValueError`` naming
-    it."""
+    """Inverse of ``module_to_jsonable``; the module is checked as its
+    construction checks any, and a missing or unknown field, or one of the
+    wrong type, raises ``ValueError`` naming it."""
     missing = [k for k in ("ctx", "dim", "phi", "weights", "fil1") if k not in obj]
     if missing:
         raise ValueError(f"module JSON lacks the field(s) {', '.join(missing)}")
@@ -718,7 +713,7 @@ def module_from_jsonable(obj: dict) -> FilteredPhiModule:
     _unknown_keys(obj, ("ctx", "dim", "phi", "weights", "fil1", "label", "graded", "split_at"), "module JSON")
     _unknown_keys(obj["ctx"], ("p", "f", "precision"), "module JSON ctx")
     ctx = PadicContext(obj["ctx"]["p"], obj["ctx"]["f"], obj["ctx"]["precision"])
-    m = FilteredPhiModule(
+    return FilteredPhiModule(
         ctx,
         obj["dim"],
         linalg.matrix_from_jsonable(obj["phi"], ctx),
@@ -729,9 +724,6 @@ def module_from_jsonable(obj: dict) -> FilteredPhiModule:
         obj.get("graded", True),
         obj.get("split_at"),
     )
-    if m.graded:
-        validate_graded(m)
-    return m
 
 
 def spec_to_jsonable(spec: OneMotiveSpec) -> dict:

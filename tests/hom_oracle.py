@@ -55,8 +55,9 @@ def naive_hom_dimension(src, tgt):
 
 
 def random_rational_module(rng, ctx):
-    """Unvalidated module of dimension 1 to 3: an invertible integer phi and
-    a full-rank integer Fil1 of random rank."""
+    """Non-graded module of dimension 1 to 3: an invertible integer phi and
+    a full-rank integer Fil1 of random rank.  Its slopes may break every
+    weight's rule, so it carries no weights; the Hom solver reads none."""
     n = rng.randint(1, 3)
     while True:
         phi = Matrix(n, n, [Fraction(rng.randint(-5, 5)) for _ in range(n * n)])
@@ -67,7 +68,7 @@ def random_rational_module(rng, ctx):
         fil = Matrix(n, r, [Fraction(rng.randint(-3, 3)) for _ in range(n * r)])
         if r == 0 or linalg.rank(fil) == r:
             break
-    return FilteredPhiModule(ctx, n, phi, ((-1, n),), fil, label="random")
+    return FilteredPhiModule(ctx, n, phi, (), fil, label="random", graded=False)
 
 
 def weight_block_structure(h, m):

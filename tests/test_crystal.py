@@ -94,13 +94,17 @@ def test_torus_shapes():
 def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
     """lattice(r) and torus(r) are built on their diagonal phi and Fil1, as
     direct_sum([one] * r) builds them: the same module, parts and label,
-    and so the same dual."""
+    and so the same dual.  The sum is not validated; its ``replace`` twin
+    holds phi, so its construction validates it, one weight block."""
     for ctx in (C5, PadicContext(2, 3, 40)):
         for r in range(2, 5):
             m = realize(r, ctx)
             one = m.parts[0][0]
             ref = dataclasses.replace(direct_sum([one] * r), label=m.label)
-            assert m == ref and m.parts == ref.parts and m.block_invariants == ref.block_invariants == ()
+            assert m == ref and m.parts == ref.parts and m.block_invariants == ()
+            [(cp, slopes, form)] = ref.block_invariants
+            assert cp == linalg.char_poly(m.phi) and slopes == one.block_invariants[0][1] * r
+            assert form == linalg.primitive_form(cp)
             assert m.slope_parts is ref.slope_parts is None and all(a is one for a, _, _ in m.parts)
             d, d_ref = dual(m), dual(ref)
             assert d == d_ref and d.parts == d_ref.parts
@@ -830,8 +834,9 @@ def test_a_sum_is_placed_once_and_writes_the_json_of_its_dense_twin(monkeypatch)
 def test_validation_keeps_each_blocks_slopes_and_primitive_form(monkeypatch):
     """validate_graded keeps each weight block's Newton slopes and primitive
     integer form beside its polynomial; newton_slopes_of and the Hom gate
-    read them and compute neither, while a dense twin, never validated,
-    computes both."""
+    read them and compute neither.  A dense twin is validated when
+    ``replace`` builds it, which computes both for each of its 3 weight
+    blocks, and is then read like any module."""
     from onemotives.homsolver import hom_space
 
     m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 2), torus_dim=1), C5)
@@ -843,7 +848,32 @@ def test_validation_keeps_each_blocks_slopes_and_primitive_form(monkeypatch):
     monkeypatch.setattr(linalg, "primitive_form", lambda h: calls.append(h) or form(h))
     slopes = newton_slopes_of(m)
     assert slopes == [0, 0, 0, 0, 1, 1, 1] and hom_space(m, m).dimension == 4 + 2 + 2 + 1 and calls == []
-    assert newton_slopes_of(dataclasses.replace(m, parts=())) == slopes and len(calls) == 2
+    twin = dataclasses.replace(m, parts=())
+    assert len(calls) == 6
+    assert newton_slopes_of(twin) == slopes and len(calls) == 6
+
+
+def test_invariants_are_read_from_construction_alone(monkeypatch):
+    """Every module that holds phi has its block invariants once built, so
+    reading slopes, Hodge and Newton numbers or End computes no
+    characteristic polynomial: on a sum of atoms, its dense twin, the
+    non-graded extension and an atom with a generic Hodge line."""
+    from onemotives.homsolver import hom_space
+
+    m = realize_one_motive(OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 2), torus_dim=1), C5)
+    generic = realize_elliptic(0, EllipticFilMode("generic"), C5)
+    modules = [m, dataclasses.replace(m, parts=()), extension_module(3, C5), generic]
+    calls, char_poly = [], linalg.char_poly
+    monkeypatch.setattr(linalg, "char_poly", lambda x: calls.append(x) or char_poly(x))
+    for x in modules:
+        newton_slopes_of(x), hodge_newton_numbers(x), hom_space(x, x)
+    assert calls == []
+
+
+def test_a_non_graded_module_keeps_the_invariants_of_its_whole_phi():
+    # phi = [[1, 3], [0, 5]]: T^2 - 6T + 5, roots 1 and 5
+    cp = [Fraction(5), Fraction(-6), Fraction(1)]
+    assert extension_module(3, C5).block_invariants == ((cp, [Fraction(0), Fraction(1)], [5, -6, 1]),)
 
 
 def test_split_extension_coincident_but_solvable():
@@ -944,33 +974,30 @@ def test_filtration_stability_raises_when_the_rank_flips_between_precisions(monk
 
 
 def test_validate_rejects_fil_in_weight_zero():
-    bad = FilteredPhiModule(
-        C5,
-        2,
-        frac_matrix([[1, 0], [0, 5]]),
-        ((0, 1), (-2, 1)),
-        frac_matrix([[1], [0]]),
-    )
     with pytest.raises(ValueError):
-        validate_graded(bad)
+        FilteredPhiModule(
+            C5,
+            2,
+            frac_matrix([[1, 0], [0, 5]]),
+            ((0, 1), (-2, 1)),
+            frac_matrix([[1], [0]]),
+        )
 
 
 def test_validate_rejects_off_block_entries():
-    bad = FilteredPhiModule(
-        C5,
-        2,
-        frac_matrix([[1, 1], [0, 5]]),
-        ((0, 1), (-2, 1)),
-        frac_matrix([[0], [1]]),
-    )
     with pytest.raises(ValueError):
-        validate_graded(bad)
+        FilteredPhiModule(
+            C5,
+            2,
+            frac_matrix([[1, 1], [0, 5]]),
+            ((0, 1), (-2, 1)),
+            frac_matrix([[0], [1]]),
+        )
 
 
 def test_validate_rejects_wrong_slopes():
-    bad = FilteredPhiModule(C5, 1, frac_matrix([[5]]), ((0, 1),), Matrix.zeros(1, 0))
     with pytest.raises(ValueError):
-        validate_graded(bad)
+        FilteredPhiModule(C5, 1, frac_matrix([[5]]), ((0, 1),), Matrix.zeros(1, 0))
 
 
 @pytest.mark.parametrize(
@@ -982,9 +1009,25 @@ def test_validate_rejects_wrong_slopes():
     ],
 )
 def test_slope_rules_name_the_weight_and_the_slopes(weight, entry, message):
-    bad = FilteredPhiModule(C5, 1, frac_matrix([[entry]]), ((weight, 1),), Matrix.zeros(1, 0))
     with pytest.raises(ValueError) as err:
-        validate_graded(bad)
+        FilteredPhiModule(C5, 1, frac_matrix([[entry]]), ((weight, 1),), Matrix.zeros(1, 0))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, change, message",
+    [
+        (lambda: realize_elliptic(1, AUTO, C5), {"phi": Matrix.zeros(2, 2)}, "phi is singular"),
+        (lambda: realize_lattice(1, C5), {"phi": Matrix(1, 1, [5])},
+         "weight 0 block has slopes [Fraction(1, 1)], expected all 0"),
+        (lambda: realize_lattice(1, C5), {"fil1": Matrix.identity(1)}, "Fil1 meets the weight-0 block nontrivially"),
+    ],
+    ids=("singular", "slopes", "fil1"),
+)
+def test_replace_refuses_what_the_constructors_refuse(build, change, message):
+    m = build()
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(m, **change)
     assert str(err.value) == message
 
 
@@ -1024,9 +1067,10 @@ def _module(weights, phi, fil1=None, graded=True):
     ],
 )
 def test_every_validation_message_is_pinned(weights, phi, fil1, message):
-    m = _module(weights, phi, fil1, graded=bool(weights))
+    # a graded module is refused by its construction, a non-graded one by
+    # validate_graded itself
     with pytest.raises(ValueError) as err:
-        validate_graded(m)
+        validate_graded(_module(weights, phi, fil1, graded=bool(weights)))
     assert str(err.value) == message
 
 
@@ -1040,15 +1084,14 @@ def test_split_extension_rejects_a_block_of_no_weight():
 
 
 def test_validate_rejects_singular_phi_in_a_later_block():
-    bad = FilteredPhiModule(
-        C5,
-        2,
-        frac_matrix([[1, 0], [0, 0]]),
-        ((0, 1), (-2, 1)),
-        frac_matrix([[0], [1]]),
-    )
     with pytest.raises(ValueError, match="singular"):
-        validate_graded(bad)
+        FilteredPhiModule(
+            C5,
+            2,
+            frac_matrix([[1, 0], [0, 0]]),
+            ((0, 1), (-2, 1)),
+            frac_matrix([[0], [1]]),
+        )
 
 
 def test_singular_abelian_block_is_rejected_before_its_slopes():
@@ -1112,15 +1155,14 @@ def test_module_invariants_read_from_atoms_equal_those_of_the_whole_phi(ctx):
 
 
 def test_validate_rejects_dependent_fil():
-    bad = FilteredPhiModule(
-        C5,
-        2,
-        frac_matrix([[5, 0], [0, 5]]),
-        ((-2, 2),),
-        frac_matrix([[1, 2], [1, 2]]),
-    )
     with pytest.raises(ValueError):
-        validate_graded(bad)
+        FilteredPhiModule(
+            C5,
+            2,
+            frac_matrix([[5, 0], [0, 5]]),
+            ((-2, 2),),
+            frac_matrix([[1, 2], [1, 2]]),
+        )
 
 
 @pytest.mark.parametrize(
