@@ -114,6 +114,8 @@ class FilteredPhiModule:
     columns) for each summand of a sum not itself a sum (empty for an
     atom).  A sum built without phi is its parts, not checked again: its
     dense phi and Fil1 are placed by ``_place`` when first read, and kept.
+    A module given phi, a ``replace`` twin of a sum too, is its own single
+    atom: it keeps no ``parts``, so its Homs follow its phi.
     ``block_invariants`` holds (characteristic polynomial, Newton slopes,
     ``linalg.primitive_form``) of each weight block, or of a non-graded
     phi whole, written on construction alone; ``slope_parts`` the set S
@@ -142,6 +144,7 @@ class FilteredPhiModule:
                 raise ValueError("a module needs phi, or parts to place it from")
             del self.phi, self.fil1  # a sum: placed from its parts when read
             return
+        self.parts = ()
         if self.fil1 is None:
             self.fil1 = Matrix.zeros(self.dim, 0)
         if self.phi.rows != self.dim or self.phi.cols != self.dim:

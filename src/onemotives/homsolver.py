@@ -19,11 +19,12 @@ N and again at 2N, where a dimension flip raises ``PrecisionExhausted``.
 Only this cut, and the Fil1 check on its blocks, is ever p-adic.
 
 The space is its pairs' blocks, in echelon form and verified, on which
-End closure, phi-membership and the classification are read.  Only output
-places a dense basis, each block at its positions of h, whose unknowns
-are enumerated row-major; pairs' blocks are disjoint, so ordering by
-pivot gives the echelon form of the whole space, byte for byte.  The
-space is over Q when every block is, else over Q_p at 2N.
+End closure and phi-membership are read; the classification reads only
+each weight block's algebra dimension.  Only output places a dense
+basis (``HomSpace.basis``), each block at its positions of h, whose
+unknowns are enumerated row-major; pairs' blocks are disjoint, so
+ordering by pivot gives the echelon form of the whole space, byte for
+byte.  The space is over Q when every block is, else over Q_p at 2N.
 
 Only the commutation with phi is imposed: at the linearized level the
 Verschiebung is q * phi^{-1}, so commuting with phi already commutes
@@ -53,6 +54,8 @@ SCALAR_ONLY = "scalar_only"
 UPPER_TRIANGULAR_FULL = "upper_triangular_full"
 # weight -> tag of a block that must carry its full matrix algebra
 _FULL_ALGEBRA = {0: LATTICE_SCALARS, -2: TORUS_SCALARS}
+# algebra dimension -> tag of a 2x2 weight -1 block
+_WEIGHT_MINUS_1_2X2 = {1: SCALAR_ONLY, 2: POLYNOMIAL_ALGEBRA_OF_PHI, 3: UPPER_TRIANGULAR_FULL}
 
 
 @dataclass(eq=False)
@@ -61,7 +64,8 @@ class HomSpace:
     id(b)) to its verified (b.dim x a.dim) blocks, all in one field.
     ``precision_report`` is the fewest digits behind any p-adic pivot
     decision made, None when every solved pair was exact.  Its blocks are
-    keyed by atom identity, so a space equals only itself."""
+    keyed by atom identity, so a space equals only itself.  ``basis`` is
+    the one place they are placed into dense maps."""
 
     source: FilteredPhiModule
     target: FilteredPhiModule
@@ -82,24 +86,20 @@ class HomSpace:
 
     @property
     def basis(self) -> list[Matrix]:
+        """The dense maps: every block at each place (a, rows_a, b, rows_b),
+        at rows rows_b and columns rows_a, in the pivot order of the whole
+        placed maps."""
         n, m, ctx = self.target.dim, self.source.dim, self.ctx
-        return [Matrix(n, m, h, ctx) for h in self.placed(range(n), range(m))]
-
-    def placed(self, rows: range, cols: range) -> list[list]:
-        """Entries of every block at each place (a, rows_a, b, rows_b), at
-        rows rows_b and columns rows_a of a map cut to the window rows x cols,
-        in the pivot order of the whole placed maps."""
-        n, blank, out = len(cols), Matrix.zeros(len(rows), len(cols), self.ctx).entries, []
+        blank, out = Matrix.zeros(n, m, ctx).entries, []
         for a, rows_a, b, rows_b in self.places():
             # pair unknown i * a.dim + j is entry (rows_b[i], rows_a[j]) of a map
-            at = [(i * a.dim + j, (r - rows.start) * n + c - cols.start)
-                  for i, r in enumerate(rows_b) if r in rows for j, c in enumerate(rows_a) if c in cols]
-            for blk in self.blocks[id(a), id(b)] if at else ():
+            at = [(i * a.dim + j, r * m + c) for i, r in enumerate(rows_b) for j, c in enumerate(rows_a)]
+            for blk in self.blocks[id(a), id(b)]:
                 h = list(blank)
                 for k, x in at:
                     h[x] = blk.entries[k]
-                out.append((_lead(blk, rows_b, rows_a, self.source.dim), h))
-        return [h for _, h in sorted(out, key=lambda x: x[0])]
+                out.append((_lead(blk, rows_b, rows_a, m), h))
+        return [Matrix(n, m, h, ctx) for _, h in sorted(out, key=lambda x: x[0])]
 
 
 def _verify_element(h: Matrix, c_a: Matrix, c_b: Matrix) -> None:
@@ -230,15 +230,6 @@ def in_span_many(basis: list[Matrix], targets: list[Matrix]) -> list:
     return linalg.solve_many(stacked, rhss)
 
 
-def in_span(basis: list[Matrix], target: Matrix) -> list | None:
-    """Coordinates of target in the span of basis matrices, or None; a
-    rational target is promoted to the context of a p-adic basis."""
-    (x,) = in_span_many(basis, [target])
-    if isinstance(x, PrecisionExhausted):
-        raise x
-    return x
-
-
 def end_algebra(m: FilteredPhiModule) -> HomSpace:
     """End space of m, verified to contain the identity and to be closed
     under composition on the atom-pair blocks of ``hom_space``: a (b -> c)
@@ -322,8 +313,8 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     weight blocks of its two atoms, at the places the pair occurs (e's atom
     positions).  Places are disjoint, so a weight block's algebra is the
     direct sum of those restrictions and its dimension the sum of their
-    ranks: the block count for two atoms of that one weight.  Only a 2x2
-    weight -1 block forms its span.
+    ranks: the block count for two atoms of that one weight.  No span is
+    formed: each block's tag is read from that dimension (``_classify_block``).
     """
     m = _end_module(m, e)
     if not m.graded:
@@ -345,22 +336,16 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
         raise UnclassifiedShape(f"an endomorphism couples weight {-w2} into weight {-w1}")
     ctx = e.ctx
     tags, total = [], 0
-    for w, off, d in m.weight_offsets():
+    for w, d in m.weights:
         inside = [(blocks, rows_c, wc[w], rows_a, wa[w]) for blocks, rows_c, wc, rows_a, wa in places if w in wc and w in wa]
-        span = None
-        if w == -1 and d == 2:
-            # the restrictions to the block in basis order; an element placed
-            # elsewhere restricts to exact zeros, which change no echelon row
-            window = range(off, off + d)
-            span = [Matrix(d, d, v, ctx) for v in linalg.echelon_rows(e.placed(window, window), ctx)]
         # a pair of one-weight atoms has independent blocks: count them
-        bd = len(span) if span is not None else sum(
+        bd = sum(
             len(blocks) if len(i) == len(rows_c) and len(j) == len(rows_a)
             else len(linalg.echelon_rows([linalg.submatrix(h, i, j).entries for h in blocks], ctx))
             for blocks, rows_c, i, rows_a, j in inside
         )
         total += bd
-        tags.append((w, _classify_block(m, w, range(off, off + d), bd, span)))
+        tags.append((w, _classify_block(w, d, bd)))
     if total != e.dimension:
         raise UnclassifiedShape(
             f"block dimensions sum to {total} but the endomorphism space has "
@@ -369,26 +354,26 @@ def classify_end(m: FilteredPhiModule, e: HomSpace) -> EndClassification:
     return EndClassification(tuple(tags))
 
 
-def _classify_block(m: FilteredPhiModule, w: int, block: range, bd: int, span: list[Matrix] | None) -> str:
-    """Tag of the weight-w block with algebra dimension bd; ``span`` is the
-    algebra's echelon basis for a 2x2 weight -1 block, else None."""
-    d = len(block)
+def _classify_block(w: int, d: int, bd: int) -> str:
+    """Tag of the weight-w block of size d whose algebra A has dimension bd.
+
+    A weight 0 or -2 block must carry all of M_d.  A 2x2 weight -1 block is
+    tagged by bd alone.  A is End, verified, cut to the block, so it holds
+    the identity (the closure check tests it) and commutes with phi's block
+    (the Sylvester check is exact, and no element couples two weights).
+    bd = 1 is then the scalars.  At bd = 2 phi's block is not scalar:
+    with a scalar phi, A is the stabilizer of the block's Fil1, of
+    dimension 4 (Fil1 0 or everything) or 3 (a line).  A non-scalar 2x2
+    phi is cyclic, so its commutant is Q[phi], of dimension 2, and A, inside
+    it, is all of it.  At bd = 3, a 3-dimensional unital subalgebra of M_2
+    preserving a line is the full stabilizer of that line.
+    """
     if w in _FULL_ALGEBRA:
         if bd == d * d:
             return _FULL_ALGEBRA[w]
         raise UnclassifiedShape(f"weight {w} block algebra has dimension {bd}, expected {d * d}")
-    if span is not None:
-        if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
-            return SCALAR_ONLY
-        if bd == 2:
-            # phi on the block: the phi of the atom that is the block, if one is
-            atom = next((a for a, rows, _ in m.atoms() if tuple(rows) == tuple(block)), None)
-            if in_span(span, atom.phi if atom else linalg.submatrix(m.phi, block, block)) is not None:
-                return POLYNOMIAL_ALGEBRA_OF_PHI
-        if bd == 3:
-            # a 3-dimensional unital subalgebra of M_2 preserving a line is
-            # the full stabilizer of that line
-            return UPPER_TRIANGULAR_FULL
+    if d == 2 and bd in _WEIGHT_MINUS_1_2X2:
+        return _WEIGHT_MINUS_1_2X2[bd]
     raise UnclassifiedShape(f"weight {w} block of size {d} with algebra dimension {bd} matches no known case")
 
 

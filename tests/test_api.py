@@ -6,7 +6,7 @@ import inspect
 import onemotives
 from onemotives import crystal, homsolver, linalg, motivic, padic
 
-REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line", "det", "weight_block_structure")
+REMOVED = ("sylvester_kernel", "constraint_stack", "arith", "min_valuation", "Rational", "eigen_line", "det", "weight_block_structure", "in_span")
 
 
 def test_every_exported_name_resolves():
@@ -33,6 +33,7 @@ def test_removed_names_are_gone():
     assert not hasattr(homsolver, "_solve_once")
     assert not hasattr(linalg, "resultant") and not hasattr(linalg, "det")
     assert not hasattr(homsolver, "weight_block_structure")
+    assert not hasattr(homsolver, "in_span") and not hasattr(homsolver.HomSpace, "placed")
     assert "shift" not in inspect.signature(padic.PadicScalar.from_residue).parameters
 
 

@@ -95,19 +95,21 @@ def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
     """lattice(r) and torus(r) are built on their diagonal phi and Fil1, as
     direct_sum([one] * r) builds them: the same module, parts and label,
     and so the same dual.  The sum is not validated; its ``replace`` twin
-    holds phi, so its construction validates it, one weight block."""
+    holds phi, so its construction validates it, one weight block, and it
+    keeps no parts."""
     for ctx in (C5, PadicContext(2, 3, 40)):
         for r in range(2, 5):
             m = realize(r, ctx)
             one = m.parts[0][0]
-            ref = dataclasses.replace(direct_sum([one] * r), label=m.label)
-            assert m == ref and m.parts == ref.parts and m.block_invariants == ()
+            s = direct_sum([one] * r)
+            ref = dataclasses.replace(s, label=m.label)
+            assert m == ref and m.parts == s.parts and m.block_invariants == ()
             [(cp, slopes, form)] = ref.block_invariants
             assert cp == linalg.char_poly(m.phi) and slopes == one.block_invariants[0][1] * r
             assert form == linalg.primitive_form(cp)
             assert m.slope_parts is ref.slope_parts is None and all(a is one for a, _, _ in m.parts)
             d, d_ref = dual(m), dual(ref)
-            assert d == d_ref and d.parts == d_ref.parts
+            assert d == d_ref and d.parts == dual(s).parts
 
 
 # -- elliptic blocks ----------------------------------------------------------

@@ -53,7 +53,7 @@ from onemotives.homsolver import (
     frobenius_membership,
     hom_space,
     homspace_to_jsonable,
-    in_span,
+    in_span_many,
 )
 from onemotives import linalg
 from onemotives.linalg import Matrix, PADIC, RATIONAL
@@ -152,6 +152,19 @@ def test_a_replaced_module_has_the_homs_of_the_module_it_equals(mode):
         assert newton_slopes_of(twin) == newton_slopes_of(ref)
         assert hodge_newton_numbers(twin) == hodge_newton_numbers(ref)
         assert twin.block_invariants == ref.block_invariants
+
+
+def test_a_replaced_sum_is_its_own_atom():
+    """``replace`` of the sum L1 + E(1) on the phi, Fil1 and label of
+    L1 + E(2) equals L1 + E(2) and has its Homs: a module given phi keeps
+    none of the parts it was copied from, so no solver reads E(1)."""
+    m, ref = z_to_e(1, C5), z_to_e(2, C5)
+    twin = replace(m, phi=ref.phi, fil1=ref.fil1, label=ref.label)
+    assert twin == ref and twin.parts == () and twin.atoms()[0][0] is twin
+    d = hom_space(ref, ref).dimension
+    assert d == 3
+    assert hom_space(twin, ref).dimension == hom_space(ref, twin).dimension == end_algebra(twin).dimension == d
+    assert classify_end(twin, end_algebra(twin)) == classify_end(ref, end_algebra(ref))
 
 
 def test_a_hom_space_equals_only_itself():
@@ -314,9 +327,17 @@ def test_tag_for_an_absent_weight_is_none():
     assert c.tag_for_weight(-1) is None
 
 
+def _in_span(basis, target):
+    """Coordinates of target in the span of basis, or None; raises the
+    ``PrecisionExhausted`` that deciding it raises."""
+    (x,) = in_span_many(basis, [target])
+    if isinstance(x, PrecisionExhausted):
+        raise x
+    return x
+
+
 def test_in_span_empty_basis():
-    assert in_span([], Matrix.zeros(2, 2)) == []
-    assert in_span([], Matrix.identity(2)) is None
+    assert in_span_many([], [Matrix.zeros(2, 2), Matrix.identity(2)]) == [[], None]
 
 
 # -- the End closure check can fail ----------------------------------------------------
@@ -772,7 +793,7 @@ def test_conjugated_sum_has_the_per_pair_hom(q):
         ):
             assert dense.dimension == per_pair.dimension
             for h in per_pair.basis:
-                assert in_span(dense.basis, _integral(carry(h))) is not None
+                assert _in_span(dense.basis, _integral(carry(h))) is not None
 
 
 def _in_coset(x, y):
@@ -926,7 +947,7 @@ def test_hom_basis_is_ordered_reduced_echelon(q):
 
 def _whole_basis_membership(m, e):
     """phi-membership as one span test against every placed basis matrix."""
-    return in_span(e.basis, m.phi) is not None
+    return _in_span(e.basis, m.phi) is not None
 
 
 def _whole_basis_classification(m, e):
@@ -963,7 +984,7 @@ def _whole_basis_tag(m, w, block, span):
     if d == 2:
         if bd == 1 and linalg.is_zero(linalg.shift_diagonal(span[0], -span[0].at(0, 0))):
             return SCALAR_ONLY
-        if bd == 2 and in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
+        if bd == 2 and _in_span(span, linalg.submatrix(m.phi, block, block)) is not None:
             return POLYNOMIAL_ALGEBRA_OF_PHI
         if bd == 3:
             return UPPER_TRIANGULAR_FULL
@@ -1070,6 +1091,11 @@ def _companion_block(q, lam):
     return phi, frac_matrix([[Fraction(-q, lam)], [1]])
 
 
+def _rank_1_block(lam, fil_dim):
+    """Rank-1 weight -1 block: phi = [lam], Fil1 0 or everything."""
+    return frac_matrix([[lam]]), Matrix.identity(1) if fil_dim else Matrix.zeros(1, 0)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -1098,19 +1124,22 @@ def _companion_block(q, lam):
         lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(0, 0)), C25),
         lambda: realize_one_motive(OneMotiveSpec(elliptic_traces=(0, 0, 0)), C25),
         lambda: realize_one_motive(OneMotiveSpec(lattice_rank=1, elliptic_traces=(0, 0), torus_dim=1), C25),
+        lambda: realize_one_motive(OneMotiveSpec(abelian_explicit=(_rank_1_block(1, 0), _rank_1_block(5, 1))), C5),
+        lambda: realize_one_motive(OneMotiveSpec(abelian_explicit=(_rank_1_block(5, 1), _rank_1_block(5, 0))), C5),
     ],
     ids=[
         "kummer", "split-3", "split-0", "split-q3", "split-q3+L1+E(-2)", "split-3+E(1)", "dense-split-3+E(1)",
         "dense-twin-L3+E(1)+T2", "dense-twin-L2+E(0)+T2@25", "dense-L2+E(1)+T2", "dense-L1+E(0)+T1@25", "zero",
         "L1+A(1)", "L1+A(q)", "L2+A(q)+T1", "T1+A(q)", "E(1)^2", "E(1)^3", "L1+E(1)+E(2)", "E(0)@25", "E(0)^2@25", "E(0)^3@25",
-        "L1+E(0)^2+T1@25",
+        "L1+E(0)^2+T1@25", "A(1)+A(q,Fil1)", "A(q,Fil1)+A(q)",
     ],
 )
 def test_block_reading_answers_as_the_whole_basis(build):
     """Atoms of several weights (split and dense modules), cross-weight
     Homs (a weight -1 block with a slope-0 line beside a lattice), repeated
-    atoms and p-adic End spaces: membership and classification read from
-    the atom-pair blocks answer, or fail, as the whole-basis scans do."""
+    atoms, p-adic End spaces and 2 x 2 weight -1 blocks of two rank-1
+    atoms (algebra dimension 2 and 3): membership and classification read
+    from the atom-pair blocks answer, or fail, as the whole-basis scans do."""
     assert _block_reading_outcomes(build()) is not None
 
 
@@ -1146,17 +1175,17 @@ def test_lattice_and_torus_pairs_make_no_elimination(monkeypatch):
     assert calls == []
 
 
-def test_the_solver_path_places_no_window_wider_than_2x2(monkeypatch):
+def test_the_solver_path_reads_no_basis(monkeypatch):
     """End, its closure, phi-membership, the classification and a complex's
-    Hom read the atom-pair blocks: the only placement on that path is a
-    2x2 weight -1 span, never the dense basis."""
-    windows, placed = [], HomSpace.placed
+    Hom read the atom-pair blocks: none of them reads ``HomSpace.basis``,
+    the one placement of dense maps."""
+    reads, basis = [], HomSpace.basis
 
-    def spy(e, rows, cols):
-        windows.append((len(rows), len(cols)))
-        return placed(e, rows, cols)
+    def spy(e):
+        reads.append(e)
+        return basis.fget(e)
 
-    monkeypatch.setattr(HomSpace, "placed", spy)
+    monkeypatch.setattr(HomSpace, "basis", property(spy))
     spec = OneMotiveSpec(lattice_rank=2, elliptic_traces=(1, 1), torus_dim=2)
     big = realize_one_motive(spec, C5)
     # survey rows: ordinary, irreducible, and scalar phi at t^2 = 4q
@@ -1177,9 +1206,38 @@ def test_the_solver_path_places_no_window_wider_than_2x2(monkeypatch):
     assert tags == [None, POLYNOMIAL_ALGEBRA_OF_PHI, SCALAR_ONLY, UPPER_TRIANGULAR_FULL]
     x, y = realize_motive(spec, C5), realize_motive(OneMotiveSpec(lattice_rank=1, torus_dim=1), C5)
     assert hom_complex(x, x).dimension == dims[0] and hom_complex(x, y).dimension == hom_space(big, kummer(C5)).dimension
-    assert windows and all(r <= 2 and c <= 2 for r, c in windows)
-    # the spy sees every placement: reading the basis places the whole space
-    assert len(end_algebra(big).basis) == dims[0] and windows[-1] == (big.dim, big.dim)
+    assert reads == []
+    # the spy sees every read: one read places the whole space
+    e = end_algebra(big)
+    placed = e.basis
+    assert reads == [e] and len(placed) == dims[0] and all(h.rows == h.cols == big.dim for h in placed)
+
+
+@pytest.mark.parametrize(
+    "q, t, mode, tag",
+    [
+        (5, 1, "auto", POLYNOMIAL_ALGEBRA_OF_PHI),
+        (5, 0, "auto", SCALAR_ONLY),
+        (25, 0, "auto", POLYNOMIAL_ALGEBRA_OF_PHI),
+        (25, 10, "scalar", UPPER_TRIANGULAR_FULL),
+        (25, 10, "jordan", POLYNOMIAL_ALGEBRA_OF_PHI),
+    ],
+)
+def test_classify_end_tags_by_block_count_with_no_elimination(monkeypatch, q, t, mode, tag):
+    """L2 + E + T2 with each weight -1 tag, p-adic End at q = 25, t = 0:
+    every weight block is tagged by its count of blocks, with no _rref and
+    no span test."""
+    ctx = PadicContext.from_q(q)
+    spec = OneMotiveSpec(lattice_rank=2, elliptic_traces=(t,), torus_dim=2)
+    m = realize_one_motive(spec, ctx, fil_mode=EllipticFilMode(mode))
+    e = end_algebra(m)
+    assert (e.ctx is not None) == ((q, t) == (25, 0))
+    calls, rref, span = [], linalg._rref, homsolver.in_span_many
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append("_rref") or rref(*args))
+    monkeypatch.setattr(homsolver, "in_span_many", lambda *args: calls.append("in_span_many") or span(*args))
+    c = classify_end(m, e)
+    assert calls == []
+    assert c.blocks == ((0, LATTICE_SCALARS), (-1, tag), (-2, TORUS_SCALARS))
 
 
 def _membership_on_forged_blocks(xx, yy):
@@ -1259,7 +1317,7 @@ def test_split_extension_base_change_is_a_hom():
     graded, u = split_extension(ext)
     h = hom_space(ext, graded)
     assert h.dimension == 1
-    assert in_span(h.basis, u) is not None
+    assert _in_span(h.basis, u) is not None
 
 
 def test_hom_extension_vs_kummer():
