@@ -16,6 +16,7 @@ are produced by Hensel lifting inside Q_p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import groupby
@@ -118,11 +119,10 @@ class FilteredPhiModule:
     atom: it keeps no ``parts``, so its Homs follow its phi.
     ``block_invariants`` holds (characteristic polynomial, Newton slopes,
     ``linalg.primitive_form``) of each weight block, or of a non-graded
-    phi whole, written on construction alone; ``slope_parts`` the set S
-    of slopes whose parts of phi sum to Fil1, set by the constructor that
-    knows the roots, else None.  Neither is an ``__init__`` field, so
-    ``replace`` recomputes the first and drops the second; neither is part
-    of ``==`` or ``repr``.
+    phi whole, and ``slope_parts`` the slopes whose parts of phi sum to
+    Fil1, or None, both written on construction alone (``validate_graded``
+    writes the second), so ``replace``, ``dual`` and JSON certify too.
+    Neither is an ``__init__``, ``==`` or ``repr`` field.
     """
 
     ctx: PadicContext
@@ -211,8 +211,8 @@ def validate_graded(m: FilteredPhiModule) -> None:
     rank of fil1, and Fil1 meeting the weight-0 block trivially.
     Invertibility and slopes are both read from the characteristic
     polynomials of the weight blocks, computed once each and kept on the
-    module with their slopes and primitive integer forms.  A module of one
-    weight block is that block: its phi is read whole.
+    module with their slopes, primitive integer forms and ``_slope_parts``.
+    A module of one weight block is that block: its phi is read whole.
     """
     if not m.graded:
         raise ValueError("validate_graded on a non-graded module")
@@ -245,6 +245,31 @@ def validate_graded(m: FilteredPhiModule) -> None:
     if r > 0 and ws[0] == 0 and linalg.rank(linalg.submatrix(m.fil1, range(dims[0], m.dim), range(r))) != r:
         raise ValueError("Fil1 meets the weight-0 block nontrivially")
     m.block_invariants = tuple(zip(polys, block_slopes, map(linalg.primitive_form, polys)))
+    m.slope_parts = _slope_parts(m, [s for slopes in block_slopes for s in slopes])
+
+
+def _slope_parts(m: FilteredPhiModule, slopes: list) -> frozenset | None:
+    """Slopes whose parts of phi sum to Fil1, or None: none for Fil1 = 0, all
+    for Fil1 everything, and for a line v that phi keeps (det(v, phi v) = 0;
+    over Q_p, past the zero threshold with v scaled to valuation 0 as the
+    Hodge cut scales) in a module of dimension 2 and two slopes, its eigenvalue's."""
+    r, ctx, p = m.fil1.cols, m.fil1.ctx, m.ctx.p
+    if r in (0, m.dim):
+        return frozenset(slopes if r else ())
+    if m.dim != 2 or slopes[0] == slopes[1]:
+        return None
+    # phi = (a, b; c, d) / den over Z, a p-adic v = (x, y) over Z modulo p^n; g = den det(v, phi v), w = den lam v_k
+    den = math.lcm(*[z.denominator for z in m.phi.entries])
+    a, b, c, d = [z.numerator * den // z.denominator for z in m.phi.entries]
+    x, y = m.fil1.entries
+    if ctx:
+        s = min(z.v for z in (x, y) if z.is_resolved)
+        n = min(z.v - s + z.prec for z in (x, y) if z.v is not None)
+        x, y = [z.unit * p ** (z.v - s) if z.prec else 0 for z in (x, y)]
+    g, w = c * x * x + (d - a) * x * y - b * y * y, (a * x + b * y if x else c * x + d * y)
+    if (n < ctx.threshold + fraction_valuation(den, p) or g % (pn := p**n) or not w % pn) if ctx else g:
+        return None
+    return frozenset({Fraction(fraction_valuation(w, p) - fraction_valuation(den * (x or y), p), m.ctx.f)})
 
 
 def _validate_fil1_basis(m: FilteredPhiModule) -> None:
@@ -258,12 +283,6 @@ def _validate_fil1_basis(m: FilteredPhiModule) -> None:
         return
     if r > 0 and linalg.rank(m.fil1) != r:
         raise ValueError("fil1 generators are linearly dependent")
-
-
-def _graded(ctx, phi, weights, fil1, label, slope_parts=None) -> FilteredPhiModule:
-    m = FilteredPhiModule(ctx, phi.rows, phi, weights, fil1, label)
-    m.slope_parts = slope_parts
-    return m
 
 
 def _weight_order(blocks) -> tuple:
@@ -325,7 +344,7 @@ def realize_lattice(r: int, ctx: PadicContext) -> FilteredPhiModule:
         raise ValueError("rank must be >= 0")
     if r == 0:
         return zero_module(ctx)
-    one = _graded(ctx, Matrix.identity(1), ((0, 1),), Matrix.zeros(1, 0), "lattice(1)", frozenset())
+    one = FilteredPhiModule(ctx, 1, Matrix.identity(1), ((0, 1),), Matrix.zeros(1, 0), "lattice(1)")
     return one if r == 1 else _sum([one] * r, f"lattice({r})")
 
 
@@ -336,7 +355,7 @@ def realize_torus(t: int, ctx: PadicContext) -> FilteredPhiModule:
     if t == 0:
         return zero_module(ctx)
     q = Fraction(ctx.q)
-    one = _graded(ctx, Matrix(1, 1, [q]), ((-2, 1),), Matrix.identity(1), "torus(1)", frozenset({Fraction(1)}))
+    one = FilteredPhiModule(ctx, 1, Matrix(1, 1, [q]), ((-2, 1),), Matrix.identity(1), "torus(1)")
     return one if t == 1 else _sum([one] * t, f"torus({t})")
 
 
@@ -380,46 +399,36 @@ def _padic_roots(trace: int, work: PadicContext) -> list[PadicScalar] | None:
     return roots
 
 
-def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> tuple:
-    """The Hodge line as one column, and its slope certificate or None:
-    span(e1) for generic/scalar/jordan, else the companion's eigenline at
-    root lam, span(1, -1/mu) with mu = t - lam the other root: exact at t/2
-    when t^2 = 4q, else at root K of ``_padic_roots`` for ``eigenline:K``.
-    ``auto`` takes root 1 when p does not divide t (the slope-1 root, the
-    line of the connected part), root 0 when p | t, and span(e1), not
-    phi-stable, when there are no roots.  When v(lam) != v(mu) the line is
-    the slope-v(lam)/f part, certified {v(lam)/f} once (phi - lam)(mu, -1)^T
-    = (q - lam mu, lam + mu - t)^T is negligible at 2N.  On an ordinary
-    trace 1/mu is read as lam/q (Vieta: lam mu = q), a valuation shift of
-    lam, digit for digit the reciprocal; a p | t trace takes the reciprocal."""
+def _elliptic_hodge_line(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Matrix:
+    """The Hodge line as one column: span(e1) for generic/scalar/jordan, else
+    the companion's eigenline at root lam, span(1, -1/mu) with mu = t - lam
+    the other root: exact at t/2 when t^2 = 4q, else at root K of
+    ``_padic_roots`` for ``eigenline:K``.  ``auto`` takes root 1 when p does
+    not divide t (the slope-1 root, the line of the connected part), root 0
+    when p | t, and span(e1), not phi-stable, when there are no roots.  On an
+    ordinary trace 1/mu is read as lam/q (Vieta: lam mu = q), a valuation
+    shift of lam, digit for digit the reciprocal; else the reciprocal."""
     span_e1 = Matrix(2, 1, [Fraction(1), Fraction(0)])
     if mode.kind in ("generic", "scalar", "jordan"):
-        return span_e1, None
+        return span_e1
     lam = scalar_frobenius_analysis(trace, ctx)
     if lam is not None:
-        return Matrix(2, 1, [Fraction(1), -1 / lam]), None
+        return Matrix(2, 1, [Fraction(1), -1 / lam])
     # p-adic Hodge data is stored, and tagged, at the doubled precision so
     # the solvers can re-derive structural answers at 2N
     work = ctx.doubled()
     roots = _padic_roots(trace, work)
     if roots is None:
         if mode.kind == "auto":
-            return span_e1, None
+            return span_e1
         raise ModeMismatch("characteristic polynomial is irreducible over Q_p; no eigenline exists")
-    if mode.kind == "auto":
-        mode = EllipticFilMode("eigenline", 1 if is_ordinary(trace, ctx) else 0)
-    lam, mu = roots[mode.root_index], roots[1 - mode.root_index]
+    k = int(is_ordinary(trace, ctx)) if mode.kind == "auto" else mode.root_index
+    lam, mu = roots[k], roots[1 - k]
     if is_ordinary(trace, ctx):
         inv_mu = PadicScalar(work.p, lam.v - ctx.f, lam.unit, lam.prec)
     else:
         inv_mu = mu.reciprocal()
-    line = Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -inv_mu], work)
-    if lam.v == mu.v:
-        return line, None
-    resid = Matrix(2, 1, [from_rational(ctx.q, work) - lam * mu, lam + mu - from_rational(trace, work)], work)
-    if not linalg.is_zero(resid):
-        raise PrecisionExhausted("the Hodge line's roots miss T^2 - tT + q above the zero threshold")
-    return line, frozenset({Fraction(lam.v, ctx.f)})
+    return Matrix(2, 1, [PadicScalar.one(work.p, mu.prec), -inv_mu], work)
 
 
 def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> FilteredPhiModule:
@@ -443,14 +452,16 @@ def realize_elliptic(trace: int, mode: EllipticFilMode, ctx: PadicContext) -> Fi
         phi = Matrix.from_rows([[lam, Fraction(1)], [Fraction(0), lam]])
     else:
         phi = linalg.companion(frobenius_char_poly(trace, ctx))
-    fil1, slope_parts = _elliptic_hodge_line(trace, mode, ctx)
     label = f"elliptic(t={trace})" if mode.kind == "auto" else f"elliptic(t={trace},{mode})"
-    return _graded(ctx, phi, ((-1, 2),), fil1, label, slope_parts)
+    m = FilteredPhiModule(ctx, 2, phi, ((-1, 2),), _elliptic_hodge_line(trace, mode, ctx), label)
+    if m.fil1.kind == PADIC and m.slope_parts is None and len(set(m.block_invariants[0][1])) == 2:
+        raise PrecisionExhausted("the Hodge line's roots miss T^2 - tT + q above the zero threshold")
+    return m
 
 
 def realize_abelian_block(phi: Matrix, fil1: Matrix, ctx: PadicContext) -> FilteredPhiModule:
     """Explicit non-elliptic abelian block; slopes must lie in [0, 1]."""
-    return _graded(ctx, phi, ((-1, phi.rows),), fil1, f"abelian({phi.rows})")
+    return FilteredPhiModule(ctx, phi.rows, phi, ((-1, phi.rows),), fil1, f"abelian({phi.rows})")
 
 
 def direct_sum(modules: list[FilteredPhiModule]) -> FilteredPhiModule:

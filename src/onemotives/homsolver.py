@@ -10,13 +10,14 @@ kernel of ``linalg.sylvester(phi_B, phi_A)``, is solved over Q, and that
 matrix is checked to send each basis element h to exactly 0, which is
 phi_B h - h phi_A = 0.  C is the pair's Hom when Fil1 of the source atom
 is 0, Fil1 of the target is everything, or both Hodge subspaces are slope
-parts that every equivariant map keeps (``_slope_certified``).  Else the
-Hodge cut keeps the sums of C's basis
-H_1, ..., H_d with Q (sum x_i H_i) F = 0, F generating Fil1 of the source
-and the rows of Q the annihilator of Fil1 of the target: a d-column system
-over Q when both Fil1 are rational, else over Q_p at the context precision
-N and again at 2N, where a dimension flip raises ``PrecisionExhausted``.
-Only this cut, and the Fil1 check on its blocks, is ever p-adic.
+parts that every equivariant map keeps (``_slope_certified``), as each
+atom's validation derives them.  Else the Hodge cut keeps the sums of C's
+basis H_1, ..., H_d with Q (sum x_i H_i) F = 0, F generating Fil1 of the
+source and the rows of Q the annihilator of Fil1 of the target: a d-column
+system over Q when both Fil1 are rational, else over Q_p at the context
+precision N and again at 2N, where a dimension flip raises
+``PrecisionExhausted``.  Only this cut, and the Fil1 check on its blocks,
+is ever p-adic: for built-in atoms, on isoclinic eigenlines.
 
 The space is its pairs' blocks, in echelon form and verified, on which
 End closure and phi-membership are read; the classification reads only
@@ -119,12 +120,10 @@ def _verify_element(h: Matrix, c_a: Matrix, c_b: Matrix) -> None:
 
 def _slope_certified(a: FilteredPhiModule, b: FilteredPhiModule) -> bool:
     """Whether every equivariant map a -> b keeps Fil1: both are slope parts,
-    of slopes S_a and S_b, and S_a meets b's slopes inside S_b.  Slope parts
-    are functorial (Dieudonne-Manin), so the map sends Fil1_a into b's parts
-    of slopes S_a."""
-    if a.slope_parts is None or b.slope_parts is None:
-        return False
-    return a.slope_parts & set(newton_slopes_of(b)) <= b.slope_parts
+    of the slopes S_a and S_b their validation derived, and S_a meets b's
+    slopes inside S_b.  Slope parts are functorial (Dieudonne-Manin), so the
+    map sends Fil1_a into b's parts of slopes S_a."""
+    return None not in (a.slope_parts, b.slope_parts) and a.slope_parts & set(newton_slopes_of(b)) <= b.slope_parts
 
 
 def _primitive_rows(m: Matrix) -> Matrix:

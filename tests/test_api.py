@@ -48,4 +48,10 @@ def test_core_records_take_only_their_defining_data():
     }
     for cls, names in pinned.items():
         assert tuple(f.name for f in dataclasses.fields(cls) if f.init) == names, cls.__name__
+    # the slope certificate is derived where a module is validated, so a
+    # ``replace`` twin and a JSON-read atom carry the atom's own
+    assert "slope_parts" not in {f.name for f in dataclasses.fields(crystal.FilteredPhiModule) if f.init}
+    atom = crystal.realize_elliptic(1, crystal.EllipticFilMode("eigenline", 0), padic.PadicContext(5, 1, 40))
+    for twin in (dataclasses.replace(atom), crystal.module_from_jsonable(crystal.module_to_jsonable(atom))):
+        assert twin.slope_parts == atom.slope_parts == frozenset({0})
     assert homsolver.HomSpace.__eq__ is object.__eq__

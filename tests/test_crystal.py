@@ -96,7 +96,8 @@ def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
     direct_sum([one] * r) builds them: the same module, parts and label,
     and so the same dual.  The sum is not validated; its ``replace`` twin
     holds phi, so its construction validates it, one weight block, and it
-    keeps no parts."""
+    keeps no parts.  Its Fil1 is 0 or everything, so the validation
+    certifies it as it certifies the atom."""
     for ctx in (C5, PadicContext(2, 3, 40)):
         for r in range(2, 5):
             m = realize(r, ctx)
@@ -107,7 +108,8 @@ def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
             [(cp, slopes, form)] = ref.block_invariants
             assert cp == linalg.char_poly(m.phi) and slopes == one.block_invariants[0][1] * r
             assert form == linalg.primitive_form(cp)
-            assert m.slope_parts is ref.slope_parts is None and all(a is one for a, _, _ in m.parts)
+            assert m.slope_parts is None and ref.slope_parts == one.slope_parts
+            assert all(a is one for a, _, _ in m.parts)
             d, d_ref = dual(m), dual(ref)
             assert d == d_ref and d.parts == dual(s).parts
 
@@ -259,7 +261,7 @@ def test_hodge_line_is_span_of_one_and_minus_the_other_roots_reciprocal():
                 continue
             for mode in ROOT_MODES:
                 k = (1 if is_ordinary(t, ctx) else 0) if mode == AUTO else mode.root_index
-                line, _ = crystal._elliptic_hodge_line(t, mode, ctx)
+                line = crystal._elliptic_hodge_line(t, mode, ctx)
                 assert line.entries[1] == -roots[1 - k].reciprocal(), (q, t, mode)
                 checked += 1
     assert checked == 7578
@@ -317,37 +319,59 @@ def test_slope_certificate_is_issued_exactly_on_non_isoclinic_eigenlines():
     assert (tagged, untagged) == (1404, 91)
 
 
-def test_slope_certificate_is_set_by_constructors_and_dropped_by_replace():
+def test_slope_certificate_is_derived_at_validation_and_kept_by_replace():
     # lattice 2 and torus 2 are two copies of one certified rank-1 atom
     assert realize_lattice(2, C5).parts[0][0].slope_parts == frozenset()
     assert realize_torus(2, C5).parts[0][0].slope_parts == frozenset({1})
     atom = realize_elliptic(1, AUTO, C5)
     assert atom.slope_parts == frozenset({1})
-    assert dataclasses.replace(atom, label="x").slope_parts is None
+    assert dataclasses.replace(atom, label="x").slope_parts == frozenset({1})
     # the certificate is not part of ==
-    assert dataclasses.replace(atom) == atom and dataclasses.replace(atom).slope_parts is None
+    assert dataclasses.replace(atom) == atom and dataclasses.replace(atom).slope_parts == frozenset({1})
+    assert module_from_jsonable(module_to_jsonable(atom)).slope_parts == frozenset({1})
+    # the dual's Fil1 is the annihilator, the part of slopes 1 - s for the
+    # slopes s outside S: the slope-0 line's dual is the slope-0 line
+    unit = realize_elliptic(1, EllipticFilMode("eigenline", 0), C5)
+    assert unit.slope_parts == dual(unit).slope_parts == frozenset({0})
+    assert dual(atom).slope_parts == dual(dual(atom)).slope_parts == frozenset({1})
+    # Fil1 = span(e2) of lattice 1 + torus 1 as one atom is the slope-1 part
+    kummer = realize_one_motive(OneMotiveSpec(lattice_rank=1, torus_dim=1), C5)
+    assert module_from_jsonable(module_to_jsonable(kummer)).slope_parts == frozenset({1})
     for m in (
-        direct_sum([realize_lattice(1, C5), atom]),
-        dual(atom),
-        module_from_jsonable(module_to_jsonable(atom)),
+        direct_sum([realize_lattice(1, C5), atom]),  # a sum: its atoms carry theirs
         realize_elliptic(0, AUTO, C25),  # isoclinic, slopes 1/2 and 1/2
-        realize_elliptic(1, EllipticFilMode("generic"), C5),
+        realize_elliptic(1, EllipticFilMode("generic"), C5),  # span(e1) is not phi-stable
     ):
         assert m.slope_parts is None, m.label
 
 
 def test_slope_certificate_checks_the_roots_it_is_built_from(monkeypatch):
-    # the line span(1, -1/mu) is only the eigenline at lam when lam and mu
-    # are the roots of T^2 - tT + q; a mu wrong in its fourth digit is caught
+    # on an ordinary trace the line span(1, -lam/q) is the eigenline at lam
+    # only when lam is a root of T^2 - tT + q; a lam wrong in its fourth
+    # digit leaves the line uncertified, and the realization raises
     real = crystal._padic_roots
 
     def perturbed(trace, work):
         mu, lam = real(trace, work)
-        return [mu + from_rational(5**3, work), lam]
+        return [mu, lam + from_rational(5**3, work)]
 
     monkeypatch.setattr(crystal, "_padic_roots", perturbed)
     with pytest.raises(PrecisionExhausted, match="roots miss"):
         realize_elliptic(1, AUTO, C5)
+
+
+def test_slope_certificate_reads_phi_over_its_common_denominator():
+    # phi = [[1, 1/5], [0, 5]] has slopes 0 and 1: e1 is the slope-0 line,
+    # (1, 20) the slope-1 line, over Q and over Q_p, and phi keeps no e2.
+    # Over Q_p, (1, 20 + 5^k) is kept only when 5^k is past the threshold
+    phi, work = frac_matrix([[1, Fraction(1, 5)], [0, 5]]), C5.doubled()
+    for fil, want in (([1, 0], frozenset({0})), ([1, 20], frozenset({1})), ([0, 1], None)):
+        line = frac_matrix([[x] for x in fil])
+        for f in (line, to_padic(line, work)):
+            assert realize_abelian_block(phi, f, C5).slope_parts == want, (fil, f.kind)
+    for k, want in ((60, None), (72, None), (79, frozenset({1}))):
+        line = Matrix(2, 1, [from_rational(1, work), from_rational(20 + 5**k, work)], work)
+        assert realize_abelian_block(phi, line, C5).slope_parts == want, k
 
 
 # -- whole motives ------------------------------------------------------------

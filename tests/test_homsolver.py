@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ import pytest
 
 from hom_oracle import naive_hom_dimension, random_rational_module, weight_block_structure
 from test_workload_samples import workloads  # noqa: F401  (a fixture)
+from test_crystal import _prime_powers
 from test_linalg import dense_product
+from test_tools import _load_tool
 from onemotives.crystal import (
     EllipticFilMode,
     FilteredPhiModule,
@@ -139,13 +142,13 @@ def test_kummer_end_is_diagonal_plane():
 def test_a_replaced_module_has_the_homs_of_the_module_it_equals(mode):
     """A module rebuilt by ``replace`` on another's phi, Fil1 and label
     equals it and has its Homs, End and invariants: its construction
-    validates it and writes the block invariants of its own phi, none of
-    the module it was copied from."""
+    validates it and writes the block invariants and the slope certificate
+    of its own phi and Fil1, none of the module it was copied from."""
     mode = EllipticFilMode(mode)
     for t_from, t_to in ((1, 2), (0, 1)):
         src, ref = realize_elliptic(t_from, mode, C5), realize_elliptic(t_to, mode, C5)
         twin = replace(src, phi=ref.phi, fil1=ref.fil1, label=ref.label)
-        assert twin == ref and twin.slope_parts is None
+        assert twin == ref and twin.slope_parts == ref.slope_parts
         d = hom_space(ref, ref).dimension
         assert d == (2 if mode == AUTO else 1), (mode, t_to)
         assert hom_space(twin, ref).dimension == hom_space(ref, twin).dimension == end_algebra(twin).dimension == d
@@ -590,15 +593,16 @@ def test_hom_padic_fil1_escape_is_a_precision_failure(monkeypatch):
 
 
 def test_hom_tests_no_zero_fil1_image_for_rank(monkeypatch):
-    # End of lattice 1 + torus 1 as one dense atom is its Hodge cut,
-    # spanned by E11 and E22; E11 sends the torus Hodge line to 0, so only
-    # E22's image needs a rank test
-    m = dense(kummer(C5))
-    assert not m.parts
+    # End of lattice 2 + torus 1 as one dense atom, of dimension 3 and so
+    # uncertified, is its Hodge cut, spanned by the four maps of the lattice
+    # block and E33; the four send the torus Hodge line to 0, so only E33's
+    # image needs a rank test
+    m = dense(realize_one_motive(OneMotiveSpec(lattice_rank=2, torus_dim=1), C5))
+    assert not m.parts and m.slope_parts is None
     calls = []
     real = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda a: calls.append(a) or real(a))
-    assert hom_space(m, m).dimension == 2
+    assert hom_space(m, m).dimension == 5
     assert len(calls) == 1
 
 
@@ -805,13 +809,20 @@ def _in_coset(x, y):
     return d == 0 or fraction_valuation(d, y.p) >= y.v + y.prec
 
 
+def _uncertified(m):
+    """m's ``replace`` twin with its slope certificate cleared, so that its
+    pairs take the Hodge cut."""
+    twin = replace(m)
+    twin.slope_parts = None
+    return twin
+
+
 def test_slope_certified_end_is_the_p_adic_end_made_exact():
     """Oracle for the slope-part path: End(L1 + E) of a certified elliptic
-    atom, solved over Q, against End of the same sum of ``replace``d atoms,
-    which carry no certificate and are solved over Q_p at N and 2N."""
-    primes = [p for p in range(2, 33) if all(p % d for d in range(2, p))]
+    atom, solved over Q, against End of the same sum of ``replace``d atoms
+    whose certificates are cleared, solved over Q_p at N and 2N."""
     answered = raised = 0
-    for q in sorted(p**f for p in primes for f in range(1, 6) if p**f <= 32):
+    for q in _prime_powers(32):
         ctx = PadicContext.from_q(q)
         bound = math.isqrt(4 * q)
         for t in range(-bound, bound + 1):
@@ -826,7 +837,7 @@ def test_slope_certified_end_is_the_p_adic_end_made_exact():
                 exact = end_algebra(direct_sum([lattice, e]))
                 assert exact.precision_report is None and all(h.kind == RATIONAL for h in exact.basis)
                 try:
-                    padic = end_algebra(direct_sum([replace(lattice), replace(e)]))
+                    padic = end_algebra(direct_sum([_uncertified(lattice), _uncertified(e)]))
                 except PrecisionExhausted:
                     # the lattice's scalars and the commutant Q_p[phi] of the
                     # non-scalar 2 x 2 block
@@ -838,6 +849,67 @@ def test_slope_certified_end_is_the_p_adic_end_made_exact():
                     assert all(_in_coset(x, y) for x, y in zip(h.entries, g.entries)), (q, t, mode)
                 answered += 1
     assert (answered, raised) == (648, 36)
+
+
+def _end_record(m):
+    """End of m as output reads it: dimension, basis bytes, precision report."""
+    e = end_algebra(m)
+    return e.dimension, json.dumps([linalg.matrix_to_jsonable(h) for h in e.basis]), e.precision_report
+
+
+def test_every_presentation_of_an_atom_has_the_same_end():
+    """End of an elliptic atom is End of its JSON round trip, of
+    dual(dual(E)) and of its ``replace`` twin, byte for byte and with the
+    same precision report: each is validated, so each derives the atom's
+    slope certificate from its own phi and Fil1.  The same holds for
+    L1 + E + T1 and its double dual."""
+    rows = 0
+    for q in _prime_powers(32):
+        ctx = PadicContext.from_q(q)
+        lattice, torus = realize_lattice(1, ctx), realize_torus(1, ctx)
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            for mode in (AUTO, EllipticFilMode("eigenline", 0), EllipticFilMode("eigenline", 1)):
+                try:
+                    e = realize_elliptic(t, mode, ctx)
+                except ModeMismatch:
+                    continue
+                want = _end_record(e)
+                for twin in (dense(e), dual(dual(e)), replace(e)):
+                    assert _end_record(twin) == want, (q, t, mode)
+                m = direct_sum([lattice, e, torus])
+                assert _end_record(dual(dual(m))) == _end_record(m), (q, t, mode)
+                rows += 1
+    assert rows == 746
+
+
+def test_the_p_adic_hodge_cut_runs_only_on_isoclinic_eigenlines(monkeypatch):
+    """Over the rows of ``tools/sweep.py`` with q <= 49, End(m) and
+    Hom(dual m, m) of m = L1 + E(t) + T1, an atom pair takes the p-adic
+    Hodge cut only when neither slope set can tell its two lines apart:
+    the split isoclinic traces, p | t with v(t) = f / 2, in the three modes
+    that read a p-adic eigenline, one cut for End and one for Hom."""
+    cuts, padic_kernels = [], []
+    kernel, pair_kernel = linalg.kernel, homsolver._pair_kernel
+
+    def spied_pair_kernel(a, b, reports):
+        before = len(padic_kernels)
+        blocks = pair_kernel(a, b, reports)
+        if len(padic_kernels) > before:
+            cuts.append(row)
+        return blocks
+
+    monkeypatch.setattr(linalg, "kernel", lambda a: (a.kind == PADIC and padic_kernels.append(a)) or kernel(a))
+    monkeypatch.setattr(homsolver, "_pair_kernel", spied_pair_kernel)
+    for row in _load_tool("sweep").domain(49):
+        q, t, mode = row
+        try:
+            m = realize_one_motive(OneMotiveSpec(1, 1, (t,)), PadicContext.from_q(q), EllipticFilMode.parse(mode))
+        except ModeMismatch:
+            continue
+        end_algebra(m), hom_space(dual(m), m)
+    isoclinic = [(25, 0), (49, -7), (49, 7)]
+    assert Counter(cuts) == {(q, t, mode): 2 for q, t in isoclinic for mode in ("auto", "eigenline:0", "eigenline:1")}
 
 
 def _assert_reduced_echelon(space):

@@ -336,18 +336,19 @@ def test_refines_rejects_a_record_it_no_longer_computes_and_other_errors_answere
 def test_sweep_refines_reads_the_records_of_another_package(tmp_path, capsys):
     sweep = _load_tool("sweep")
     src = Path(__file__).resolve().parents[1] / "src"
-    assert sweep.main(["--qmax", "5", "--refines", str(src)]) == 0
+    assert sweep.main(["--qmax", "25", "--refines", str(src)]) == 0
     same = capsys.readouterr()
     assert "refines: " in same.err and ", 0 rejected" in same.err and "changed" not in same.err
     # a copy of the package that drops every precision report: this
-    # checkout's reports are then no refinement of its records
+    # checkout's reports are then no refinement of its records.  q = 25 is
+    # the first q whose sweep keeps p-adic records, its isoclinic rows at t = 0
     other = tmp_path / "src"
     shutil.copytree(src, other, ignore=shutil.ignore_patterns("__pycache__"))
     homsolver = other / "onemotives" / "homsolver.py"
     text = homsolver.read_text()
     assert text.count('"precision_report": h.precision_report') == 1
     homsolver.write_text(text.replace('"precision_report": h.precision_report', '"precision_report": None'))
-    assert sweep.main(["--qmax", "5", "--refines", str(other)]) == 1
+    assert sweep.main(["--qmax", "25", "--refines", str(other)]) == 1
     changed = capsys.readouterr()
     assert changed.out == same.out
     assert "not a refinement: precision_report None became " in changed.err
