@@ -5,10 +5,11 @@ Frobenius operators and carries the Hodge subspace of the source into
 that of the target.  Hom is additive over the atoms a ``direct_sum``
 remembers, and an atom pair whose Frobenius characteristic polynomials
 share no root (an exact gcd over Q) contributes nothing.  Every other
-pair takes one path.  Its phis are rational, so the commutant C, the
-kernel of ``linalg.sylvester(phi_B, phi_A)``, is solved over Q, and that
-matrix is checked to send each basis element h to exactly 0, which is
-phi_B h - h phi_A = 0.  C is the pair's Hom when Fil1 of the source atom
+pair's phis are rational, so its commutant C is exact: span(I, phi) by
+form for two 2x2 atoms sharing a non-scalar (so cyclic) phi, each basis
+element h checked to give phi h == h phi entry for entry; else the kernel
+of ``linalg.sylvester(phi_B, phi_A)``, solved over Q, which that matrix
+must send to exactly 0.  C is the pair's Hom when Fil1 of the source atom
 is 0, Fil1 of the target is everything, or both Hodge subspaces are slope
 parts that every equivariant map keeps (``_slope_certified``), as each
 atom's validation derives them.  Else the Hodge cut keeps the sums of C's
@@ -140,20 +141,31 @@ def _primitive_rows(m: Matrix) -> Matrix:
 
 def _pair_kernel(a: FilteredPhiModule, b: FilteredPhiModule, reports: list) -> list:
     """Verified (b.dim x a.dim) blocks spanning one atom pair's Hom: none
-    for disjoint spectra; the commutant C, solved and checked over Q, when
-    no Fil1 condition binds; else C's Hodge cut, over Q when both Fil1 are
-    rational, else over Q_p at N and then 2N."""
+    for disjoint spectra; the commutant C, span(I, phi) by form or else the
+    Sylvester kernel, checked exactly over Q, when no Fil1 condition binds;
+    else C's Hodge cut, over Q when both Fil1 are rational, else over Q_p
+    at N and then 2N."""
     forms_b = [g for _, _, g in b.invariants()]
     if not any(linalg.forms_share_root(f, g) for _, _, f in a.invariants() for g in forms_b):
         return []
-    sylvester = linalg.sylvester(b.phi, a.phi)
-    basis = linalg.kernel(sylvester).basis
-    hs = Matrix(len(basis), a.dim * b.dim, [x for v in basis for x in v])
-    # Sylvester's matrix maps vec(H) to vec(phi_b H - H phi_a)
-    if not linalg.is_zero(linalg.mat_mul(sylvester, linalg.transpose(hs))):
+    e, n = a.phi.entries, a.dim * b.dim
+    if a.dim == b.dim == 2 and (e[1] or e[2] or e[0] != e[3]) and a.phi == b.phi:
+        # a non-scalar 2x2 phi is cyclic: its commutant is Q[phi] = span(I, phi)
+        basis = linalg.echelon_rows([Matrix.identity(2).entries, e], None)
+        blocks = [Matrix(2, 2, v) for v in basis]
+        equivariant = all(linalg.mat_mul(b.phi, h) == linalg.mat_mul(h, a.phi) for h in blocks)
+    else:
+        sylvester = linalg.sylvester(b.phi, a.phi)
+        basis = linalg.kernel(sylvester).basis
+        blocks = [Matrix(b.dim, a.dim, v) for v in basis]
+        # Sylvester's matrix maps vec(H) to vec(phi_b H - H phi_a)
+        vecs = Matrix(n, len(basis), [v[i] for i in range(n) for v in basis])
+        equivariant = linalg.is_zero(linalg.mat_mul(sylvester, vecs))
+    if not equivariant:
         raise VerificationFailure("solver returned a non-equivariant map")
     if _slope_certified(a, b) or a.fil1.cols == 0 or b.fil1.cols == b.dim:
-        return [Matrix(b.dim, a.dim, v) for v in basis]
+        return blocks
+    hs = Matrix(len(basis), n, [x for v in basis for x in v])
     q_b = linalg.annihilator_rows(b.fil1)
     ctx = a.ctx.doubled() if PADIC in (a.fil1.kind, b.fil1.kind) else None
     kernels = []
@@ -359,7 +371,7 @@ def _classify_block(w: int, d: int, bd: int) -> str:
     A weight 0 or -2 block must carry all of M_d.  A 2x2 weight -1 block is
     tagged by bd alone.  A is End, verified, cut to the block, so it holds
     the identity (the closure check tests it) and commutes with phi's block
-    (the Sylvester check is exact, and no element couples two weights).
+    (the equivariance check is exact, and no element couples two weights).
     bd = 1 is then the scalars.  At bd = 2 phi's block is not scalar:
     with a scalar phi, A is the stabilizer of the block's Fil1, of
     dimension 4 (Fil1 0 or everything) or 3 (a line).  A non-scalar 2x2

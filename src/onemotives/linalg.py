@@ -481,10 +481,10 @@ def inverse(m: Matrix) -> Matrix:
 def char_poly(m: Matrix) -> list[Fraction]:
     """Monic characteristic polynomial, ascending coefficients, exact.
 
-    Closed forms for a 1x1 block, [-a, 1], and a 2x2 block, [ad - bc,
-    -(a + d), 1]; the Faddeev-LeVerrier recursion for every other block.
-    Its divisions are by integers only, so the result of an integer matrix
-    is integral.
+    Closed forms for a 1x1 block, [-a, 1], a 2x2 block, [ad - bc,
+    -(a + d), 1], and a scalar block c I, (T - c)^n; the Faddeev-LeVerrier
+    recursion for every other block.  Its divisions are by integers only,
+    so the result of an integer matrix is integral.
     """
     if m.kind != RATIONAL:
         raise ValueError("characteristic polynomial requires the rational kind")
@@ -498,6 +498,9 @@ def char_poly(m: Matrix) -> list[Fraction]:
     if n == 2:
         a, b, c, d = e
         return [a * d - b * c, -(a + d), _FRACTION_ONE]
+    c = e[0]
+    if all(x == (c if k % (n + 1) == 0 else 0) for k, x in enumerate(e)):
+        return [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
     coeffs = []
     ak = m
     for k in range(1, n + 1):

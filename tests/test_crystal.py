@@ -114,6 +114,20 @@ def test_r_copies_equal_the_direct_sum_of_their_atom(realize):
             assert d == d_ref and d.parts == dual(s).parts
 
 
+def test_replace_of_a_wide_lattice_reads_its_scalar_char_poly_by_form(monkeypatch):
+    """The ``replace`` twin of lattice(96) is validated whole, on phi = I of
+    size 96: its characteristic polynomial (T - 1)^96 is read by form, with
+    no matrix product."""
+    m = realize_lattice(96, C5)
+    products = []
+    real = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: products.append((a, b)) or real(a, b))
+    twin = dataclasses.replace(m, label="x")
+    assert products == [] and not twin.parts
+    [(cp, _, _)] = twin.block_invariants
+    assert cp == [math.comb(96, k) * (-1) ** (96 - k) for k in range(97)]
+
+
 # -- elliptic blocks ----------------------------------------------------------
 
 

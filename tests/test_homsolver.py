@@ -542,17 +542,71 @@ def test_end_closure_forms_a_product_linked_by_an_unresolved_zero(monkeypatch):
 
 def test_hom_rejects_a_non_equivariant_kernel_vector(monkeypatch):
     split = split_extension(extension_module(3, C5))[0]
+    lattice = realize_lattice(1, C5)
     assert not split.parts and split.phi == frac_matrix([[1, 0], [0, 5]])
-    # E12 does not commute with phi = diag(1, 5); only the 4-unknown
-    # commutant system of the (split, split) pair is answered wrongly.  The
-    # bogus vector fails the exact check on the commutant, before any Hodge
-    # cut, whether the split module is the whole source or one atom of a sum.
-    bogus = linalg.KernelResult([[Fraction(0), Fraction(1), Fraction(0), Fraction(0)]])
-    real = linalg.kernel
-    monkeypatch.setattr(linalg, "kernel", lambda system: bogus if system.cols == 4 else real(system))
-    for m in (split, direct_sum([split, realize_lattice(1, C5)])):
+    # E12 does not commute with phi = diag(1, 5).  The (split, split) pair
+    # reads its commutant by form, span(I, phi): E12 is put in its place,
+    # and fails the exact block check before any Hodge cut, whether the
+    # split module is the whole source or one atom of a sum
+    e12 = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
+    by_form = [Matrix.identity(2).entries, split.phi.entries]
+    echelon_rows = linalg.echelon_rows
+    monkeypatch.setattr(linalg, "echelon_rows", lambda rows, ctx: [e12] if rows == by_form else echelon_rows(rows, ctx))
+    for m in (split, direct_sum([split, lattice])):
         with pytest.raises(VerificationFailure, match="non-equivariant"):
             hom_space(m, m)
+    monkeypatch.undo()
+    # the phis of split and lattice(1) differ, so that pair still solves a
+    # Sylvester system; a bogus vector answering it, h = (1, 1) with
+    # phi_b h - h phi_a = (0, -4), fails the exact check on Sylvester's matrix
+    sylvester = linalg.sylvester(lattice.phi, split.phi)
+    bogus = linalg.KernelResult([[Fraction(1), Fraction(1)]])
+    kernel = linalg.kernel
+    monkeypatch.setattr(linalg, "kernel", lambda system: bogus if system == sylvester else kernel(system))
+    for src, tgt in ((split, lattice), (direct_sum([split, lattice]),) * 2):
+        with pytest.raises(VerificationFailure, match="non-equivariant"):
+            hom_space(src, tgt)
+
+
+def test_the_commutant_of_a_non_scalar_2x2_phi_is_read_by_form_as_sylvester_solves_it(monkeypatch):
+    """Oracle for the commutant read by form: every 2 x 2 built-in phi at
+    q <= 256, the companion of each admissible trace, ``jordan`` at
+    t^2 = 4q and the dual of each, is not scalar, and its End with Fil1 = 0
+    (no Hodge condition) is span(I, phi) byte for byte as the echelon
+    kernel of sylvester(phi, phi) gives it, of dimension 2, with no
+    Sylvester system built.  That is Tate's count for t^2 < 4q; a scalar
+    phi, ``scalar`` mode and its dual, still takes the Sylvester path and
+    has all 4, Tate's count at t^2 = 4q."""
+    sylvester = linalg.sylvester
+    built = []
+    monkeypatch.setattr(linalg, "sylvester", lambda a, b: built.append(a) or sylvester(a, b))
+
+    def commutant(atom):
+        m = replace(atom, fil1=Matrix.zeros(2, 0))
+        return [json.dumps(linalg.matrix_to_jsonable(h)) for h in hom_space(m, m).blocks[id(m), id(m)]]
+
+    def solved(phi):
+        basis = linalg.echelon_rows(linalg.kernel(sylvester(phi, phi)).basis, None)
+        return [json.dumps(linalg.matrix_to_jsonable(Matrix(2, 2, v))) for v in basis]
+
+    count = 0
+    for q in _prime_powers(256):
+        ctx = PadicContext.from_q(q)
+        bound = math.isqrt(4 * q)
+        for t in range(-bound, bound + 1):
+            atoms = [realize_elliptic(t, EllipticFilMode("generic"), ctx)]
+            if t * t == 4 * q:
+                atoms.append(realize_elliptic(t, EllipticFilMode("jordan"), ctx))
+                scalar = realize_elliptic(t, EllipticFilMode("scalar"), ctx)
+                for m in (scalar, dual(scalar)):
+                    built.clear()
+                    assert len(commutant(m)) == 4 and built == [m.phi]
+            for m in atoms + [dual(a) for a in atoms]:
+                built.clear()
+                by_form = commutant(m)
+                assert built == [] and len(by_form) == 2 and by_form == solved(m.phi)
+                count += 1
+    assert count == 2 * (2644 + 20)
 
 
 def _answer_the_cut_with_all_of_c(monkeypatch, m):
@@ -653,12 +707,14 @@ def test_hom_solves_each_distinct_atom_pair_once(monkeypatch):
     e = end_algebra(m)
     assert e.dimension == 4 + 9 * 2 + 4
     # the commutant of each distinct pair with a shared root, once over Q:
-    # lattice, elliptic, torus; the three elliptic copies share that solve,
-    # and the pairs of distinct weights are decided by the gcd without a
-    # system.  Only the elliptic pair has a Hodge cut (the lattice's Fil1 is
-    # 0, the torus's everything): the annihilator of its Hodge line is read
-    # by form, then one row on the commutant's 2 coordinates at N and at 2N
-    assert systems == [(4, 4, None), (4, 4, None), (1, 2, 40), (1, 2, 80), (4, 4, None)]
+    # the lattice's and the torus's scalar phis solve Sylvester's 4 x 4
+    # system, the elliptic pair reads span(I, phi) by form; the three
+    # elliptic copies share it, and the pairs of distinct weights are
+    # decided by the gcd without a system.  Only the elliptic pair has a
+    # Hodge cut (the lattice's Fil1 is 0, the torus's everything): the
+    # annihilator of its Hodge line is read by form, then one row on the
+    # commutant's 2 coordinates at N and at 2N
+    assert systems == [(4, 4, None), (1, 2, 40), (1, 2, 80), (4, 4, None)]
     # the Fil1 check runs on the cut's own 2 x 2 blocks, not on every basis
     # element of the sum, and not on a commutant taken whole
     checked = []
@@ -977,13 +1033,14 @@ def test_copies_of_a_rank_1_atom_answer_as_the_dense_atom(q, r, traces):
 
 def test_end_of_copies_of_a_rank_1_atom_solves_no_system_wider_than_a_pair_of_2x2_atoms(monkeypatch):
     """End(L6 + E(1) + T6) at p = 5: every lattice and torus pair has one
-    unknown and the elliptic pair four, where one dense lattice 6 atom had
-    36."""
+    unknown, where one dense lattice 6 atom had 36, and the elliptic pair,
+    whose 2 x 2 phi is not scalar, reads its commutant by form and solves
+    no system."""
     widths = []
     real = linalg.kernel
     monkeypatch.setattr(linalg, "kernel", lambda system: widths.append(system.cols) or real(system))
     e = end_algebra(realize_one_motive(OneMotiveSpec(lattice_rank=6, elliptic_traces=(1,), torus_dim=6), C5))
-    assert e.dimension == 36 + 2 + 36 and max(widths) == 4
+    assert e.dimension == 36 + 2 + 36 and max(widths) == 1
 
 
 @pytest.mark.parametrize("q", (4, 5, 9, 25))

@@ -1,5 +1,6 @@
 """Kernel, Sylvester, characteristic polynomial, and elimination tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -592,6 +593,17 @@ def test_char_poly_block():
     m = frac_matrix([[0, -5, 0], [1, t, 0], [0, 0, 1]])
     # (T^2 - tT + 5)(T - 1) = T^3 - (t+1)T^2 + (5+t)T - 5
     assert char_poly(m) == [Fraction(-5), Fraction(5 + t), Fraction(-t - 1), Fraction(1)]
+
+
+def test_char_poly_of_a_scalar_block_is_read_by_form(monkeypatch):
+    """(T - c)^n for c I, coefficient k of T^k being C(n, k) (-c)^(n-k),
+    with no matrix product, for every n up to 8."""
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: pytest.fail("a scalar block needs no product"))
+    for n in range(1, 9):
+        for c in (Fraction(7, 3), Fraction(0), Fraction(-2), Fraction(1)):
+            got = char_poly(mat_scale(c, Matrix.identity(n)))
+            assert got == [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
+            assert all(type(x) is Fraction for x in got)
 
 
 def test_char_poly_non_square():

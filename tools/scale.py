@@ -59,6 +59,8 @@ SHAPES = {
     "E1^32": (5, 0, (1,) * 32, 0),
     "L12+E1^4+T12": (5, 12, (1,) * 4, 12),
     "E0^16@25": (25, 0, (0,) * 16, 0),
+    # every admissible trace at q = 1031, |t| <= 64: 131 distinct atoms
+    "L2+E(all)+T2@1031": (1031, 2, tuple(range(-64, 65)), 2),
 }
 PRECISION = 40
 BUDGET_S = 60  # seconds a shape may take
